@@ -17,11 +17,9 @@ from .polycore import (
     UnknownVariable,
     WeightOrder,
     ZeroPolynomialError,
-    compare_monomials,
     format_polynomial,
     initial_form,
     parse_polynomial,
-    poly_arith,
 )
 from .groebner import (
     GroebnerBasis,

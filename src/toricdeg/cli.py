@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage or I/O error, 2 verification failure (a
-computed value disagrees with a recorded expectation).
+Exit codes: 0 success, 1 usage or I/O error or malformed input, 2
+verification failure (a computed value disagrees with a recorded
+expectation).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .ioformats import (
 from .momentmap import emit_svg, image_vs_polytope, sample_moment_image
 from .polycore import (
     MIN,
+    DegreeOverflow,
     DegRevLex,
     Lex,
     ParseError,
@@ -187,13 +189,15 @@ def _frac_json(x: Fraction):
 
 def cmd_moment(args) -> int:
     M = read_matrix(args.matrix)
+    proj = tuple(_parse_ints(args.project)) if args.project else (0, min(1, M.rows - 1))
+    if len(proj) != 2 or not all(0 <= k < M.rows for k in proj):
+        raise ValueError(f"--project needs two coordinate indices in 0..{M.rows - 1}")
     samples = sample_moment_image(M, args.samples, args.seed)
     verts = hull_vertices([tuple(Fraction(x) for x in M.column(j))
                            for j in range(M.cols)])
     P = PolytopeQ(verts, M.rows)
     stats = image_vs_polytope(samples, P, args.eps)
     if args.svg:
-        proj = tuple(_parse_ints(args.project)) if args.project else (0, min(1, M.rows - 1))
         emit_svg(samples, P, proj, args.svg)
     out = {
         "samples": [list(s.value) for s in samples],
@@ -209,7 +213,7 @@ def cmd_fixtures(args) -> int:
     failed = False
     reports = []
     for name in names:
-        rep = fx.run_fixture(name, args.degree_bound)
+        rep = fx.run_fixture(name)
         reports.append(rep)
         for c in rep.checks:
             status = "PASS" if c.passed else "FAIL"
@@ -263,17 +267,16 @@ def build_parser() -> argparse.ArgumentParser:
     fp = common(sub.add_parser("fiber", help="fiber of the family at t0"), w=True)
     fp.add_argument("--t0", default="0")
 
-    for name in ("pipeline", "degenerate"):
-        sp = sub.add_parser(name, help="valuation-matrix verification pipeline")
-        sp.add_argument("--in", dest="infile", required=True)
-        sp.add_argument("--matrix", required=True)
+    def ideal_and_matrix(name, help):
+        sp = sub.add_parser(name, help=help)
+        sp.add_argument("--in", dest="infile", required=True, help="ideal file")
+        sp.add_argument("--matrix", required=True, help="matrix JSON file")
         sp.add_argument("--convention", choices=["min", "max"], default="min")
-        sp.add_argument("--degree-bound", type=int, default=8)
+        return sp
 
-    sp = sub.add_parser("embed", help="value-semigroup embedding report")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--matrix", required=True)
-    sp.add_argument("--convention", choices=["min", "max"], default="min")
+    for name in ("pipeline", "degenerate"):
+        ideal_and_matrix(name, "valuation-matrix verification pipeline")
+    sp = ideal_and_matrix("embed", "value-semigroup embedding report")
     sp.add_argument("--degree-bound", type=int, default=5)
 
     sp = sub.add_parser("project", help="degeneration-by-projection report")
@@ -293,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     fsub = sp.add_subparsers(dest="fixtures_command", required=True)
     rp = fsub.add_parser("run")
     rp.add_argument("name", help="fixture name or 'all'")
-    rp.add_argument("--degree-bound", type=int, default=None)
     rp.add_argument("--json", action="store_true")
     return p
 
@@ -326,7 +328,7 @@ def main(argv=None) -> int:
         print(f"synopsis: toricdeg {args.command} --help", file=sys.stderr)
         return 1
     except (FileNotFoundError, json.JSONDecodeError, ParseError,
-            UnknownVariable, KeyError, ValueError) as e:
+            UnknownVariable, KeyError, ValueError, DegreeOverflow) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except VerificationFailed as e:

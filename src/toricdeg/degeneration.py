@@ -225,7 +225,7 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
             continue
         hosts = _assign_hosts(T, used, cvecs, J.vars)
         images_exp = _image_exponents(cvecs, hosts, used, nvars)
-        cone = _cone_initial(init, T, nvars)
+        cone = initial_ideal(init, _cone_order(T, nvars))
         if not _all_standard(images_exp, cone):
             continue
         if _finite_over(init, T):
@@ -289,15 +289,12 @@ def _image_exponents(cvecs, hosts, used, nvars):
     return out
 
 
-def _cone_initial(init: Ideal, T, nvars) -> Ideal:
-    """Monomial initial ideal of the tie-broken cone: lex leading terms of
-    the weight-initial ideal, with non-host variables most significant."""
+def _cone_order(T, nvars) -> Lex:
+    """Lex order of the tie-broken cone: non-host variables most significant,
+    each block from the last variable to the first."""
     non_sel = [i for i in range(nvars - 1, -1, -1) if i not in T]
     sel = [i for i in range(nvars - 1, -1, -1) if i in T]
-    order = Lex(tuple(non_sel + sel))
-    G = buchberger(init, order)
-    gens = [Polynomial.monomial(init.vars, e) for e in G.leads]
-    return canonical(Ideal(gens, init.vars))
+    return Lex(tuple(non_sel + sel))
 
 
 def _all_standard(images_exp, cone: Ideal) -> bool:
@@ -380,12 +377,11 @@ def projection_limit(I: Ideal, kept: Sequence[str]) -> ProjectionReport:
     return ProjectionReport(limit, cone_part, closure, check, kept, dropped, w)
 
 
-def hilbert_witness(I: Ideal, Jlimit: Ideal, degrees: Sequence[int],
-                    max_degree: int | None = None):
+def hilbert_witness(I: Ideal, Jlimit: Ideal, degrees: Sequence[int]):
     """Per-degree graded dimensions of two homogeneous ideals, side by side."""
     if I.vars != Jlimit.vars:
         raise DimensionMismatch("ideals must share one ring")
-    cap = max(degrees) if max_degree is None else max_degree
+    cap = max(degrees)
     out = []
     for m in degrees:
         out.append((m, graded_dimension(I, m, max_degree=cap),

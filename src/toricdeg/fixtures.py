@@ -185,6 +185,7 @@ def elliptic_matrix() -> IntMatrix:
 
 
 ELLIPTIC_W = (1, 0, 3)
+ELLIPTIC_DEGREE_BOUND = 5
 
 
 def twisted_cubic_ideal() -> Ideal:
@@ -243,7 +244,7 @@ ELLIPTIC_P9_KEPT = ("u_y2z", "u_y3", "u_z3")
 # runners
 
 
-def run_elliptic(degree_bound: int = 5) -> FixtureReport:
+def run_elliptic() -> FixtureReport:
     rep = FixtureReport("elliptic")
     J = elliptic_ideal()
     vars = J.vars
@@ -266,7 +267,8 @@ def run_elliptic(degree_bound: int = 5) -> FixtureReport:
     rep.add("pipeline.init", same_ideal(pipe.init, want0), WORKED,
             "(y^2*z - x^3)", _ideal_str(pipe.init))
 
-    emb = embed_value_semigroup(J, elliptic_matrix(), MIN, degree_bound=degree_bound)
+    emb = embed_value_semigroup(J, elliptic_matrix(), MIN,
+                                degree_bound=ELLIPTIC_DEGREE_BOUND)
     got_images = {lab: format_polynomial(Polynomial.monomial(vars, e))
                   for lab, e in emb.images.items()}
     want_images = {"y": "y^3", "x": "y^2*z", "z": "z^3"}
@@ -280,8 +282,8 @@ def run_elliptic(degree_bound: int = 5) -> FixtureReport:
             set(image.gens) == {(3, 0), (2, 1), (0, 3)}, WORKED,
             "{(3,0), (2,1), (0,3)}", set(image.gens))
     dims_equal = all(a == b for _, a, b in emb.dims_checked)
-    rep.add("embed.dims", dims_equal and len(emb.dims_checked) >= degree_bound + 1,
-            WORKED, f"equal graded dimensions through degree {degree_bound}",
+    rep.add("embed.dims", dims_equal and len(emb.dims_checked) >= ELLIPTIC_DEGREE_BOUND + 1,
+            WORKED, f"equal graded dimensions through degree {ELLIPTIC_DEGREE_BOUND}",
             str(emb.dims_checked))
 
     samples = sample_moment_image(IntMatrix([list(ELLIPTIC_W)]), 2000, seed=42)
@@ -299,7 +301,7 @@ def run_elliptic(degree_bound: int = 5) -> FixtureReport:
     return rep
 
 
-def run_gr24_gvector(degree_bound: int = 3) -> FixtureReport:
+def run_gr24_gvector() -> FixtureReport:
     rep = FixtureReport("gr24_gvector")
     J = gr24_ideal()
     M = gr24_gvector_matrix()
@@ -311,7 +313,7 @@ def run_gr24_gvector(degree_bound: int = 3) -> FixtureReport:
     rep.add("pipeline.binomial_prime", pipe.binomial_prime, WORKED,
             "True", pipe.binomial_prime)
 
-    emb = embed_value_semigroup(J, M, MIN, degree_bound=degree_bound)
+    emb = embed_value_semigroup(J, M, MIN, degree_bound=3)
     want_images = {
         "p12": "p12^2*p13*p14*p23*p34",
         "p13": "p12*p13^2*p14*p23*p34",
@@ -339,7 +341,7 @@ def run_gr24_gvector(degree_bound: int = 3) -> FixtureReport:
     return rep
 
 
-def run_gr24_plabic(degree_bound: int = 3) -> FixtureReport:
+def run_gr24_plabic() -> FixtureReport:
     rep = FixtureReport("gr24_plabic")
     J = gr24_ideal()
     M = gr24_plabic_matrix()
@@ -370,7 +372,7 @@ def run_gr24_plabic(degree_bound: int = 3) -> FixtureReport:
     return rep
 
 
-def run_gr25(degree_bound: int = 4) -> FixtureReport:
+def run_gr25() -> FixtureReport:
     rep = FixtureReport("gr25_family")
     J = gr25_ideal()
     M = gr25_matrix()
@@ -409,7 +411,7 @@ def run_gr25(degree_bound: int = 4) -> FixtureReport:
     return rep
 
 
-def run_hyperbola(degree_bound: int = 4) -> FixtureReport:
+def run_hyperbola() -> FixtureReport:
     rep = FixtureReport("hyperbola")
     I = hyperbola_ideal()
     pr = projection_limit(I, ("x", "z"))
@@ -439,7 +441,7 @@ def run_hyperbola(degree_bound: int = 4) -> FixtureReport:
     return rep
 
 
-def run_twisted_cubic(degree_bound: int = 4) -> FixtureReport:
+def run_twisted_cubic() -> FixtureReport:
     rep = FixtureReport("twisted_cubic")
     I = twisted_cubic_ideal()
     vars = I.vars
@@ -479,7 +481,7 @@ def run_twisted_cubic(degree_bound: int = 4) -> FixtureReport:
     return rep
 
 
-def run_elliptic_projection(degree_bound: int = 4) -> FixtureReport:
+def run_elliptic_projection() -> FixtureReport:
     rep = FixtureReport("elliptic_projection")
     I = elliptic_p9_ideal()
     vars = I.vars
@@ -519,9 +521,7 @@ RUNNERS = {
 FIXTURE_NAMES = tuple(RUNNERS)
 
 
-def run_fixture(name: str, degree_bound: int | None = None) -> FixtureReport:
+def run_fixture(name: str) -> FixtureReport:
     if name not in RUNNERS:
         raise KeyError(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}")
-    if degree_bound is None:
-        return RUNNERS[name]()
-    return RUNNERS[name](degree_bound)
+    return RUNNERS[name]()

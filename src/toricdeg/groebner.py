@@ -82,13 +82,11 @@ class Ideal:
 class GroebnerBasis:
     """Reduced Groebner basis: monic, auto-reduced, sorted by leading term."""
 
-    __slots__ = ("elements", "order", "reduced", "leads")
+    __slots__ = ("elements", "order", "leads")
 
-    def __init__(self, elements: Sequence[Polynomial], order: TermOrder,
-                 reduced: bool = True):
+    def __init__(self, elements: Sequence[Polynomial], order: TermOrder):
         self.elements = tuple(elements)
         self.order = order
-        self.reduced = reduced
         self.leads = tuple(g.lead(order)[0] for g in self.elements)
 
     def __len__(self):
@@ -156,9 +154,7 @@ def _normal_form(p: Polynomial, basis: Sequence[Polynomial],
                     del work[et]
                 else:
                     work[et] = c0
-    q = Polynomial.zero(p.vars)
-    q.terms = out
-    return q
+    return Polynomial._trusted(p.vars, out)
 
 
 def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
@@ -285,7 +281,7 @@ def buchberger(I: Ideal, order: TermOrder | None = None) -> GroebnerBasis:
         leads.append(r.lead(order)[0])
         push_pairs(len(basis) - 1)
 
-    return GroebnerBasis(_interreduce(basis, order), order, reduced=True)
+    return GroebnerBasis(_interreduce(basis, order), order)
 
 
 def reduced_basis(I: Ideal) -> GroebnerBasis:
@@ -473,9 +469,7 @@ def _saturate_variable_graded(I: Ideal, name: str, w: Sequence[int]) -> Ideal:
                     ne = list(e)
                     ne[i] -= m
                     shifted[tuple(ne)] = c
-                q = Polynomial.zero(I.vars)
-                q.terms = shifted
-                divided.append(q)
+                divided.append(Polynomial._trusted(I.vars, shifted))
             else:
                 divided.append(g)
         J = Ideal(divided, I.vars)

@@ -40,10 +40,6 @@ class IntMatrix:
         self.cols = w
 
     @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]]) -> "IntMatrix":
         cols = [tuple(c) for c in columns]
         return cls([[c[i] for c in cols] for i in range(len(cols[0]))])

@@ -76,25 +76,10 @@ def ideal_from_json(obj: dict) -> Ideal:
     return Ideal(gens, vars, grading=grading)
 
 
-def write_ideal(I: Ideal, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if path.endswith(".json"):
-            json.dump(ideal_to_json(I), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        else:
-            fh.write(ideal_to_text(I))
-
-
 def read_matrix(path: str) -> IntMatrix:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     return IntMatrix(data)
-
-
-def write_matrix(A: IntMatrix, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([list(r) for r in A.entries], fh)
-        fh.write("\n")
 
 
 def semigroup_to_json(S: Semigroup) -> dict:
@@ -110,8 +95,3 @@ def semigroup_from_json(obj: dict) -> Semigroup:
     return Semigroup(obj["gens"], degree_coord=obj.get("degree_coord", 0),
                      labels=obj.get("labels"),
                      degree_scale=obj.get("degree_scale", 1))
-
-
-def read_semigroup(path: str) -> Semigroup:
-    with open(path, "r", encoding="utf-8") as fh:
-        return semigroup_from_json(json.load(fh))

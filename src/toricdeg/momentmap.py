@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .intlat import IntMatrix
 from .polycore import DimensionMismatch
 from .toric import PolytopeQ, point_in_polytope
@@ -36,6 +34,8 @@ class MomentSample:
 
 def moment(A: IntMatrix, z: Sequence[complex]):
     """mu([z]) = (1/|z|^2) * sum_j |z_j|^2 a_j, columns of A as weights."""
+    import numpy as np
+
     if len(z) != A.cols:
         raise DimensionMismatch("one coordinate per weight column required")
     zz = np.asarray(z, dtype=complex)
@@ -50,6 +50,8 @@ def moment(A: IntMatrix, z: Sequence[complex]):
 
 def moment_of_torus_parameter(A: IntMatrix, t: Sequence[complex]):
     """mu of the dense-orbit point with coordinates prod t_i^(A[i][j])."""
+    import numpy as np
+
     if len(t) != A.rows:
         raise DimensionMismatch("one parameter per matrix row required")
     if any(x == 0 for x in t):
@@ -70,16 +72,18 @@ def moment_of_torus_parameter(A: IntMatrix, t: Sequence[complex]):
     return moment(A, tuple(z / top))
 
 
-def sample_moment_image(A: IntMatrix, n: int, seed: int,
-                        log_range: float = LOG_MODULUS_RANGE):
-    """n moment values of torus points: log-moduli uniform in [-L, L], phases
-    uniform, deterministic for a fixed seed (PCG64)."""
+def sample_moment_image(A: IntMatrix, n: int, seed: int):
+    """n moment values of torus points: log-moduli uniform in
+    [-LOG_MODULUS_RANGE, LOG_MODULUS_RANGE], phases uniform, deterministic
+    for a fixed seed (PCG64)."""
+    import numpy as np
+
     if n < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     samples = []
     for _ in range(n):
-        u = rng.uniform(-log_range, log_range, size=A.rows)
+        u = rng.uniform(-LOG_MODULUS_RANGE, LOG_MODULUS_RANGE, size=A.rows)
         phase = rng.uniform(0.0, 2.0 * math.pi, size=A.rows)
         t = tuple(math.exp(ui) * complex(math.cos(pi), math.sin(pi))
                   for ui, pi in zip(u, phase))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 Exponent = tuple  # tuple[int, ...]
 
@@ -86,9 +86,6 @@ def dot(w: Sequence[int], e: Exponent) -> int:
 # ---------------------------------------------------------------------------
 # term orders
 
-LESS, EQUAL, GREATER = -1, 0, 1
-
-
 class TermOrder:
     """Total order on exponents of a fixed length, via sort keys.
 
@@ -100,14 +97,6 @@ class TermOrder:
 
     def key(self, e: Exponent):
         raise NotImplementedError
-
-    def compare(self, a: Exponent, b: Exponent) -> int:
-        if len(a) != len(b) or len(a) != self.nvars:
-            raise DimensionMismatch(
-                f"exponent lengths {len(a)}, {len(b)} vs order on {self.nvars} variables"
-            )
-        ka, kb = self.key(a), self.key(b)
-        return LESS if ka < kb else (GREATER if ka > kb else EQUAL)
 
 
 class DegRevLex(TermOrder):
@@ -212,11 +201,6 @@ class BlockOrder(TermOrder):
         return f"BlockOrder({self.first} >> {self.second})"
 
 
-def compare_monomials(order: TermOrder, a: Exponent, b: Exponent) -> int:
-    """Compare two exponents under `order`; returns -1, 0 or 1."""
-    return order.compare(tuple(a), tuple(b))
-
-
 # ---------------------------------------------------------------------------
 # grading
 
@@ -240,12 +224,6 @@ class Grading:
         degs = {self.degree(e) for e in p.terms}
         return len(degs) <= 1
 
-    def homogeneous_degree(self, p: "Polynomial") -> int:
-        degs = {self.degree(e) for e in p.terms}
-        if len(degs) != 1:
-            raise ValueError("polynomial is not homogeneous")
-        return degs.pop()
-
     def __eq__(self, other):
         return isinstance(other, Grading) and self.weights == other.weights
 
@@ -258,7 +236,11 @@ class Grading:
 
 
 class Polynomial:
-    """Sparse polynomial: dict exponent -> nonzero Fraction, over named vars."""
+    """Sparse polynomial: dict exponent -> nonzero Fraction, over named vars.
+
+    `vars` and `terms` are set only at construction, by `__init__` (which
+    checks and merges its input) or by `_trusted`; no operation mutates them.
+    """
 
     __slots__ = ("vars", "terms")
 
@@ -290,6 +272,16 @@ class Polynomial:
         self.terms = clean
 
     # -- constructors
+
+    @classmethod
+    def _trusted(cls, vars: tuple, terms: dict) -> "Polynomial":
+        """Adopt `terms` without checks or copy: the caller guarantees tuple
+        exponents of the right length and nonzero Fraction coefficients, and
+        hands the dict over."""
+        p = object.__new__(cls)
+        p.vars = vars
+        p.terms = terms
+        return p
 
     @classmethod
     def zero(cls, vars: Sequence[str]) -> "Polynomial":
@@ -324,11 +316,6 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            raise ZeroPolynomialError("total degree of 0 undefined")
-        return max(sum(e) for e in self.terms)
-
     def support_vars(self) -> set:
         """Indices of variables that actually occur."""
         used = set()
@@ -357,9 +344,7 @@ class Polynomial:
                 and self.terms == other.terms)
 
     def __neg__(self) -> "Polynomial":
-        p = Polynomial.zero(self.vars)
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return Polynomial._trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_same_ring(other)
@@ -374,9 +359,7 @@ class Polynomial:
                     del res[e]
                 else:
                     res[e] = c0
-        p = Polynomial.zero(self.vars)
-        p.terms = res
-        return p
+        return Polynomial._trusted(self.vars, res)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -396,16 +379,13 @@ class Polynomial:
                         del res[e]
                     else:
                         res[e] = c0
-        p = Polynomial.zero(self.vars)
-        p.terms = res
-        return p
+        return Polynomial._trusted(self.vars, res)
 
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)
-        p = Polynomial.zero(self.vars)
-        if c != 0:
-            p.terms = {e: c0 * c for e, c0 in self.terms.items()}
-        return p
+        if c == 0:
+            return Polynomial.zero(self.vars)
+        return Polynomial._trusted(self.vars, {e: c0 * c for e, c0 in self.terms.items()})
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
@@ -422,10 +402,10 @@ class Polynomial:
     def term_mul(self, e: Exponent, c) -> "Polynomial":
         """Multiply by the single term c * x^e."""
         c = Fraction(c)
-        p = Polynomial.zero(self.vars)
-        if c != 0:
-            p.terms = {exp_add(e0, e): c0 * c for e0, c0 in self.terms.items()}
-        return p
+        if c == 0:
+            return Polynomial.zero(self.vars)
+        return Polynomial._trusted(
+            self.vars, {exp_add(e0, e): c0 * c for e0, c0 in self.terms.items()})
 
     def monic(self, order: TermOrder) -> "Polynomial":
         e, c = self.lead(order)
@@ -451,9 +431,7 @@ class Polynomial:
             for i, x in enumerate(e):
                 ne[pos[i]] = x
             res[tuple(ne)] = c
-        p = Polynomial.zero(new_vars)
-        p.terms = res
-        return p
+        return Polynomial._trusted(new_vars, res)
 
     def restrict(self, new_vars: Sequence[str]) -> "Polynomial":
         """Project onto a subring; requires support within `new_vars`."""
@@ -468,9 +446,7 @@ class Polynomial:
                     raise ValueError(
                         f"variable {self.vars[i]!r} occurs; cannot restrict")
         res = {tuple(e[i] for i in keep): c for e, c in self.terms.items()}
-        p = Polynomial.zero(new_vars)
-        p.terms = res
-        return p
+        return Polynomial._trusted(new_vars, res)
 
     def substitute(self, values: Mapping[str, object]) -> "Polynomial":
         """Substitute Fractions for some variables, keep the ring unchanged."""
@@ -499,9 +475,7 @@ class Polynomial:
                     del res[te]
                 else:
                     res[te] = c0
-        p = Polynomial.zero(self.vars)
-        p.terms = res
-        return p
+        return Polynomial._trusted(self.vars, res)
 
     def evaluate(self, point: Sequence[object]) -> Fraction:
         """Exact evaluation at a full rational point."""
@@ -524,21 +498,6 @@ class Polynomial:
         return hash((self.vars, frozenset(self.terms.items())))
 
 
-def poly_arith(op: str, a: Polynomial, b) -> Polynomial:
-    """Dispatcher for the ring operations: op in {"add", "mul", "scale"}.
-
-    "scale" takes a rational for b; the others take a polynomial over the
-    same variables.
-    """
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "scale":
-        return a.scale(b)
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def check_convention(convention: str) -> str:
     if convention not in (MIN, MAX):
         raise ValueError(f"convention must be {MIN!r} or {MAX!r}, got {convention!r}")
@@ -558,9 +517,8 @@ def initial_form(p: Polynomial, w: Sequence[int], convention: str = MIN) -> Poly
         raise DimensionMismatch("weight length does not match variables")
     weights = {e: dot(w, e) for e in p.terms}
     target = min(weights.values()) if convention == MIN else max(weights.values())
-    q = Polynomial.zero(p.vars)
-    q.terms = {e: c for e, c in p.terms.items() if weights[e] == target}
-    return q
+    return Polynomial._trusted(
+        p.vars, {e: c for e, c in p.terms.items() if weights[e] == target})
 
 
 def initial_form_rows(p: Polynomial, rows: Sequence[Sequence[int]],

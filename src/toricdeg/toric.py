@@ -81,10 +81,6 @@ class Semigroup:
         d = self.degree_coord
         return tuple(tuple(x for i, x in enumerate(g) if i != d) for g in self.gens)
 
-    def matrix(self) -> IntMatrix:
-        """Generators as columns."""
-        return IntMatrix.from_columns(self.gens)
-
     def __eq__(self, other):
         return (isinstance(other, Semigroup) and set(self.gens) == set(other.gens)
                 and self.degree_coord == other.degree_coord
@@ -105,16 +101,6 @@ class PolytopeQ:
         for v in self.vertices:
             if len(v) != dim_ambient:
                 raise DimensionMismatch("vertex length does not match ambient")
-
-    def support(self, direction: Sequence[Fraction]) -> Fraction:
-        """max over vertices of <direction, v>."""
-        d = [Fraction(x) for x in direction]
-        return max(sum(di * vi for di, vi in zip(d, v)) for v in self.vertices)
-
-    def bounding_box(self):
-        lo = [min(v[i] for v in self.vertices) for i in range(self.dim_ambient)]
-        hi = [max(v[i] for v in self.vertices) for i in range(self.dim_ambient)]
-        return lo, hi
 
     def __eq__(self, other):
         return (isinstance(other, PolytopeQ) and self.dim_ambient == other.dim_ambient

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -117,6 +120,16 @@ def test_moment_json_and_svg(tmp_path, capsys):
     assert svg.exists() and svg.read_text().startswith("<?xml")
 
 
+def test_moment_projection_out_of_range_exit_1(tmp_path, capsys):
+    m = tmp_path / "w.json"
+    m.write_text("[[1,0,3],[0,2,1]]\n")
+    svg = tmp_path / "out.svg"
+    assert cli.main(["moment", "--matrix", str(m), "--project", "0,7",
+                     "--svg", str(svg)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not svg.exists()
+
+
 def test_fixture_run_single(capsys):
     assert cli.main(["fixtures", "run", "hyperbola", "--json"]) == 0
     out = capsys.readouterr().out
@@ -135,7 +148,7 @@ def test_fixtures_run_all_hermetic(capsys):
 
 
 def test_fixture_failure_exits_2(monkeypatch, capsys):
-    def fake_runner(degree_bound=None):
+    def fake_runner():
         rep = FixtureReport("doomed")
         rep.add("always_fails", False, "derived", "0", "1")
         return rep
@@ -153,6 +166,19 @@ def test_usage_error_exit_1(capsys):
 def test_missing_file_exit_1(capsys):
     assert cli.main(["gb", "--in", "/definitely/not/here.ideal"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_exponent_overflow_exit_1(tmp_path, capsys):
+    f = tmp_path / "huge.ideal"
+    f.write_text("vars: x,y\nx^99999999999999999999 - y\n")
+    assert cli.main(["gb", "--in", str(f)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_import_does_not_load_numpy():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    code = "import sys, toricdeg.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_weight_order_requires_w(tmp_path, capsys):

@@ -31,19 +31,7 @@ from toricdeg.polycore import (
     Lex,
     Polynomial,
     format_polynomial,
-    poly_arith,
-    parse_polynomial,
 )
-
-
-def test_poly_arith_dispatcher():
-    vars = ("x", "y")
-    a = parse_polynomial("x + y", vars)
-    b = parse_polynomial("x - y", vars)
-    assert poly_arith("add", a, b) == parse_polynomial("2*x", vars)
-    assert poly_arith("mul", a, b) == parse_polynomial("x^2 - y^2", vars)
-    assert poly_arith("scale", a, Fraction(1, 2)) == \
-        parse_polynomial("1/2*x + 1/2*y", vars)
 
 
 def _random_binomial_ideal(rng, nvars, count):

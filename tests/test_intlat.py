@@ -39,7 +39,7 @@ def _hnf_shape_ok(H: IntMatrix) -> bool:
 
 
 def test_hnf_identity():
-    A = IntMatrix.identity(3)
+    A = IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     H, U = hermite_normal_form(A)
     assert H == A and U == A
 

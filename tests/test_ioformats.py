@@ -15,11 +15,8 @@ from toricdeg.ioformats import (
     parse_ideal_text,
     read_ideal,
     read_matrix,
-    read_semigroup,
     semigroup_from_json,
     semigroup_to_json,
-    write_ideal,
-    write_matrix,
 )
 from toricdeg.toric import Semigroup
 from toricdeg import fixtures as fx
@@ -41,9 +38,10 @@ def test_ideal_json_roundtrip():
 
 def test_ideal_file_roundtrip(tmp_path: Path):
     I = fx.gr24_ideal()
-    for name in ("a.ideal", "a.json"):
+    for name, text in (("a.ideal", ideal_to_text(I)),
+                       ("a.json", json.dumps(ideal_to_json(I)))):
         path = tmp_path / name
-        write_ideal(I, str(path))
+        path.write_text(text)
         assert same_ideal(read_ideal(str(path)), I)
 
 
@@ -60,11 +58,11 @@ def test_ideal_text_comments_and_blanks():
 def test_matrix_roundtrip(tmp_path: Path):
     A = fx.gr25_matrix()
     path = tmp_path / "m.json"
-    write_matrix(A, str(path))
+    path.write_text(json.dumps(A.rows_list()))
     assert read_matrix(str(path)) == A
 
 
-def test_semigroup_json_roundtrip(tmp_path: Path):
+def test_semigroup_json_roundtrip():
     S = Semigroup([(1, 0), (1, 1), (1, 3)], degree_coord=0,
                   labels=("y", "x", "z"))
     T = semigroup_from_json(semigroup_to_json(S))
@@ -72,6 +70,3 @@ def test_semigroup_json_roundtrip(tmp_path: Path):
     V = Semigroup([(1, 0), (1, 9)], degree_coord=0, degree_scale=3)
     W = semigroup_from_json(semigroup_to_json(V))
     assert W == V and W.degree_scale == 3
-    path = tmp_path / "s.json"
-    path.write_text(json.dumps(semigroup_to_json(S)))
-    assert read_semigroup(str(path)) == S
