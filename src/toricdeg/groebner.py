@@ -10,7 +10,7 @@ are diffable and ideal equality is structural equality of those bases.
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
+import operator
 from typing import Iterable, Sequence
 
 from .polycore import (
@@ -24,7 +24,7 @@ from .polycore import (
     Polynomial,
     TermOrder,
     WeightOrder,
-    exp_coprime,
+    exp_add,
     exp_divides,
     exp_lcm,
     exp_sub,
@@ -118,42 +118,77 @@ def _cached_key(order: TermOrder):
     return k
 
 
+def _negated(k: tuple) -> tuple:
+    """The nested tuple `k` with every entry negated."""
+    return tuple([_negated(x) if x.__class__ is tuple else -x for x in k])
+
+
+def _reversed_key(order: TermOrder):
+    """Cached map from an exponent to its order key with every entry negated.
+
+    Every key of one order has the same nested shape, so negated keys
+    compare in reverse: heapq's smallest entry is the largest term.
+    """
+    cache: dict = {}
+    key = order.key
+
+    def rk(e):
+        v = cache.get(e)
+        if v is None:
+            v = _negated(key(e))
+            cache[e] = v
+        return v
+
+    return rk
+
+
 def _normal_form(p: Polynomial, basis: Sequence[Polynomial],
-                 leads: Sequence[Exponent], key) -> Polynomial:
-    """Full normal form: no term of the result is divisible by any lead."""
-    if p.is_zero() or not basis:
+                 leads: Sequence[Exponent], rkey) -> Polynomial:
+    """Full normal form: no term of the result is divisible by any lead.
+
+    Terms are taken largest first from a heap keyed by `rkey` (see
+    `_reversed_key`).  A term that cancels stays in the heap and is skipped
+    when popped: every term a reduction step adds is smaller than the one it
+    removes, so a popped exponent never comes back.
+    """
+    if not p.terms or not basis:
         return p
     work = dict(p.terms)
+    heap = [(rkey(e), e) for e in work]
+    heapq.heapify(heap)
     out: dict = {}
-    nb = len(basis)
-    while work:
-        e = max(work, key=key)
-        c = work.pop(e)
-        hit = -1
-        for i in range(nb):
-            if exp_divides(leads[i], e):
-                hit = i
+    # a list: tuple(zip(...)) grows by resizing, which fills CPython's tuple
+    # free lists of many sizes and raises peak memory
+    divisors = list(zip(basis, leads))
+    le, add, sub = operator.le, operator.add, operator.sub
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        e = pop(heap)[1]
+        c = work.pop(e, None)
+        if c is None:
+            continue
+        for g, l in divisors:
+            if all(map(le, l, e)):
                 break
-        if hit < 0:
+        else:
             out[e] = c
             continue
-        g = basis[hit]
-        shift = exp_sub(e, leads[hit])
-        glead_c = g.terms[leads[hit]]
-        factor = c / glead_c
+        shift = tuple(map(sub, e, l))
+        factor = c / g.terms[l]
         for eg, cg in g.terms.items():
-            if eg == leads[hit]:
+            if eg == l:
                 continue
-            et = tuple(a + b for a, b in zip(eg, shift))
+            et = tuple(map(add, eg, shift))
             c0 = work.get(et)
             if c0 is None:
                 work[et] = -factor * cg
+                push(heap, (rkey(et), et))
             else:
-                c0 = c0 - factor * cg
-                if c0 == 0:
-                    del work[et]
-                else:
+                c0 -= factor * cg
+                if c0:
                     work[et] = c0
+                else:
+                    del work[et]
     return Polynomial._trusted(p.vars, out)
 
 
@@ -161,20 +196,26 @@ def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
     """Remainder of p on division by G (fully reduced)."""
     if p.vars and G.elements and p.vars != G.elements[0].vars:
         raise DimensionMismatch("polynomial and basis in different rings")
-    return _normal_form(p, G.elements, G.leads, _cached_key(G.order))
+    return _normal_form(p, G.elements, G.leads, _reversed_key(G.order))
 
 
 def _spoly(f: Polynomial, g: Polynomial, ef: Exponent, eg: Exponent) -> Polynomial:
+    """S-polynomial of monic f and g with leads ef and eg, which cancel."""
     l = exp_lcm(ef, eg)
-    cf = f.terms[ef]
-    cg = g.terms[eg]
-    return f.term_mul(exp_sub(l, ef), Fraction(1) / cf) - \
-        g.term_mul(exp_sub(l, eg), Fraction(1) / cg)
+    sf, sg = exp_sub(l, ef), exp_sub(l, eg)
+    terms = {exp_add(e, sf): c for e, c in f.terms.items() if e != ef}
+    for e, c in g.terms.items():
+        if e != eg:
+            e = exp_add(e, sg)
+            c = terms.pop(e, 0) - c
+            if c:
+                terms[e] = c
+    return Polynomial._trusted(f.vars, terms)
 
 
 def _interreduce(polys: list, order: TermOrder) -> list:
     """Minimalize and tail-reduce to the unique reduced basis."""
-    key = _cached_key(order)
+    rkey = _reversed_key(order)
     polys = [p for p in polys if not p.is_zero()]
     leads = [p.lead(order)[0] for p in polys]
     # minimalize: drop any element whose lead is divisible by another lead
@@ -195,93 +236,112 @@ def _interreduce(polys: list, order: TermOrder) -> list:
     for i, p in enumerate(polys):
         others = polys[:i] + polys[i + 1:]
         other_leads = leads[:i] + leads[i + 1:]
-        r = _normal_form(p, others, other_leads, key)
+        r = _normal_form(p, others, other_leads, rkey)
         if not r.is_zero():
             reduced.append(r.monic(order))
-    reduced.sort(key=lambda q: key(q.lead(order)[0]), reverse=True)
+    reduced.sort(key=lambda q: rkey(q.lead(order)[0]))
     return reduced
 
 
 def buchberger(I: Ideal, order: TermOrder | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of I under `order` (default degrevlex).
 
-    Normal pair selection (smallest lcm first) with the coprime and chain
-    criteria; the output is the unique reduced basis, independent of the
-    generator order.
+    Pairs are kept by the Gebauer-Moller update.  A new element is paired
+    only with the basis elements whose lead no later lead divides, and the
+    new pairs are pruned by three criteria: M (another new pair's lcm
+    properly divides the lcm), F (of several new pairs with one lcm, one
+    survives) and B (a pair whose leads are coprime is dropped, and so is
+    every new pair with the same lcm).  An old pair is dropped when the new
+    lead divides its lcm and both lcms with the new lead differ from it.
+    Pairs are selected by the sugar strategy: smallest (sugar, lcm) first.
+    A generator's sugar is its total degree; a pair's sugar is the larger of
+    its elements' sugars, each raised by the degree of the monomial that
+    lifts its lead to the lcm; a new element takes the sugar of its pair, or
+    its own total degree if that is larger.  For inputs homogeneous in the
+    standard grading a pair's sugar is the degree of its lcm.  The output is
+    the unique reduced basis, independent of the generator order.
     """
     if order is None:
         order = DegRevLex(len(I.vars))
     if order.nvars != len(I.vars):
         raise DimensionMismatch("order does not match the ideal's ring")
     key = _cached_key(order)
+    rkey = _reversed_key(order)
+    le = operator.le
 
     basis: list[Polynomial] = []
     leads: list[Exponent] = []
-    pairs: list = []  # heap of (degree, key(lcm), i, j)
-    entry_count = 0
+    degrees: list[int] = []  # total degree of each lead
+    excess: list[int] = []  # sugar minus the total degree of the lead
+    active: list[int] = []  # elements whose lead no later lead divides
+    reducers: list[Polynomial] = []
+    reducer_leads: list[Exponent] = []
+    pairs: dict = {}  # (i, j) -> lcm; heap entries of missing pairs are stale
+    heap: list = []  # (sugar, key(lcm), i, j)
 
-    def push_pairs(j: int):
-        nonlocal entry_count
-        ej = leads[j]
+    def add(r: Polynomial, sugar: int):
+        r = r.monic(order)
+        j = len(basis)
+        ej = r.lead(order)[0]
+        dj = sum(ej)
+        basis.append(r)
+        leads.append(ej)
+        degrees.append(dj)
+        excess.append(max(sugar, max(map(sum, r.terms))) - dj)
+        # new pairs, by degree of the lcm: a proper divisor of an lcm has
+        # lower degree, so criterion M looks only at kept lower-degree lcms
         fresh = []
-        for i in range(j):
-            l = exp_lcm(leads[i], ej)
-            fresh.append((i, l))
-        # chain criterion within the new pairs: drop (i, j) when another new
-        # pair's lcm properly divides its lcm
-        kept = []
-        for i, l in fresh:
-            if exp_coprime(leads[i], ej):
+        for i in active:
+            l = tuple(map(max, leads[i], ej))
+            fresh.append((sum(l), l, i))
+        fresh.sort()
+        kept: list = []  # [lcm, i, coprime], by degree of the lcm
+        lower = 0  # kept[:lower] have lcms of lower degree than the current
+        deg = -1
+        for d, l, i in fresh:
+            if d != deg:
+                deg, lower = d, len(kept)
+            coprime = d == degrees[i] + dj  # the lcm is the product
+            if kept and kept[-1][0] == l:
+                kept[-1][2] = kept[-1][2] or coprime
                 continue
-            dominated = False
-            for i2, l2 in fresh:
-                if i2 != i and l2 != l and exp_divides(l2, l):
-                    dominated = True
+            for k in range(lower):
+                if all(map(le, kept[k][0], l)):
                     break
-            if dominated:
-                continue
-            kept.append((i, l))
-        for i, l in kept:
-            heapq.heappush(pairs, (sum(l), key(l), entry_count, i, j, l))
-            entry_count += 1
+            else:
+                kept.append([l, i, coprime])
+        for p, l in list(pairs.items()):
+            if (all(map(le, ej, l))
+                    and tuple(map(max, leads[p[0]], ej)) != l
+                    and tuple(map(max, leads[p[1]], ej)) != l):
+                del pairs[p]
+        for l, i, coprime in kept:
+            if not coprime:
+                pairs[i, j] = l
+                heapq.heappush(heap, (sum(l) + max(excess[i], excess[j]),
+                                      key(l), i, j))
+        active[:] = [i for i in active if not all(map(le, ej, leads[i]))]
+        active.append(j)
+        reducers[:] = [basis[i] for i in active]
+        reducer_leads[:] = [leads[i] for i in active]
 
     # seed with successive normal forms of the generators; unlike the final
     # interreduction this never drops ideal content
     for g in I.gens:
-        r = _normal_form(g, basis, leads, key)
-        if r.is_zero():
-            continue
-        r = r.monic(order)
-        basis.append(r)
-        leads.append(r.lead(order)[0])
-        push_pairs(len(basis) - 1)
+        r = _normal_form(g, reducers, reducer_leads, rkey)
+        if not r.is_zero():
+            add(r, max(map(sum, g.terms)))
 
-    while pairs:
-        _, _, _, i, j, l = heapq.heappop(pairs)
-        # chain criterion against the current basis: skip when some other
-        # lead divides the lcm strictly between the two
-        skip = False
-        for k2 in range(len(basis)):
-            if k2 in (i, j):
-                continue
-            if exp_divides(leads[k2], l):
-                l_ik = exp_lcm(leads[i], leads[k2])
-                l_jk = exp_lcm(leads[j], leads[k2])
-                if l_ik != l and l_jk != l:
-                    skip = True
-                    break
-        if skip:
+    while heap:
+        sugar, _, i, j = heapq.heappop(heap)
+        if pairs.pop((i, j), None) is None:
             continue
         s = _spoly(basis[i], basis[j], leads[i], leads[j])
-        r = _normal_form(s, basis, leads, key)
-        if r.is_zero():
-            continue
-        r = r.monic(order)
-        basis.append(r)
-        leads.append(r.lead(order)[0])
-        push_pairs(len(basis) - 1)
+        r = _normal_form(s, reducers, reducer_leads, rkey)
+        if not r.is_zero():
+            add(r, sugar)
 
-    return GroebnerBasis(_interreduce(basis, order), order)
+    return GroebnerBasis(_interreduce(reducers, order), order)
 
 
 def reduced_basis(I: Ideal) -> GroebnerBasis:

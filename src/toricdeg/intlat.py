@@ -8,7 +8,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import groebner
-from .polycore import MIN, DimensionMismatch, check_convention
+from .polycore import MIN, DimensionMismatch, check_convention, exact_int
 
 
 class NegativeEntryUnresolvable(ValueError):
@@ -29,7 +29,11 @@ class IntMatrix:
     __slots__ = ("entries", "rows", "cols")
 
     def __init__(self, entries: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(x) for x in r) for r in entries)
+        try:
+            rows = tuple(tuple(exact_int(x, "matrix entry") for x in r)
+                         for r in entries)
+        except TypeError:
+            raise ValueError("a matrix is a list of rows of integers") from None
         if not rows:
             raise ValueError("matrix must have at least one row")
         w = len(rows[0])

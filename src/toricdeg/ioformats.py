@@ -69,9 +69,19 @@ def ideal_to_json(I: Ideal) -> dict:
 
 
 def ideal_from_json(obj: dict) -> Ideal:
-    vars = tuple(obj["vars"])
-    grading = Grading(obj["grading"]) if "grading" in obj else None
-    gens = [parse_polynomial(s, vars) for s in obj.get("gens", [])]
+    if not isinstance(obj, dict):
+        raise ValueError("an ideal in JSON is an object with vars and gens")
+    vars, gens = obj["vars"], obj.get("gens", [])
+    if not (isinstance(vars, list) and all(isinstance(v, str) for v in vars)):
+        raise ValueError("ideal vars must be a list of strings")
+    if not (isinstance(gens, list) and all(isinstance(s, str) for s in gens)):
+        raise ValueError("ideal gens must be a list of polynomial strings")
+    grading = obj.get("grading")
+    if grading is not None and not isinstance(grading, list):
+        raise ValueError("ideal grading must be a list of integers")
+    vars = tuple(vars)
+    grading = Grading(grading) if grading is not None else None
+    gens = [parse_polynomial(s, vars) for s in gens]
     gens = [g for g in gens if not g.is_zero()]
     return Ideal(gens, vars, grading=grading)
 

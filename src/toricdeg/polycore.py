@@ -13,6 +13,8 @@ by its caller.
 
 from __future__ import annotations
 
+import numbers
+import operator
 import re
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -56,8 +58,8 @@ class UnknownVariable(ValueError):
 
 
 def exp_add(a: Exponent, b: Exponent) -> Exponent:
-    c = tuple(x + y for x, y in zip(a, b))
-    if any(x > MAX_EXPONENT for x in c):
+    c = tuple(map(operator.add, a, b))
+    if max(c, default=0) > MAX_EXPONENT:
         raise DegreeOverflow(f"exponent exceeds {MAX_EXPONENT}")
     return c
 
@@ -72,11 +74,22 @@ def exp_lcm(a: Exponent, b: Exponent) -> Exponent:
 
 def exp_divides(a: Exponent, b: Exponent) -> bool:
     """True if x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
-def exp_coprime(a: Exponent, b: Exponent) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+def exact_int(x, what: str) -> int:
+    """`x` as an int; ValueError unless it is a real number of integral value.
+
+    Refuses bools and strings, and anything `int()` would truncate."""
+    if isinstance(x, numbers.Real) and not isinstance(x, bool):
+        try:
+            i = int(x)
+        except (OverflowError, ValueError):
+            pass
+        else:
+            if i == x:
+                return i
+    raise ValueError(f"{what} {x!r} is not an integer")
 
 
 def dot(w: Sequence[int], e: Exponent) -> int:
@@ -209,7 +222,7 @@ class Grading:
     """Positive integer weight per variable; default weight 1 everywhere."""
 
     def __init__(self, weights: Sequence[int]):
-        self.weights = tuple(int(w) for w in weights)
+        self.weights = tuple(exact_int(w, "grading weight") for w in weights)
         if any(w <= 0 for w in self.weights):
             raise ValueError("grading weights must be positive")
 

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from toricdeg import cli
 from toricdeg import fixtures as fx
@@ -179,6 +180,45 @@ def test_cli_import_does_not_load_numpy():
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     code = "import sys, toricdeg.cli; sys.exit('numpy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_toric_matrix_not_rows_exit_1(tmp_path, capsys):
+    m = tmp_path / "flat.json"
+    m.write_text("[1,2]\n")
+    assert cli.main(["toric", "--matrix", str(m), "--names", "a,b"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("payload", [
+    '{"vars":["x"],"gens":[1]}',
+    '{"vars":["x","y"],"gens":["x - y"],"grading":[1.5,1]}',
+])
+def test_gb_json_malformed_exit_1(tmp_path, capsys, payload):
+    f = tmp_path / "bad.json"
+    f.write_text(payload + "\n")
+    assert cli.main(["gb", "--in", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_toric_non_integer_entry_exit_1(tmp_path, capsys):
+    m = tmp_path / "frac.json"
+    m.write_text("[[1.7,2],[1,1]]\n")
+    assert cli.main(["toric", "--matrix", str(m), "--names", "a,b", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "1.7" in captured.err
+
+
+def test_pipeline_non_integer_entry_exit_1(tmp_path, capsys):
+    ideal, _ = _write_elliptic(tmp_path)
+    m = tmp_path / "frac.json"
+    m.write_text("[[1,1,1],[1,0,3.5]]\n")
+    assert cli.main(["pipeline", "--in", ideal, "--matrix", str(m)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "3.5" in captured.err
 
 
 def test_weight_order_requires_w(tmp_path, capsys):

@@ -20,6 +20,7 @@ from toricdeg.groebner import (
     Ideal,
     buchberger,
     canonical,
+    eliminate,
     initial_ideal,
     same_ideal,
     saturate,
@@ -111,6 +112,40 @@ def test_lex_bases_match_sympy():
         theirs = sorted(
             format_polynomial(_from_sympy(e, vars, syms).monic(order), order)
             for e in sg.exprs if e != 0)
+        assert mine == theirs
+
+
+def test_eliminate_matches_sympy_lex():
+    # the lex basis of I meets k[keep] in the lex basis of I & k[keep], so
+    # sympy's lex basis, cut to the kept variables, checks the BlockOrder
+    # elimination behind eliminate()
+    rng = random.Random(1618)
+    for _ in range(10):
+        n = rng.randint(3, 4)
+        vars = tuple(f"x{i}" for i in range(n))
+        syms = symbols(vars)
+        ndrop = rng.randint(1, n - 2)
+        keep = vars[ndrop:]
+        gens = []
+        for _ in range(rng.randint(2, 3)):
+            terms = {}
+            for _ in range(rng.randint(2, 3)):
+                e = tuple(rng.randint(0, 2) for _ in range(n))
+                terms[e] = terms.get(e, 0) + rng.randint(-3, 3)
+            p = Polynomial(vars, terms)
+            if not p.is_zero():
+                gens.append(p)
+        if not gens:
+            continue
+        E = eliminate(Ideal(gens, vars), keep)
+        order = Lex(tuple(range(len(keep))))
+        mine = sorted(format_polynomial(g, order)
+                      for g in buchberger(E, order).elements)
+        sg = sympy.groebner([_to_sympy(g, syms) for g in gens], *syms, order="lex")
+        dropped = set(syms[:ndrop])
+        theirs = sorted(
+            format_polynomial(_from_sympy(e, keep, syms[ndrop:]).monic(order), order)
+            for e in sg.exprs if e != 0 and not (e.free_symbols & dropped))
         assert mine == theirs
 
 
