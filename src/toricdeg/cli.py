@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 usage or I/O error or malformed input, 2
 verification failure (a computed value disagrees with a recorded
-expectation).
+expectation, or embed finds no host subset).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from . import fixtures as fx
 from .degeneration import (
+    NoIndependentSubset,
     VerificationFailed,
     embed_value_semigroup,
     family_ideal,
@@ -331,7 +332,7 @@ def main(argv=None) -> int:
             UnknownVariable, KeyError, ValueError, DegreeOverflow) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except VerificationFailed as e:
+    except (VerificationFailed, NoIndependentSubset) as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return 2
 

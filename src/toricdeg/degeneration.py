@@ -20,7 +20,7 @@ from .groebner import (
     reduced_basis,
     ring_map_kernel,
     same_ideal,
-    saturate,
+    saturate_by_variables,
 )
 from .intlat import (
     IntMatrix,
@@ -303,20 +303,20 @@ def _all_standard(images_exp, cone: Ideal) -> bool:
 
 
 def _finite_over(init: Ideal, T) -> bool:
-    """Radical of (initial ideal + host variables) contains every variable."""
+    """k[x]/(init + host variables) is finite-dimensional: the leads of its
+    reduced basis hold a pure power of every non-host variable (a constant
+    lead, the unit ideal, counts for each).  For the homogeneous initial
+    ideal this says the radical holds every variable."""
     vars = init.vars
     gens = list(init.gens) + [Polynomial.variable(vars, vars[i]) for i in T]
-    K = Ideal(gens, vars)
-    for i in range(len(vars)):
-        if i in T:
-            continue
-        if not _in_radical(K, Polynomial.variable(vars, vars[i])):
-            return False
-    return True
-
-
-def _in_radical(K: Ideal, f: Polynomial) -> bool:
-    return saturate(K, f).contains_one()
+    powers = set()
+    for e in reduced_basis(Ideal(gens, vars)).leads:
+        support = [j for j, k in enumerate(e) if k]
+        if not support:
+            return True
+        if len(support) == 1:
+            powers.add(support[0])
+    return all(i in powers for i in range(len(vars)) if i not in T)
 
 
 def _fresh_source_names(labels, taken):
@@ -361,10 +361,7 @@ def projection_limit(I: Ideal, kept: Sequence[str]) -> ProjectionReport:
     dropped = tuple(v for v in I.vars if v not in kept)
     w = tuple(0 if v in kept else -1 for v in I.vars)
     limit = initial_ideal(I, [list(w)], MIN)
-    prod = Polynomial.constant(I.vars, 1)
-    for v in dropped:
-        prod = prod * Polynomial.variable(I.vars, v)
-    cone_part = saturate(limit, prod)
+    cone_part = saturate_by_variables(limit, dropped)
     closure = eliminate(I, kept)
     zeroed = []
     subs = {v: Fraction(0) for v in dropped}

@@ -465,12 +465,14 @@ def saturate(I: Ideal, f: Polynomial) -> Ideal:
 
 
 def saturate_by_variables(I: Ideal, var_names: Sequence[str]) -> Ideal:
-    """Successive (I : x^infinity) for each named variable.
+    """Successive (I : x^infinity) for each named variable, in canonical form
+    and with the grading of I.
 
-    Fast path for ideals homogeneous under some positive weight vector:
-    under degrevlex with x smallest, dividing every reduced-basis element by
-    its x-content and repeating until stable computes the saturation without
-    auxiliary variables.  Falls back to `saturate` otherwise.
+    For ideals homogeneous under some positive weight vector, each variable
+    takes one Groebner basis under a graded order with x smallest, whose
+    elements divided by their x-content generate the saturation and are a
+    Groebner basis of it (Sturmfels, Groebner Bases and Convex Polytopes,
+    Lemma 12.1).  Falls back to `saturate` otherwise.
     """
     J = I
     pos = _positive_grading_vector(I)
@@ -513,28 +515,21 @@ class _GradedRevLexLast(TermOrder):
 
 
 def _saturate_variable_graded(I: Ideal, name: str, w: Sequence[int]) -> Ideal:
+    """(I : x^infinity) for the w-homogeneous I, with the grading of I.
+
+    One Groebner basis under `_GradedRevLexLast` suffices: its elements
+    divided by their x-content are a Groebner basis of the saturation
+    (Sturmfels, Lemma 12.1), so a second pass would find no content.
+    """
     i = I.vars.index(name)
-    order = _GradedRevLexLast(w, i)
-    J = I
-    while True:
-        G = buchberger(J, order)
-        divided = []
-        changed = False
-        for g in G.elements:
-            m = min(e[i] for e in g.terms)
-            if m > 0:
-                changed = True
-                shifted = {}
-                for e, c in g.terms.items():
-                    ne = list(e)
-                    ne[i] -= m
-                    shifted[tuple(ne)] = c
-                divided.append(Polynomial._trusted(I.vars, shifted))
-            else:
-                divided.append(g)
-        J = Ideal(divided, I.vars)
-        if not changed:
-            return J
+    divided = []
+    for g in buchberger(I, _GradedRevLexLast(w, i)).elements:
+        m = min(e[i] for e in g.terms)
+        if m:
+            g = Polynomial._trusted(I.vars, {e[:i] + (e[i] - m,) + e[i + 1:]: c
+                                             for e, c in g.terms.items()})
+        divided.append(g)
+    return Ideal(divided, I.vars, grading=I.grading)
 
 
 def ring_map_kernel(source_vars: Sequence[str], images: Sequence[Polynomial],
@@ -566,22 +561,22 @@ DEFAULT_DEGREE_CAP = 8
 
 
 def _weighted_exponents(weights: Sequence[int], degree: int):
-    """All exponent tuples with the given weighted degree."""
-    n = len(weights)
-
-    def rec(i, remaining):
-        if i == n - 1:
-            if remaining % weights[i] == 0:
-                yield (remaining // weights[i],)
-            return
-        w = weights[i]
-        for k in range(remaining // w + 1):
-            for rest in rec(i + 1, remaining - k * w):
-                yield (k,) + rest
-
+    """All exponent tuples with the given weighted degree, grown one
+    coordinate at a time from a stack of (prefix, remaining degree)."""
     if degree < 0:
         return
-    yield from rec(0, degree)
+    *head, last = weights
+    stack = [((), degree)]
+    push = stack.append
+    while stack:
+        e, r = stack.pop()
+        if len(e) == len(head):
+            if r % last == 0:
+                yield e + (r // last,)
+            continue
+        w = head[len(e)]
+        for k in range(r // w + 1):
+            push((e + (k,), r - k * w))
 
 
 def standard_monomials(G: GroebnerBasis, grading: Grading, degree: int):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .groebner import Ideal, canonical, saturate_by_variables
+from .groebner import Ideal, saturate_by_variables
 from .intlat import IntMatrix, in_row_space, kernel_lattice, embed_degree_one_vector
 from .polycore import DimensionMismatch, Grading, Polynomial
 
@@ -270,8 +270,7 @@ def toric_ideal(A: IntMatrix, names: Sequence[str]) -> Ideal:
         minus = tuple(-x if x < 0 else 0 for x in u)
         gens.append(Polynomial.monomial(names, plus)
                     - Polynomial.monomial(names, minus))
-    J = saturate_by_variables(Ideal(gens, names), names)
-    return canonical(Ideal(J.gens, names, grading=grading))
+    return saturate_by_variables(Ideal(gens, names, grading=grading), names)
 
 
 def delta_polytope(S: Semigroup) -> PolytopeQ:

@@ -160,6 +160,20 @@ def test_fixture_failure_exits_2(monkeypatch, capsys):
     assert "[FAIL] doomed:always_fails" in out
 
 
+def test_embed_no_host_subset_exit_2(tmp_path, capsys):
+    # the embedded values use three coordinates, but the matrix has rank 2,
+    # so no three columns are independent hosts
+    ideal = tmp_path / "conic.ideal"
+    ideal.write_text("vars: x,y,z\ngrading: 1,1,1\nx*z - y^2\n")
+    matrix = tmp_path / "repeated.json"
+    matrix.write_text("[[1,1,1],[1,2,3],[1,2,3]]\n")
+    assert cli.main(["embed", "--in", str(ideal), "--matrix", str(matrix)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("verification failure:")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_usage_error_exit_1(capsys):
     assert cli.main(["gb"]) == 1
 

@@ -9,6 +9,7 @@ Hermite normal forms.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,6 +17,9 @@ import sympy
 from sympy import symbols
 from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
 
+from toricdeg import fixtures as fx
+from toricdeg import groebner
+from toricdeg.degeneration import _finite_over, projection_limit, valuation_pipeline
 from toricdeg.groebner import (
     Ideal,
     buchberger,
@@ -29,6 +33,7 @@ from toricdeg.groebner import (
 from toricdeg.intlat import IntMatrix, hermite_normal_form, kernel_lattice, weight_from_matrix
 from toricdeg.polycore import (
     MIN,
+    Grading,
     Lex,
     Polynomial,
     format_polynomial,
@@ -47,26 +52,141 @@ def _random_binomial_ideal(rng, nvars, count):
     return Ideal(gens, vars)
 
 
+def _kernel_binomials(A, vars):
+    gens = []
+    for u in kernel_lattice(A):
+        plus = tuple(x if x > 0 else 0 for x in u)
+        minus = tuple(-x if x < 0 else 0 for x in u)
+        gens.append(Polynomial.monomial(vars, plus)
+                    - Polynomial.monomial(vars, minus))
+    return gens
+
+
+def _saturate_each(I, names):
+    for v in names:
+        I = saturate(I, Polynomial.variable(I.vars, v))
+    return I
+
+
 def test_saturation_routes_agree_on_lattice_ideals():
     rng = random.Random(314)
     for _ in range(12):
         A = IntMatrix([[rng.randint(0, 3) for _ in range(4)] for _ in range(2)])
-        basis = kernel_lattice(A)
-        if not basis:
-            continue
         vars = tuple(f"x{i}" for i in range(4))
-        gens = []
-        for u in basis:
-            plus = tuple(x if x > 0 else 0 for x in u)
-            minus = tuple(-x if x < 0 else 0 for x in u)
-            gens.append(Polynomial.monomial(vars, plus)
-                        - Polynomial.monomial(vars, minus))
+        gens = _kernel_binomials(A, vars)
+        if not gens:
+            continue
         I = Ideal(gens, vars)
         fast = saturate_by_variables(I, vars)
-        slow = I
-        for v in vars:
-            slow = saturate(slow, Polynomial.variable(vars, v))
-        assert same_ideal(fast, canonical(slow))
+        assert same_ideal(fast, canonical(_saturate_each(I, vars)))
+
+
+def test_graded_saturation_route_agrees_with_saturate(monkeypatch):
+    # an all-ones row makes every kernel binomial standard-homogeneous, so
+    # saturate_by_variables takes the graded route, one variable at a time
+    graded = []
+    original = groebner._saturate_variable_graded
+
+    def spy(I, name, w):
+        graded.append(name)
+        return original(I, name, w)
+
+    monkeypatch.setattr(groebner, "_saturate_variable_graded", spy)
+    rng = random.Random(2718)
+    vars = tuple(f"x{i}" for i in range(5))
+    enlarged = 0
+    for k in range(12):
+        A = IntMatrix([[1] * 5, [rng.randint(0, 3) for _ in range(5)]])
+        gens = _kernel_binomials(A, vars)
+        grading = Grading.standard(5) if k % 2 else None
+        I = Ideal(gens, vars, grading=grading)
+        graded.clear()
+        fast = saturate_by_variables(I, vars)
+        assert graded == list(vars)
+        assert fast.grading == grading
+        slow = canonical(_saturate_each(I, vars))
+        assert fast.gens == slow.gens
+        enlarged += not same_ideal(fast, canonical(I))
+    assert enlarged >= 3
+
+
+def _random_projection_input(rng, vars, homogeneous):
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        d = rng.randint(1, 3)
+        terms = {}
+        for _ in range(rng.randint(2, 3)):
+            e = [0] * len(vars)
+            for _ in range(d if homogeneous else rng.randint(0, d)):
+                e[rng.randrange(len(vars))] += 1
+            terms[tuple(e)] = terms.get(tuple(e), 0) + rng.randint(-2, 2)
+        p = Polynomial(vars, terms)
+        if not p.is_zero():
+            gens.append(p)
+    return Ideal(gens, vars)
+
+
+def test_projection_cone_part_matches_saturation_by_product():
+    rng = random.Random(161)
+    vars = ("x", "y", "z", "w")
+    cases = [(fx.twisted_cubic_ideal(), ("u3", "u2", "u0")),
+             (fx.hyperbola_ideal(), ("x", "z"))]
+    for homogeneous in (True, False):
+        for _ in range(6):
+            cases.append((_random_projection_input(rng, vars, homogeneous),
+                          ("x", "y")))
+    routes = set()
+    for I, kept in cases:
+        pr = projection_limit(I, kept)
+        prod = Polynomial.constant(I.vars, 1)
+        for v in pr.dropped:
+            prod = prod * Polynomial.variable(I.vars, v)
+        want = saturate(pr.limit, prod)
+        assert pr.cone_part.gens == want.gens
+        assert pr.cone_part.grading == want.grading
+        routes.add(groebner._positive_grading_vector(pr.limit) is not None)
+    assert routes == {True, False}
+
+
+def _finite_by_saturation(init, T):
+    """The radical of init + (x_T) holds every variable."""
+    vars = init.vars
+    K = Ideal(list(init.gens) + [Polynomial.variable(vars, vars[i]) for i in T],
+              vars)
+    return all(saturate(K, Polynomial.variable(vars, vars[i])).contains_one()
+               for i in range(len(vars)) if i not in T)
+
+
+def test_finite_over_matches_radical_definition():
+    rng = random.Random(99)
+    vars = ("a", "b", "c", "d")
+    inits = [
+        valuation_pipeline(fx.elliptic_ideal(), fx.elliptic_matrix()).init,
+        valuation_pipeline(fx.twisted_cubic_ideal(),
+                           fx.twisted_cubic_matrix()).init,
+        valuation_pipeline(fx.gr24_ideal(), fx.gr24_gvector_matrix()).init,
+        Ideal([Polynomial.constant(vars, 1)], vars),
+    ]
+    for _ in range(4):
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            d = rng.randint(1, 3)
+            e1, e2 = [0] * 4, [0] * 4
+            for _ in range(d):
+                e1[rng.randrange(4)] += 1
+                e2[rng.randrange(4)] += 1
+            gens.append(Polynomial.monomial(vars, tuple(e1))
+                        - Polynomial.monomial(vars, tuple(e2)))
+        inits.append(Ideal(gens, vars, grading=Grading.standard(4)))
+    seen = set()
+    for init in inits:
+        n = len(init.vars)
+        for r in range(n + 1):
+            for T in itertools.combinations(range(n), r):
+                finite = _finite_over(init, T)
+                assert finite == _finite_by_saturation(init, T)
+                seen.add(finite)
+    assert seen == {True, False}
 
 
 def _to_sympy(p, syms):

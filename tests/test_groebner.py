@@ -7,6 +7,7 @@ noted inline.
 
 from __future__ import annotations
 
+import gc
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ import pytest
 import sympy
 from sympy import symbols
 
+from toricdeg import groebner
 from toricdeg.groebner import (
     Ideal,
     NotHomogeneous,
@@ -276,6 +278,28 @@ def test_saturate_to_unit():
     assert saturate(I2, parse_polynomial("x", ("x",))).contains_one()
 
 
+def test_graded_saturation_one_buchberger_call_per_variable(monkeypatch):
+    # the twisted cubic's two adjacent binomials; saturating adds x0*x3 - x1*x2
+    vars = ("x0", "x1", "x2", "x3")
+    I = _ideal(vars, "x0*x2 - x1^2", "x1*x3 - x2^2")
+    calls = []
+    original = groebner.buchberger
+
+    def spy(J, order=None):
+        calls.append(order)
+        return original(J, order)
+
+    monkeypatch.setattr(groebner, "buchberger", spy)
+    J = I
+    for v in vars:
+        calls.clear()
+        J = groebner._saturate_variable_graded(J, v, (1, 1, 1, 1))
+        assert len(calls) == 1
+    monkeypatch.undo()
+    assert same_ideal(J, canonical(_ideal(vars, "x0*x2 - x1^2", "x1*x3 - x2^2",
+                                          "x0*x3 - x1*x2")))
+
+
 def test_saturate_idempotent_and_certified():
     vars = ("x", "y", "z")
     I = _ideal(vars, "x^2*y - z^2*y", "y^2*z")
@@ -336,6 +360,20 @@ def test_standard_monomials_gr24():
     deg2 = standard_monomials(G, grading, 2)
     assert len(deg2) == 20
     assert (0, 1, 0, 0, 1, 0) not in deg2  # p13*p24 itself is excluded
+
+
+def test_standard_monomials_leave_no_reference_cycles():
+    G = reduced_basis(_pluecker_ideal())
+    grading = Grading.standard(6)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(5):
+            standard_monomials(G, grading, 3)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0
 
 
 def test_graded_dimension_pluecker():
