@@ -33,7 +33,6 @@ from .groebner import (
     ring_map_kernel,
     same_ideal,
     saturate,
-    standard_monomials,
 )
 from .intlat import (
     IntMatrix,

@@ -197,6 +197,8 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
     kernel equals the toric ideal of the embedded semigroup, and that graded
     dimensions match degree by degree.
     """
+    if degree_bound < 0:
+        raise ValueError("degree_bound must be nonnegative")
     pipe = valuation_pipeline(J, M, convention)
     if not pipe.binomial_prime:
         raise VerificationFailed("binomial_prime",
@@ -252,8 +254,8 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
                                  "of the embedded semigroup")
     dims = []
     for m in range(degree_bound + 1):
-        dR = graded_dimension(J, m, max_degree=degree_bound)
-        dS = graded_dimension(K2, m, max_degree=degree_bound)
+        dR = graded_dimension(J, m)
+        dS = graded_dimension(K2, m)
         dims.append((m, dR, dS))
         if dR != dS:
             raise VerificationFailed("dims", f"degree {m}: {dR} != {dS}")
@@ -378,9 +380,5 @@ def hilbert_witness(I: Ideal, Jlimit: Ideal, degrees: Sequence[int]):
     """Per-degree graded dimensions of two homogeneous ideals, side by side."""
     if I.vars != Jlimit.vars:
         raise DimensionMismatch("ideals must share one ring")
-    cap = max(degrees)
-    out = []
-    for m in degrees:
-        out.append((m, graded_dimension(I, m, max_degree=cap),
-                    graded_dimension(Jlimit, m, max_degree=cap)))
-    return out
+    return [(m, graded_dimension(I, m), graded_dimension(Jlimit, m))
+            for m in degrees]

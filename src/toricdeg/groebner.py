@@ -1,6 +1,6 @@
 """Buchberger's algorithm with reduced bases, plus the ideal toolbox built on
-top of it: initial ideals, elimination, saturation, ring-map kernels, standard
-monomials and graded dimensions.
+top of it: initial ideals, elimination, saturation, ring-map kernels and
+graded dimensions.
 
 Every returned ideal is canonicalized as its reduced Groebner basis under a
 deterministic default order (degrevlex on the declared variables), so outputs
@@ -25,7 +25,6 @@ from .polycore import (
     TermOrder,
     WeightOrder,
     exp_add,
-    exp_divides,
     exp_lcm,
     exp_sub,
     format_polynomial,
@@ -41,8 +40,8 @@ class NotHomogeneous(ValueError):
 class Ideal:
     """A finitely generated ideal in k[vars] with an optional grading.
 
-    When a grading is supplied, every generator must be homogeneous for it;
-    this is checked on construction.
+    Variable names must be distinct.  When a grading is supplied, every
+    generator must be homogeneous for it; both are checked on construction.
     """
 
     __slots__ = ("vars", "gens", "grading", "_rgb_cache")
@@ -50,6 +49,9 @@ class Ideal:
     def __init__(self, gens: Iterable[Polynomial], vars: Sequence[str],
                  grading: Grading | None = None):
         self.vars = tuple(vars)
+        if len(set(self.vars)) != len(self.vars):
+            dup = next(v for i, v in enumerate(self.vars) if v in self.vars[:i])
+            raise ValueError(f"variable {dup!r} named twice")
         cleaned = []
         for g in gens:
             if g.vars != self.vars:
@@ -214,31 +216,16 @@ def _spoly(f: Polynomial, g: Polynomial, ef: Exponent, eg: Exponent) -> Polynomi
 
 
 def _interreduce(polys: list, order: TermOrder) -> list:
-    """Minimalize and tail-reduce to the unique reduced basis."""
+    """Tail-reduce to the unique reduced basis.
+
+    `polys` are the active elements of `buchberger`: monic and nonzero, and
+    no lead divides another, so each keeps its lead.
+    """
     rkey = _reversed_key(order)
-    polys = [p for p in polys if not p.is_zero()]
     leads = [p.lead(order)[0] for p in polys]
-    # minimalize: drop any element whose lead is divisible by another lead
-    keep = []
-    for i, li in enumerate(leads):
-        redundant = False
-        for j, lj in enumerate(leads):
-            if i != j and exp_divides(lj, li):
-                if lj != li or j < i:
-                    redundant = True
-                    break
-        if not redundant:
-            keep.append(i)
-    polys = [polys[i] for i in keep]
-    leads = [leads[i] for i in keep]
-    # tail-reduce each against the others
-    reduced = []
-    for i, p in enumerate(polys):
-        others = polys[:i] + polys[i + 1:]
-        other_leads = leads[:i] + leads[i + 1:]
-        r = _normal_form(p, others, other_leads, rkey)
-        if not r.is_zero():
-            reduced.append(r.monic(order))
+    reduced = [_normal_form(p, polys[:i] + polys[i + 1:],
+                            leads[:i] + leads[i + 1:], rkey)
+               for i, p in enumerate(polys)]
     reduced.sort(key=lambda q: rkey(q.lead(order)[0]))
     return reduced
 
@@ -555,53 +542,71 @@ def ring_map_kernel(source_vars: Sequence[str], images: Sequence[Polynomial],
 
 
 # ---------------------------------------------------------------------------
-# standard monomials and dimensions
-
-DEFAULT_DEGREE_CAP = 8
+# graded dimensions
 
 
-def _weighted_exponents(weights: Sequence[int], degree: int):
-    """All exponent tuples with the given weighted degree, grown one
-    coordinate at a time from a stack of (prefix, remaining degree)."""
-    if degree < 0:
-        return
-    *head, last = weights
-    stack = [((), degree)]
-    push = stack.append
+def _hilbert_numerator(leads: Sequence[Exponent], weights: Sequence[int],
+                       top: int) -> list:
+    """Coefficients of t^0..t^top in the numerator N(t) of the Hilbert series
+    N(t) / prod(1 - t^w_i) of k[x] / (x^a : a in leads), for minimal `leads`.
+
+    Pivots on p = x_i^k, for a variable x_i that two minimal generators share
+    and its least positive exponent k: N(I) = N(I + p) + t^deg(p) N(I : p)
+    (Bayer & Stillman 1992; Bigatti 1997).  Pairwise coprime generators give
+    prod (1 - t^deg a).  The terms of t^deg(p) N(I : p) start at t^deg(p), so
+    a pending ideal whose shift exceeds `top` is dropped.
+    """
+    le = operator.le
+    num = [0] * (top + 1)
+    stack = [(0, list(leads))]
     while stack:
-        e, r = stack.pop()
-        if len(e) == len(head):
-            if r % last == 0:
-                yield e + (r // last,)
+        shift, gens = stack.pop()
+        if shift > top:
             continue
-        w = head[len(e)]
-        for k in range(r // w + 1):
-            push((e + (k,), r - k * w))
+        counts = [sum(map(bool, col)) for col in zip(*gens)]
+        if not counts or max(counts) < 2:
+            part = [0] * (top + 1)
+            part[shift] = 1
+            for a in gens:
+                d = sum(map(operator.mul, weights, a))
+                for j in range(top, d - 1, -1):  # times (1 - t^d)
+                    part[j] -= part[j - d]
+            num = list(map(operator.add, num, part))
+            continue
+        i = counts.index(max(counts))
+        k = min(g[i] for g in gens if g[i])
+        # every generator with x_i is a multiple of p
+        p = (0,) * i + (k,) + (0,) * (len(weights) - i - 1)
+        stack.append((shift, [g for g in gens if not g[i]] + [p]))
+        # minimal generators of I : p; a proper divisor has smaller total degree
+        quotients = {g[:i] + (max(g[i] - k, 0),) + g[i + 1:] for g in gens}
+        colon = []
+        for g in sorted(quotients, key=sum):
+            if not any(all(map(le, h, g)) for h in colon):
+                colon.append(g)
+        stack.append((shift + k * weights[i], colon))
+    return num
 
 
-def standard_monomials(G: GroebnerBasis, grading: Grading, degree: int):
-    """Exponents of the given graded degree outside the leading-term ideal."""
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    leads = G.leads
-    out = []
-    for e in _weighted_exponents(grading.weights, degree):
-        if not any(exp_divides(l, e) for l in leads):
-            out.append(e)
-    out.sort(key=G.order.key, reverse=True)
-    return out
+def graded_dimension(I: Ideal, degree: int) -> int:
+    """dim_k of (k[vars]/I) in the given degree; order-independent.
 
-
-def graded_dimension(I: Ideal, degree: int, *, max_degree: int | None = None) -> int:
-    """dim_k of (k[vars]/I) in the given degree; order-independent."""
+    Read off the Hilbert series of the degrevlex leading-term ideal, which
+    has the Hilbert function of I.
+    """
     grading = I.grading
     if grading is None:
         grading = Grading.standard(len(I.vars))
         for g in I.gens:
             if not grading.is_homogeneous(g):
                 raise NotHomogeneous("ideal is not homogeneous")
-    cap = DEFAULT_DEGREE_CAP if max_degree is None else max_degree
-    if degree > cap:
-        raise ValueError(f"degree {degree} exceeds the cap {cap}; raise max_degree")
-    G = reduced_basis(I)
-    return len(standard_monomials(G, grading, degree))
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    weights = grading.weights
+    num = _hilbert_numerator(reduced_basis(I).leads, weights, degree)
+    # coefficients of 1 / prod(1 - t^w_i): monomials of each weighted degree
+    ways = [1] + [0] * degree
+    for w in weights:
+        for d in range(w, degree + 1):
+            ways[d] += ways[d - w]
+    return sum(c * ways[degree - j] for j, c in enumerate(num))

@@ -177,63 +177,47 @@ def _fourier_motzkin_feasible(ineqs, nvars) -> bool:
 
 
 def _in_hull(point, points, slack: Fraction = Fraction(0)) -> bool:
-    """Exact test: point within slack (sup-norm) of conv(points)."""
+    """Exact test: point within slack (sup-norm) of conv(points).
+
+    Variables lambda_1..lambda_q >= 0.  sum lambda = 1 is an equality; so is
+    each coordinate sum lambda * p = point without slack, while with slack
+    the coordinate sums are boxed by two inequalities each.
+    """
     q = len(points)
-    dim = len(point)
-    # variables: lambda_1..lambda_q; equalities sum lambda = 1 and, without
-    # slack, sum lambda * p = point
-    if slack == 0:
-        eqs = [([Fraction(1)] * q, Fraction(1))]
-        for i in range(dim):
-            eqs.append(([Fraction(p[i]) for p in points], Fraction(point[i])))
-        sol = _gauss_solve(eqs, q)
-        if sol is None:
-            return False
-        particular, null_basis = sol
-        ineqs = []
-        for j in range(q):  # lambda_j >= 0
-            co = [-nb[j] for nb in null_basis]
-            ineqs.append((co, particular[j]))
-        return _fourier_motzkin_feasible(ineqs, len(null_basis))
-    # with slack: nail sum lambda = 1 exactly, box the coordinates
+    coords = [([Fraction(p[i]) for p in points], Fraction(x))
+              for i, x in enumerate(point)]
     eqs = [([Fraction(1)] * q, Fraction(1))]
+    if slack == 0:
+        eqs += coords
     sol = _gauss_solve(eqs, q)
+    if sol is None:
+        return False
     particular, null_basis = sol
     ineqs = []
-    for j in range(q):
+    for j in range(q):  # lambda_j >= 0
         co = [-nb[j] for nb in null_basis]
         ineqs.append((co, particular[j]))
-    for i in range(dim):
-        coeffs = [Fraction(p[i]) for p in points]
-        base = sum(c * particular[j] for j, c in enumerate(coeffs))
-        row = [sum(c * nb[j] for j, c in enumerate(coeffs)) for nb in null_basis]
-        # sum lambda p_i <= point_i + slack
-        ineqs.append((row, Fraction(point[i]) + slack - base))
-        # -(sum lambda p_i) <= -point_i + slack
-        ineqs.append(([-x for x in row], slack - Fraction(point[i]) + base))
+    if slack != 0:
+        for coeffs, x in coords:
+            base = sum(c * particular[j] for j, c in enumerate(coeffs))
+            row = [sum(c * nb[j] for j, c in enumerate(coeffs)) for nb in null_basis]
+            # sum lambda p_i <= point_i + slack
+            ineqs.append((row, x + slack - base))
+            # -(sum lambda p_i) <= -point_i + slack
+            ineqs.append(([-v for v in row], slack - x + base))
     return _fourier_motzkin_feasible(ineqs, len(null_basis))
 
 
 def hull_vertices(points):
     """Irredundant subset: points not in the hull of the others."""
-    pts = [tuple(Fraction(x) for x in p) for p in points]
-    uniq = []
-    for p in pts:
-        if p not in uniq:
-            uniq.append(p)
-    out = []
-    for i, p in enumerate(uniq):
-        others = uniq[:i] + uniq[i + 1:]
-        if not others or not _in_hull(p, others):
-            out.append(p)
-    return out
+    uniq = list(dict.fromkeys(tuple(Fraction(x) for x in p) for p in points))
+    return [p for p in uniq if is_vertex(p, uniq)]
 
 
 def is_vertex(point, points) -> bool:
     """True if `point` lies outside the hull of the remaining points."""
     p = tuple(Fraction(x) for x in point)
-    others = [tuple(Fraction(x) for x in q) for q in points
-              if tuple(Fraction(x) for x in q) != p]
+    others = [q for q in (tuple(Fraction(x) for x in q) for q in points) if q != p]
     if not others:
         return True
     return not _in_hull(p, others)

@@ -235,6 +235,33 @@ def test_pipeline_non_integer_entry_exit_1(tmp_path, capsys):
     assert captured.err.startswith("error:") and "3.5" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["toric", "--matrix", "{matrix}", "--names", "a,a,b"],
+    ["project", "--in", "{ideal}", "--keep", "x,z,z"],
+    ["gb", "--in", "{repeated}"],
+])
+def test_repeated_variable_name_exit_1(tmp_path, capsys, argv):
+    ideal, _ = _write_elliptic(tmp_path)
+    matrix = tmp_path / "tc.json"
+    matrix.write_text("[[1,1,1],[0,1,2]]\n")
+    repeated = tmp_path / "repeated.ideal"
+    repeated.write_text("vars: x,x\nx^2\n")
+    paths = {"ideal": ideal, "matrix": str(matrix), "repeated": str(repeated)}
+    assert cli.main([a.format(**paths) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+
+
+def test_embed_negative_degree_bound_exit_1(tmp_path, capsys):
+    ideal, matrix = _write_elliptic(tmp_path)
+    assert cli.main(["embed", "--in", ideal, "--matrix", matrix,
+                     "--degree-bound", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+
+
 def test_weight_order_requires_w(tmp_path, capsys):
     ideal, _ = _write_elliptic(tmp_path)
     assert cli.main(["gb", "--in", ideal, "--order", "weight"]) == 1

@@ -15,6 +15,7 @@ import pytest
 import sympy
 from sympy import symbols
 
+from reference_hilbert import standard_monomials
 from toricdeg import groebner
 from toricdeg.groebner import (
     Ideal,
@@ -30,7 +31,6 @@ from toricdeg.groebner import (
     ring_map_kernel,
     same_ideal,
     saturate,
-    standard_monomials,
 )
 from toricdeg.polycore import (
     MIN,
@@ -362,14 +362,14 @@ def test_standard_monomials_gr24():
     assert (0, 1, 0, 0, 1, 0) not in deg2  # p13*p24 itself is excluded
 
 
-def test_standard_monomials_leave_no_reference_cycles():
-    G = reduced_basis(_pluecker_ideal())
-    grading = Grading.standard(6)
+def test_graded_dimension_leaves_no_reference_cycles():
+    I = _pluecker_ideal()
+    reduced_basis(I)
     gc.collect()
     gc.disable()
     try:
         for _ in range(5):
-            standard_monomials(G, grading, 3)
+            graded_dimension(I, 3)
         garbage = gc.collect()
     finally:
         gc.enable()
@@ -395,9 +395,15 @@ def test_graded_dimension_not_homogeneous():
 
 def test_graded_dimension_cap():
     I = Ideal([], ("x",), grading=Grading.standard(1))
-    with pytest.raises(ValueError):
-        graded_dimension(I, 9)
-    assert graded_dimension(I, 9, max_degree=9) == 1
+    assert graded_dimension(I, 9) == 1
+
+
+def test_graded_dimension_high_degree():
+    # twisted cubic: 3m + 1; Gr(2,4): (m+1)(m+2)^2(m+3)/12
+    tc = _ideal(("u3", "u2", "u1", "u0"), "u2^2 - u3*u1", "u1^2 - u2*u0",
+                "u2*u1 - u3*u0")
+    assert graded_dimension(tc, 200) == 601
+    assert graded_dimension(_pluecker_ideal(), 50) == 609076
 
 
 def test_homogeneity_checked_on_construction():
