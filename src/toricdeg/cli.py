@@ -23,6 +23,7 @@ from .degeneration import (
     valuation_pipeline,
 )
 from .groebner import Ideal, buchberger, initial_ideal
+from .intlat import NoCertificate
 from .ioformats import (
     ideal_to_json,
     ideal_to_text,
@@ -123,7 +124,11 @@ def cmd_fiber(args) -> int:
     if not args.w:
         raise SystemExit2("fiber requires --w")
     F = family_ideal(I, _parse_ints(args.w), args.convention)
-    out = fiber(F, Fraction(args.t0))
+    try:
+        t0 = Fraction(args.t0)
+    except ZeroDivisionError:
+        raise ValueError(f"--t0 {args.t0} divides by zero") from None
+    out = fiber(F, t0)
     _print_ideal(out, args.json)
     return 0
 
@@ -332,7 +337,7 @@ def main(argv=None) -> int:
             UnknownVariable, KeyError, ValueError, DegreeOverflow) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (VerificationFailed, NoIndependentSubset) as e:
+    except (VerificationFailed, NoIndependentSubset, NoCertificate) as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return 2
 

@@ -100,6 +100,8 @@ def image_vs_polytope(samples: Sequence[MomentSample], P: PolytopeQ, eps: float)
     """
     if not samples:
         raise ValueError("no samples")
+    if not math.isfinite(eps) or eps < 0:
+        raise ValueError(f"eps must be a finite nonnegative distance, not {eps}")
     dim = len(samples[0].value)
     if dim != P.dim_ambient:
         raise DimensionMismatch("sample and polytope dimensions differ")

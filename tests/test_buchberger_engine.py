@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import reference_groebner
 from toricdeg import fixtures, groebner
-from toricdeg.groebner import Ideal, _GradedRevLexLast, buchberger
+from toricdeg.degeneration import embed_value_semigroup
+from toricdeg.groebner import Ideal, _GradedRevLexLast, buchberger, ring_map_kernel
 from toricdeg.polycore import MAX, MIN, BlockOrder, DegRevLex, Polynomial, WeightOrder
 
 ORDER_KINDS = ("degrevlex", "weight-min", "weight-max", "block", "graded-last")
@@ -78,8 +79,13 @@ def test_engine_matches_reference(kind, data):
 
 
 def test_gr24_elimination_zero_reductions(monkeypatch):
-    """The 12-variable BlockOrder elimination of the gr24 g-vector embedding:
-    the old engine reduced 3111 of its S-polynomials to zero."""
+    """The 12-variable BlockOrder elimination that computes the ring-map
+    kernel of the gr24 g-vector embedding: the old engine reduced 3111 of its
+    S-polynomials to zero."""
+    J = fixtures.gr24_ideal()
+    rep = embed_value_semigroup(J, fixtures.gr24_gvector_matrix(), MIN,
+                                degree_bound=3)
+    images = [Polynomial.monomial(J.vars, rep.images[v]) for v in J.vars]
     nf, bb = groebner._normal_form, groebner.buchberger
     counts = []  # [zero reductions] of each open buchberger call
     calls = []  # (zero reductions, basis size) of each 12-variable block call
@@ -102,7 +108,7 @@ def test_gr24_elimination_zero_reductions(monkeypatch):
 
     monkeypatch.setattr(groebner, "_normal_form", counting_nf)
     monkeypatch.setattr(groebner, "buchberger", counting_bb)
-    assert fixtures.run_gr24_gvector().passed
+    ring_map_kernel(rep.kernel_check.vars, images, J)
     assert len(calls) == 1
     zeros, size = calls[0]
     assert size == 173

@@ -262,6 +262,37 @@ def test_embed_negative_degree_bound_exit_1(tmp_path, capsys):
     assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
 
 
+def _assert_one_line_error(capsys, prefix):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix) and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("eps", ["inf", "1e400", "-1"])
+def test_moment_eps_not_a_distance_exit_1(tmp_path, capsys, eps):
+    m = tmp_path / "w.json"
+    m.write_text("[[1,0,3],[0,2,1]]\n")
+    assert cli.main(["moment", "--matrix", str(m), "--samples", "5",
+                     "--eps", eps]) == 1
+    _assert_one_line_error(capsys, "error:")
+
+
+def test_fiber_zero_denominator_exit_1(tmp_path, capsys):
+    ideal, _ = _write_elliptic(tmp_path)
+    assert cli.main(["fiber", "--in", ideal, "--w", "1,0,3", "--t0", "1/0"]) == 1
+    _assert_one_line_error(capsys, "error:")
+
+
+@pytest.mark.parametrize("command", ["pipeline", "embed"])
+def test_no_weight_certificate_exit_2(tmp_path, capsys, command):
+    # entries of 2^50 push the certifying weight past its doubling budget
+    ideal, _ = _write_elliptic(tmp_path)
+    matrix = tmp_path / "huge.json"
+    matrix.write_text("[[1,0,0],[0,1125899906842624,0]]\n")
+    assert cli.main([command, "--in", ideal, "--matrix", str(matrix)]) == 2
+    _assert_one_line_error(capsys, "verification failure:")
+
+
 def test_weight_order_requires_w(tmp_path, capsys):
     ideal, _ = _write_elliptic(tmp_path)
     assert cli.main(["gb", "--in", ideal, "--order", "weight"]) == 1

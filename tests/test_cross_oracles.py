@@ -2,9 +2,9 @@
 
 Where an operation has two independent computation paths (variable-wise
 content saturation vs elimination, ring-map kernels vs lattice ideals,
-certified weights vs matrix refinements) the routes are compared on random
-inputs; sympy supplies an outside implementation for Groebner bases and
-Hermite normal forms.
+the embedding's kernel vs ring-map kernels, certified weights vs matrix
+refinements) the routes are compared on random inputs; sympy supplies an
+outside implementation for Groebner bases and Hermite normal forms.
 """
 
 from __future__ import annotations
@@ -14,18 +14,28 @@ import random
 from fractions import Fraction
 
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import symbols
 from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
 
 from toricdeg import fixtures as fx
 from toricdeg import groebner
-from toricdeg.degeneration import _finite_over, projection_limit, valuation_pipeline
+from toricdeg.degeneration import (
+    NoIndependentSubset,
+    _finite_over,
+    embed_value_semigroup,
+    projection_limit,
+    valuation_pipeline,
+)
 from toricdeg.groebner import (
     Ideal,
     buchberger,
     canonical,
     eliminate,
     initial_ideal,
+    reduced_basis,
+    ring_map_kernel,
     same_ideal,
     saturate,
     saturate_by_variables,
@@ -38,6 +48,7 @@ from toricdeg.polycore import (
     Polynomial,
     format_polynomial,
 )
+from toricdeg.toric import toric_ideal
 
 
 def _random_binomial_ideal(rng, nvars, count):
@@ -187,6 +198,54 @@ def test_finite_over_matches_radical_definition():
                 assert finite == _finite_by_saturation(init, T)
                 seen.add(finite)
     assert seen == {True, False}
+
+
+def _assert_kernel_matches_ring_map(J, M):
+    """embed's kernel_check against the elimination route on the same images
+    and target: same variables, no grading, same reduced basis."""
+    rep = embed_value_semigroup(J, M, MIN, degree_bound=2)
+    images = [Polynomial.monomial(J.vars, rep.images[v]) for v in J.vars]
+    K = ring_map_kernel(rep.kernel_check.vars, images, J)
+    assert rep.kernel_check.vars == K.vars
+    assert rep.kernel_check.grading is None and K.grading is None
+    assert reduced_basis(rep.kernel_check).elements == reduced_basis(K).elements
+
+
+def test_embed_kernel_matches_ring_map_kernel_on_fixtures():
+    vars3 = ("x0", "x1", "x2")
+    dup = ("a", "b", "c")
+    cases = [
+        (fx.elliptic_ideal(), fx.elliptic_matrix()),
+        (fx.gr24_ideal(), fx.gr24_gvector_matrix()),
+        (fx.gr24_ideal(), fx.gr24_plabic_matrix()),
+        (Ideal([], vars3, grading=Grading.standard(3)),
+         IntMatrix([[1, 1, 1], [0, 1, 0], [0, 0, 1]])),
+        (Ideal([Polynomial.variable(dup, "a") - Polynomial.variable(dup, "b")],
+               dup, grading=Grading.standard(3)),
+         IntMatrix([[1, 1, 1], [0, 0, 2]])),
+    ]
+    for J, M in cases:
+        _assert_kernel_matches_ring_map(J, M)
+
+
+@st.composite
+def _degree_one_matrices(draw):
+    """An all-ones row over 4-6 distinct columns, plus 1-2 rows in 0..3."""
+    extra = draw(st.integers(1, 2))
+    cols = draw(st.lists(st.tuples(*[st.integers(0, 3)] * extra),
+                         min_size=4, max_size=6, unique=True))
+    return IntMatrix([[1] * len(cols)] + [[c[k] for c in cols] for k in range(extra)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(M=_degree_one_matrices())
+def test_embed_kernel_matches_ring_map_kernel_on_toric_ideals(M):
+    vars = tuple(f"x{i}" for i in range(M.cols))
+    J = toric_ideal(M, vars)
+    try:
+        _assert_kernel_matches_ring_map(J, M)
+    except NoIndependentSubset:
+        pass
 
 
 def _to_sympy(p, syms):
