@@ -11,11 +11,11 @@ from typing import Sequence
 
 from .groebner import (
     Ideal,
-    NotHomogeneous,
+    _graded_dimensions,
     buchberger,
     canonical,
     eliminate,
-    graded_dimension,
+    homogeneous_grading,
     initial_ideal,
     reduced_basis,
     same_ideal,
@@ -33,7 +33,6 @@ from .polycore import (
     MAX,
     DimensionMismatch,
     check_convention,
-    Grading,
     Lex,
     Polynomial,
     WeightOrder,
@@ -89,10 +88,7 @@ def family_ideal(J: Ideal, w: Sequence[int], convention: str = MIN) -> FamilyIde
     w = tuple(int(x) for x in w)
     if len(w) != len(J.vars):
         raise DimensionMismatch("weight length does not match variables")
-    grading = J.grading if J.grading is not None else Grading.standard(len(J.vars))
-    for g in J.gens:
-        if not grading.is_homogeneous(g):
-            raise NotHomogeneous("family construction requires a homogeneous ideal")
+    homogeneous_grading(J)
     w_min = w if convention == MIN else tuple(-x for x in w)
     if T_NAME in J.vars:
         raise ValueError(f"base ring already contains a variable named {T_NAME!r}")
@@ -138,18 +134,19 @@ class PipelineReport:
     binomial_prime: bool
 
 
-def valuation_pipeline(J: Ideal, M: IntMatrix, convention: str = MIN,
-                       labels: Sequence[str] | None = None) -> PipelineReport:
+def valuation_pipeline(J: Ideal, M: IntMatrix, convention: str = MIN) -> PipelineReport:
     """Verify that the matrix of values induces a binomial-prime degeneration.
 
     Computes a certified weight w with in_w(J) = in_M(J), the initial ideal,
     the column semigroup, and compares the initial ideal against the toric
     ideal of M (homogenized first when the all-ones vector is outside M's row
-    space).
+    space).  J must be homogeneous: the weight orders used here need not be
+    well-orders otherwise, and their Buchberger runs need not end.
     """
     check_convention(convention)
     if M.cols != len(J.vars):
         raise DimensionMismatch("one matrix column per variable required")
+    homogeneous_grading(J)
     w = weight_from_matrix(J, M, convention)
     flipped = convention == MAX
     w_min = tuple(w) if not flipped else tuple(-x for x in w)
@@ -158,8 +155,7 @@ def valuation_pipeline(J: Ideal, M: IntMatrix, convention: str = MIN,
 
     semigroup = None
     if all(x > 0 for x in M.entries[0]):
-        semigroup = Semigroup(M.columns(), degree_coord=0,
-                              labels=tuple(labels) if labels else J.vars)
+        semigroup = Semigroup(M.columns(), degree_coord=0, labels=J.vars)
 
     A_hat = M if in_row_space(M, [1] * M.cols) else homogenize_matrix(M)
     T = toric_ideal(A_hat, J.vars)
@@ -259,11 +255,10 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
     labels = J.vars
     source_vars = _fresh_source_names(labels, J.vars)
     K = toric_ideal(IntMatrix.from_columns(cvecs), source_vars)
-    dims = []
-    for m in range(degree_bound + 1):
-        dR = graded_dimension(J, m)
-        dS = graded_dimension(K, m)
-        dims.append((m, dR, dS))
+    degrees = range(degree_bound + 1)
+    dims = list(zip(degrees, _graded_dimensions(J, degrees),
+                    _graded_dimensions(K, degrees)))
+    for m, dR, dS in dims:
         if dR != dS:
             raise VerificationFailed("dims", f"degree {m}: {dR} != {dS}")
     images = {label: e for label, e in zip(labels, images_exp)}
@@ -389,5 +384,8 @@ def hilbert_witness(I: Ideal, Jlimit: Ideal, degrees: Sequence[int]):
     """Per-degree graded dimensions of two homogeneous ideals, side by side."""
     if I.vars != Jlimit.vars:
         raise DimensionMismatch("ideals must share one ring")
-    return [(m, graded_dimension(I, m), graded_dimension(Jlimit, m))
-            for m in degrees]
+    degrees = list(degrees)
+    if not degrees:
+        return []
+    return list(zip(degrees, _graded_dimensions(I, degrees),
+                    _graded_dimensions(Jlimit, degrees)))

@@ -63,10 +63,7 @@ class Ideal:
         if grading is not None:
             if len(grading.weights) != len(self.vars):
                 raise DimensionMismatch("grading length does not match variables")
-            for g in self.gens:
-                if not grading.is_homogeneous(g):
-                    raise NotHomogeneous(
-                        f"generator {format_polynomial(g)} is not homogeneous")
+            homogeneous_grading(self)
         self._rgb_cache = None
 
     def is_zero(self) -> bool:
@@ -79,6 +76,16 @@ class Ideal:
     def __repr__(self):
         gs = ", ".join(format_polynomial(g) for g in self.gens)
         return f"Ideal([{gs}] in k[{', '.join(self.vars)}])"
+
+
+def homogeneous_grading(I: Ideal) -> Grading:
+    """The grading in effect for I, standard when it carries none, after
+    checking that every generator is homogeneous for it (NotHomogeneous)."""
+    grading = I.grading if I.grading is not None else Grading.standard(len(I.vars))
+    for g in I.gens:
+        if not grading.is_homogeneous(g):
+            raise NotHomogeneous(f"generator {format_polynomial(g)} is not homogeneous")
+    return grading
 
 
 class GroebnerBasis:
@@ -588,25 +595,25 @@ def _hilbert_numerator(leads: Sequence[Exponent], weights: Sequence[int],
     return num
 
 
-def graded_dimension(I: Ideal, degree: int) -> int:
-    """dim_k of (k[vars]/I) in the given degree; order-independent.
+def _graded_dimensions(I: Ideal, degrees: Sequence[int]) -> list:
+    """dim_k of (k[vars]/I) in each of the given degrees; order-independent.
 
-    Read off the Hilbert series of the degrevlex leading-term ideal, which
-    has the Hilbert function of I.
+    Read off one Hilbert numerator, up to the top degree, of the degrevlex
+    leading-term ideal, which has the Hilbert function of I.
     """
-    grading = I.grading
-    if grading is None:
-        grading = Grading.standard(len(I.vars))
-        for g in I.gens:
-            if not grading.is_homogeneous(g):
-                raise NotHomogeneous("ideal is not homogeneous")
-    if degree < 0:
+    weights = homogeneous_grading(I).weights
+    if any(m < 0 for m in degrees):
         raise ValueError("degree must be nonnegative")
-    weights = grading.weights
-    num = _hilbert_numerator(reduced_basis(I).leads, weights, degree)
+    top = max(degrees, default=0)
+    num = _hilbert_numerator(reduced_basis(I).leads, weights, top)
     # coefficients of 1 / prod(1 - t^w_i): monomials of each weighted degree
-    ways = [1] + [0] * degree
+    ways = [1] + [0] * top
     for w in weights:
-        for d in range(w, degree + 1):
+        for d in range(w, top + 1):
             ways[d] += ways[d - w]
-    return sum(c * ways[degree - j] for j, c in enumerate(num))
+    return [sum(num[j] * ways[m - j] for j in range(m + 1)) for m in degrees]
+
+
+def graded_dimension(I: Ideal, degree: int) -> int:
+    """dim_k of (k[vars]/I) in the given degree; order-independent."""
+    return _graded_dimensions(I, [degree])[0]

@@ -400,18 +400,6 @@ class Polynomial:
             return Polynomial.zero(self.vars)
         return Polynomial._trusted(self.vars, {e: c0 * c for e, c0 in self.terms.items()})
 
-    def __pow__(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise ValueError("negative power")
-        result = Polynomial.constant(self.vars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
     def term_mul(self, e: Exponent, c) -> "Polynomial":
         """Multiply by the single term c * x^e."""
         c = Fraction(c)

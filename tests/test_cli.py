@@ -196,6 +196,39 @@ def test_cli_import_does_not_load_numpy():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def _run_cli(argv, timeout):
+    """The CLI in a fresh interpreter, so that a hang fails after `timeout`
+    seconds instead of stalling the suite."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "toricdeg.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("command", ["pipeline", "embed"])
+def test_pipeline_non_homogeneous_exit_1(tmp_path, command):
+    # the min-convention weight order is no well-order on this input, so the
+    # Buchberger runs behind the pipeline would not end
+    ideal = tmp_path / "inhom.ideal"
+    ideal.write_text("vars: x,y,z\n2*x^2*y*z - x^3 + y^2*z\n"
+                     "x^2*y^3 - x^3*z + y^2*z^2 + y^2 - y*z\n")
+    _, matrix = _write_elliptic(tmp_path)
+    res = _run_cli([command, "--in", str(ideal), "--matrix", matrix], timeout=60)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+    assert "not homogeneous" in res.stderr
+
+
+def test_moment_heptagon(tmp_path):
+    m = tmp_path / "heptagon.json"
+    m.write_text("[[0,1,3,4,4,2,0],[1,0,0,1,3,4,3]]\n")
+    res = _run_cli(["moment", "--matrix", str(m), "--samples", "50"], timeout=60)
+    assert res.returncode == 0, res.stderr
+    payload = json.loads(res.stdout)
+    assert len(payload["polytope"]["vertices"]) == 7
+    assert payload["stats"]["inside_fraction"] == 1.0
+
+
 def test_toric_matrix_not_rows_exit_1(tmp_path, capsys):
     m = tmp_path / "flat.json"
     m.write_text("[1,2]\n")

@@ -342,6 +342,51 @@ def test_hilbert_witness_twisted_cubic_values():
     assert wit == [(0, 1, 1), (1, 3, 4), (2, 6, 7), (3, 9, 10)]
 
 
+@pytest.fixture
+def numerator_tops(monkeypatch):
+    """The `top` degree of every Hilbert numerator computed, in call order."""
+    from toricdeg import groebner
+    tops = []
+    numerator = groebner._hilbert_numerator
+
+    def spy(leads, weights, top):
+        tops.append(top)
+        return numerator(leads, weights, top)
+
+    monkeypatch.setattr(groebner, "_hilbert_numerator", spy)
+    return tops
+
+
+def test_hilbert_witness_one_numerator_per_ideal(numerator_tops):
+    pr = projection_limit(fx.twisted_cubic_ideal(), ("u3", "u2", "u0"))
+    wit = hilbert_witness(fx.twisted_cubic_ideal(), pr.limit, range(9))
+    assert numerator_tops == [8, 8]
+    assert wit == [(m, 3 * m + 1, 3 * m + 1) for m in range(9)]
+
+
+def test_embed_dims_one_numerator_per_ideal(numerator_tops):
+    rep = embed_value_semigroup(fx.elliptic_ideal(), fx.elliptic_matrix(), MIN,
+                                degree_bound=5)
+    assert numerator_tops == [5, 5]
+    assert rep.dims_checked == tuple((m, 3 * m if m else 1, 3 * m if m else 1)
+                                     for m in range(6))
+
+
+def test_pipeline_rejects_non_homogeneous_before_buchberger(monkeypatch):
+    from toricdeg import groebner
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Buchberger ran on non-homogeneous input")
+
+    monkeypatch.setattr(groebner, "buchberger", refuse)
+    J = _ideal(("x", "y", "z"), "2*x^2*y*z - x^3 + y^2*z",
+               "x^2*y^3 - x^3*z + y^2*z^2 + y^2 - y*z")
+    with pytest.raises(NotHomogeneous):
+        valuation_pipeline(J, fx.elliptic_matrix(), MIN)
+    with pytest.raises(NotHomogeneous):
+        embed_value_semigroup(J, fx.elliptic_matrix(), MIN)
+
+
 def test_hilbert_witness_requires_same_ring():
     I = fx.twisted_cubic_ideal()
     J = fx.hyperbola_ideal()
