@@ -33,14 +33,13 @@ from .ioformats import (
 )
 from .momentmap import emit_svg, image_vs_polytope, sample_moment_image
 from .polycore import (
-    MIN,
     DegreeOverflow,
     DegRevLex,
     Lex,
     ParseError,
     UnknownVariable,
     WeightOrder,
-    lex_reversed,
+    to_min,
 )
 from .toric import PolytopeQ, hull_vertices, toric_ideal
 
@@ -65,8 +64,7 @@ def _order_from_flags(args, nvars: int):
     if kind == "weight":
         if not args.w:
             raise SystemExit2("--order weight requires --w")
-        return WeightOrder([_parse_ints(args.w)], args.convention,
-                           tie=lex_reversed(nvars))
+        return WeightOrder(to_min([_parse_ints(args.w)], args.convention))
     raise SystemExit2(f"unknown order {kind!r}")
 
 
@@ -87,17 +85,12 @@ def cmd_gb(args) -> int:
 def cmd_initial(args) -> int:
     I = read_ideal(args.infile)
     if args.matrix:
-        M = read_matrix(args.matrix)
-        rows = M.rows_list() if args.convention == MIN else M.negate().rows_list()
-        out = initial_ideal(I, rows, MIN)
+        rows = read_matrix(args.matrix).rows_list()
     elif args.w:
-        w = _parse_ints(args.w)
-        if args.convention != MIN:
-            w = [-x for x in w]
-        out = initial_ideal(I, w, MIN)
+        rows = [_parse_ints(args.w)]
     else:
         raise SystemExit2("initial requires --w or --matrix")
-    _print_ideal(out, args.json)
+    _print_ideal(initial_ideal(I, to_min(rows, args.convention)), args.json)
     return 0
 
 

@@ -32,13 +32,12 @@ from .polycore import (
     MIN,
     MAX,
     DimensionMismatch,
-    check_convention,
     Lex,
     Polynomial,
     WeightOrder,
     dot,
     exp_divides,
-    lex_reversed,
+    to_min,
 )
 from .toric import (
     Semigroup,
@@ -84,16 +83,14 @@ def family_ideal(J: Ideal, w: Sequence[int], convention: str = MIN) -> FamilyIde
     """t-interpolating family: each term of a weight-adapted reduced basis is
     scaled by t^(w.alpha - min w.beta), so t=1 gives back J and t=0 the
     initial ideal."""
-    check_convention(convention)
     w = tuple(int(x) for x in w)
+    (w_min,) = to_min([w], convention)
     if len(w) != len(J.vars):
         raise DimensionMismatch("weight length does not match variables")
     homogeneous_grading(J)
-    w_min = w if convention == MIN else tuple(-x for x in w)
     if T_NAME in J.vars:
         raise ValueError(f"base ring already contains a variable named {T_NAME!r}")
-    order = WeightOrder([w_min], MIN, tie=lex_reversed(len(J.vars)))
-    G = buchberger(J, order)
+    G = buchberger(J, WeightOrder([w_min]))
     big = J.vars + (T_NAME,)
     gens = []
     for g in G.elements:
@@ -143,15 +140,13 @@ def valuation_pipeline(J: Ideal, M: IntMatrix, convention: str = MIN) -> Pipelin
     space).  J must be homogeneous: the weight orders used here need not be
     well-orders otherwise, and their Buchberger runs need not end.
     """
-    check_convention(convention)
+    rows_min = to_min(M.rows_list(), convention)
     if M.cols != len(J.vars):
         raise DimensionMismatch("one matrix column per variable required")
     homogeneous_grading(J)
-    w = weight_from_matrix(J, M, convention)
-    flipped = convention == MAX
-    w_min = tuple(w) if not flipped else tuple(-x for x in w)
-    rows_min = M.rows_list() if not flipped else M.negate().rows_list()
-    init = initial_ideal(J, rows_min, MIN)
+    w_min = tuple(weight_from_matrix(J, IntMatrix(rows_min)))
+    (w,) = to_min([w_min], convention)
+    init = initial_ideal(J, rows_min)
 
     semigroup = None
     if all(x > 0 for x in M.entries[0]):
@@ -160,7 +155,7 @@ def valuation_pipeline(J: Ideal, M: IntMatrix, convention: str = MIN) -> Pipelin
     A_hat = M if in_row_space(M, [1] * M.cols) else homogenize_matrix(M)
     T = toric_ideal(A_hat, J.vars)
     prime = same_ideal(init, T)
-    return PipelineReport(tuple(w), convention, flipped, w_min, init,
+    return PipelineReport(tuple(w), convention, convention == MAX, w_min, init,
                           semigroup, T, prime)
 
 
@@ -366,7 +361,7 @@ def projection_limit(I: Ideal, kept: Sequence[str]) -> ProjectionReport:
             raise ValueError(f"variable {v!r} not in the ring")
     dropped = tuple(v for v in I.vars if v not in kept)
     w = tuple(0 if v in kept else -1 for v in I.vars)
-    limit = initial_ideal(I, [list(w)], MIN)
+    limit = initial_ideal(I, [list(w)])
     cone_part = saturate_by_variables(limit, dropped)
     closure = eliminate(I, kept)
     zeroed = []

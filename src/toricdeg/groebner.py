@@ -14,9 +14,7 @@ import operator
 from typing import Iterable, Sequence
 
 from .polycore import (
-    MIN,
     BlockOrder,
-    check_convention,
     DegRevLex,
     DimensionMismatch,
     Exponent,
@@ -29,7 +27,6 @@ from .polycore import (
     exp_sub,
     format_polynomial,
     initial_form_rows,
-    lex_reversed,
 )
 
 
@@ -254,11 +251,17 @@ def buchberger(I: Ideal, order: TermOrder | None = None) -> GroebnerBasis:
     its own total degree if that is larger.  For inputs homogeneous in the
     standard grading a pair's sugar is the degree of its lcm.  The output is
     the unique reduced basis, independent of the generator order.
+
+    An order that is not a well-order needs I homogeneous for its grading
+    (NotHomogeneous otherwise): then every reduction stays in one degree,
+    among finitely many monomials, and the algorithm ends.
     """
     if order is None:
         order = DegRevLex(len(I.vars))
     if order.nvars != len(I.vars):
         raise DimensionMismatch("order does not match the ideal's ring")
+    if not order.well_ordered:
+        homogeneous_grading(I)
     key = _cached_key(order)
     rkey = _reversed_key(order)
     le = operator.le
@@ -369,24 +372,22 @@ def ideal_contains(I: Ideal, J: Ideal) -> bool:
 # initial ideals
 
 
-def initial_ideal(I: Ideal, spec, convention: str = MIN) -> Ideal:
+def initial_ideal(I: Ideal, spec) -> Ideal:
     """Initial ideal of I.
 
     `spec` is either a TermOrder (result: the monomial ideal of leading
     terms), a single weight vector, or a sequence of weight rows applied
-    lexicographically.  For weights the result is generated by the initial
-    forms of a reduced basis computed under the weight-refined order, and is
-    returned in canonical form.
+    lexicographically, in the min convention.  For weights the result is
+    generated by the initial forms of a reduced basis computed under the
+    weight-refined order, and is returned in canonical form.
     """
-    check_convention(convention)
     if isinstance(spec, TermOrder):
         G = buchberger(I, spec)
         gens = [Polynomial.monomial(I.vars, e) for e in G.leads]
         return canonical(Ideal(gens, I.vars, grading=I.grading))
     rows = _weight_rows(spec, len(I.vars))
-    refined = WeightOrder(rows, convention, tie=lex_reversed(len(I.vars)))
-    G = buchberger(I, refined)
-    gens = [initial_form_rows(g, rows, convention) for g in G.elements]
+    G = buchberger(I, WeightOrder(rows))
+    gens = [initial_form_rows(g, rows) for g in G.elements]
     return canonical(Ideal(gens, I.vars, grading=I.grading))
 
 
@@ -469,24 +470,16 @@ def saturate_by_variables(I: Ideal, var_names: Sequence[str]) -> Ideal:
     Lemma 12.1).  Falls back to `saturate` otherwise.
     """
     J = I
-    pos = _positive_grading_vector(I)
+    try:
+        pos = homogeneous_grading(I).weights
+    except NotHomogeneous:
+        pos = None
     for name in var_names:
         if pos is not None:
             J = _saturate_variable_graded(J, name, pos)
         else:
             J = saturate(J, Polynomial.variable(I.vars, name))
     return canonical(J)
-
-
-def _positive_grading_vector(I: Ideal):
-    """A strictly positive weight vector making all generators homogeneous."""
-    if I.grading is not None:
-        return I.grading.weights
-    w = (1,) * len(I.vars)
-    g = Grading(w)
-    if all(g.is_homogeneous(p) for p in I.gens):
-        return w
-    return None
 
 
 class _GradedRevLexLast(TermOrder):

@@ -8,7 +8,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import groebner
-from .polycore import MIN, DimensionMismatch, check_convention, exact_int
+from .polycore import DimensionMismatch, WeightOrder, dot, exact_int, initial_form_rows
 
 
 class NegativeEntryUnresolvable(ValueError):
@@ -73,9 +73,6 @@ class IntMatrix:
         if len(v) != self.cols:
             raise DimensionMismatch("vector length does not match columns")
         return tuple(sum(r[k] * v[k] for k in range(self.cols)) for r in self.entries)
-
-    def negate(self) -> "IntMatrix":
-        return IntMatrix([[-x for x in r] for r in self.entries])
 
     def det(self) -> int:
         if self.rows != self.cols:
@@ -229,37 +226,33 @@ def embed_degree_one_vector(N: int, v: Sequence[int]):
     return (c0,) + a
 
 
-def weight_from_matrix(J: "groebner.Ideal", M: IntMatrix, convention: str = MIN,
-                       max_doublings: int = 40):
-    """A single weight vector w with in_w(J) = in_M(J), certified.
+def weight_from_matrix(J: "groebner.Ideal", M: IntMatrix, max_doublings: int = 40):
+    """A single weight vector w with in_w(J) = in_M(J), certified; M and w are
+    in the min convention.
 
     w = sum_k B^(d-k) * row_k for the smallest B in {2, 4, 8, ...} whose
     weight separations match the matrix refinement on the marked reduced
     basis; the identity of the two initial ideals is then verified outright
     (reduced-basis equality) before returning.
     """
-    check_convention(convention)
     if M.cols != len(J.vars):
         raise DimensionMismatch("one matrix column per ideal variable required")
-    rows = M.rows_list() if convention == MIN else M.negate().rows_list()
+    rows = M.rows_list()
     d = len(rows)
     if d == 1:
-        w = [int(x) for x in rows[0]]
-        result = w if convention == MIN else [-x for x in w]
-        return result
+        return rows[0]
 
-    init_M = groebner.initial_ideal(J, rows, MIN)
-    refined = groebner.WeightOrder(rows, MIN)
-    G = groebner.buchberger(J, refined)
+    init_M = groebner.initial_ideal(J, rows)
+    G = groebner.buchberger(J, WeightOrder(rows))
 
     B = 2
     for _ in range(max_doublings):
         w = [sum(B ** (d - 1 - k) * rows[k][j] for k in range(d))
              for j in range(M.cols)]
         if _splits_agree(G, rows, w):
-            init_w = groebner.initial_ideal(J, w, MIN)
+            init_w = groebner.initial_ideal(J, w)
             if groebner.same_ideal(init_w, init_M):
-                return w if convention == MIN else [-x for x in w]
+                return w
         B *= 2
     raise NoCertificate(
         f"no certified weight within {max_doublings} doublings")
@@ -267,11 +260,9 @@ def weight_from_matrix(J: "groebner.Ideal", M: IntMatrix, convention: str = MIN,
 
 def _splits_agree(G, rows, w) -> bool:
     """Check w groups each basis element's terms exactly as the rows do."""
-    from .polycore import dot, initial_form_rows
-
     for g in G.elements:
         exps = list(g.terms)
-        m_init = set(initial_form_rows(g, rows, MIN).terms)
+        m_init = set(initial_form_rows(g, rows).terms)
         wvals = {e: dot(w, e) for e in exps}
         wmin = min(wvals.values())
         w_init = {e for e in exps if wvals[e] == wmin}

@@ -5,10 +5,10 @@ are `fractions.Fraction` (always stored in lowest terms), exponents are tuples
 of nonnegative ints.  Everything is immutable after construction, so values
 are safe to share freely.
 
-The one convention that matters everywhere downstream: weight selection
-defaults to "min", i.e. `initial_form(p, w)` keeps the terms of *minimal*
-w-weight.  Weight data coming from a max-style source is negated on ingestion
-by its caller.
+Weights are taken in one convention everywhere: "min", i.e.
+`initial_form(p, w)` keeps the terms of *minimal* w-weight, and `WeightOrder`
+breaks weight ties by reversed lex.  Max-style weight data is negated once,
+by `to_min`, at the entry points that accept it.
 """
 
 from __future__ import annotations
@@ -103,10 +103,13 @@ class TermOrder:
     """Total order on exponents of a fixed length, via sort keys.
 
     `key(e)` returns a tuple; bigger key = bigger monomial.  Leading terms
-    are maxima under the order.
+    are maxima under the order.  `well_ordered` is False when some variable
+    is smaller than 1, so that Buchberger's algorithm need not end on
+    non-homogeneous input.
     """
 
     nvars: int
+    well_ordered = True
 
     def key(self, e: Exponent):
         raise NotImplementedError
@@ -144,45 +147,33 @@ class Lex(TermOrder):
         return f"Lex({self.priority})"
 
 
-def lex_reversed(nvars: int) -> Lex:
-    """Lex with the declared variable order reversed (last variable biggest)."""
-    return Lex(tuple(range(nvars - 1, -1, -1)))
-
-
 class WeightOrder(TermOrder):
-    """Weight rows refined by a tie-break order.
+    """Min-convention weight rows refined by reversed lex.
 
-    Rows are compared in sequence.  Convention "min" prefers smaller weight
-    (the minimal-weight monomial is the leading one), "max" prefers larger.
+    Rows are compared in sequence, and the monomial of smaller weight is the
+    bigger one, so leading terms have minimal weight.  Ties go to lex with
+    the last variable biggest.  This is a well-order exactly when the first
+    nonzero entry of every column is negative, or the column is zero: then
+    1 < x_i for every i.
     """
 
-    def __init__(self, rows: Sequence[Sequence[int]], convention: str = MIN,
-                 tie: TermOrder | None = None):
+    def __init__(self, rows: Sequence[Sequence[int]]):
         rows = tuple(tuple(int(x) for x in r) for r in rows)
         if not rows:
             raise ValueError("need at least one weight row")
         n = len(rows[0])
         if any(len(r) != n for r in rows):
             raise DimensionMismatch("weight rows of unequal length")
-        if convention not in (MIN, MAX):
-            raise ValueError(f"convention must be {MIN!r} or {MAX!r}")
         self.rows = rows
-        self.convention = convention
-        self.tie = tie if tie is not None else lex_reversed(n)
-        if self.tie.nvars != n:
-            raise DimensionMismatch("tie-break order has wrong variable count")
         self.nvars = n
-        self._sign = -1 if convention == MIN else 1
-
-    def weight(self, e: Exponent) -> tuple:
-        return tuple(dot(r, e) for r in self.rows)
+        self.well_ordered = all(next((x for x in col if x), -1) < 0
+                                for col in zip(*rows))
 
     def key(self, e: Exponent):
-        s = self._sign
-        return (tuple(s * dot(r, e) for r in self.rows), self.tie.key(e))
+        return (tuple(-dot(r, e) for r in self.rows), e[::-1])
 
     def __repr__(self):
-        return f"WeightOrder({len(self.rows)} rows, {self.convention})"
+        return f"WeightOrder({len(self.rows)} rows)"
 
 
 class BlockOrder(TermOrder):
@@ -499,35 +490,33 @@ class Polynomial:
         return hash((self.vars, frozenset(self.terms.items())))
 
 
-def check_convention(convention: str) -> str:
+def to_min(rows: Sequence[Sequence[int]], convention: str) -> list:
+    """Weight rows in the min convention: as given for "min", negated for
+    "max".  The one place where max-style weights are negated."""
     if convention not in (MIN, MAX):
         raise ValueError(f"convention must be {MIN!r} or {MAX!r}, got {convention!r}")
-    return convention
+    s = 1 if convention == MIN else -1
+    return [[s * x for x in r] for r in rows]
 
 
-def initial_form(p: Polynomial, w: Sequence[int], convention: str = MIN) -> Polynomial:
-    """Sub-sum of terms attaining the extremal w-weight.
-
-    "min" keeps the terms of least weight (this is the t -> 0 limit of the
-    one-parameter family built from w); "max" keeps the largest.
-    """
-    check_convention(convention)
+def initial_form(p: Polynomial, w: Sequence[int]) -> Polynomial:
+    """Sub-sum of terms of least w-weight (the t -> 0 limit of the
+    one-parameter family built from w)."""
     if p.is_zero():
         raise ZeroPolynomialError("initial form of 0 undefined")
     if len(w) != len(p.vars):
         raise DimensionMismatch("weight length does not match variables")
     weights = {e: dot(w, e) for e in p.terms}
-    target = min(weights.values()) if convention == MIN else max(weights.values())
+    target = min(weights.values())
     return Polynomial._trusted(
         p.vars, {e: c for e, c in p.terms.items() if weights[e] == target})
 
 
-def initial_form_rows(p: Polynomial, rows: Sequence[Sequence[int]],
-                      convention: str = MIN) -> Polynomial:
+def initial_form_rows(p: Polynomial, rows: Sequence[Sequence[int]]) -> Polynomial:
     """Initial form for a weight matrix: rows applied in order, ties carried."""
     q = p
     for r in rows:
-        q = initial_form(q, r, convention)
+        q = initial_form(q, r)
         if len(q) == 1:
             break
     return q

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .groebner import Ideal, saturate_by_variables
-from .intlat import IntMatrix, in_row_space, kernel_lattice, embed_degree_one_vector
+from .intlat import IntMatrix, kernel_lattice, embed_degree_one_vector
 from .polycore import DimensionMismatch, Grading, Polynomial
 
 
@@ -210,9 +210,9 @@ def toric_ideal(A: IntMatrix, names: Sequence[str]) -> Ideal:
         raise DimensionMismatch("one name per matrix column required")
     basis = kernel_lattice(A)
     # standard grading is legitimate exactly when the all-ones functional is
-    # a rational combination of the rows
+    # a rational combination of the rows, i.e. orthogonal to the kernel
     grading = Grading.standard(len(names)) \
-        if in_row_space(A, [1] * A.cols) else None
+        if all(sum(u) == 0 for u in basis) else None
     if not basis:
         return Ideal([], names, grading=grading)
     gens = []

@@ -16,7 +16,7 @@ import reference_groebner
 from toricdeg import fixtures, groebner
 from toricdeg.degeneration import embed_value_semigroup
 from toricdeg.groebner import Ideal, _GradedRevLexLast, buchberger, ring_map_kernel
-from toricdeg.polycore import MAX, MIN, BlockOrder, DegRevLex, Polynomial, WeightOrder
+from toricdeg.polycore import MAX, MIN, BlockOrder, DegRevLex, Polynomial, WeightOrder, to_min
 
 ORDER_KINDS = ("degrevlex", "weight-min", "weight-max", "block", "graded-last")
 
@@ -58,7 +58,7 @@ def _order(draw, kind: str, n: int, homogeneous: bool):
             lo, hi = (-3, 0) if kind == "weight-min" else (0, 3)
         rows = [draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))
                 for _ in range(draw(st.integers(1, 2)))]
-        return WeightOrder(rows, MIN if kind == "weight-min" else MAX)
+        return WeightOrder(to_min(rows, MIN if kind == "weight-min" else MAX))
     if kind == "block":
         first = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
         return BlockOrder(sorted(first), [i for i in range(n) if i not in first])

@@ -204,19 +204,48 @@ def _run_cli(argv, timeout):
                           capture_output=True, text=True, timeout=timeout)
 
 
-@pytest.mark.parametrize("command", ["pipeline", "embed"])
-def test_pipeline_non_homogeneous_exit_1(tmp_path, command):
-    # the min-convention weight order is no well-order on this input, so the
-    # Buchberger runs behind the pipeline would not end
+@pytest.mark.parametrize("argv", [
+    pytest.param(["pipeline", "--matrix", None], id="pipeline"),
+    pytest.param(["embed", "--matrix", None], id="embed"),
+    pytest.param(["initial", "--matrix", None], id="initial-matrix"),
+    pytest.param(["initial", "--w", "1,1,1"], id="initial-w"),
+    pytest.param(["gb", "--order", "weight", "--w", "1,1,1"], id="gb-weight"),
+])
+def test_pipeline_non_homogeneous_exit_1(tmp_path, argv):
+    # these min-convention weight orders are no well-orders, so Buchberger's
+    # algorithm would not end on this input
     ideal = tmp_path / "inhom.ideal"
     ideal.write_text("vars: x,y,z\n2*x^2*y*z - x^3 + y^2*z\n"
                      "x^2*y^3 - x^3*z + y^2*z^2 + y^2 - y*z\n")
     _, matrix = _write_elliptic(tmp_path)
-    res = _run_cli([command, "--in", str(ideal), "--matrix", matrix], timeout=60)
+    argv = [matrix if a is None else a for a in argv]
+    res = _run_cli([argv[0], "--in", str(ideal), *argv[1:]], timeout=60)
     assert res.returncode == 1
     assert res.stdout == ""
     assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
     assert "not homogeneous" in res.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["gb", "--order", "weight", "--w={w}"], id="gb-weight"),
+    pytest.param(["initial", "--w={w}"], id="initial-w"),
+    pytest.param(["initial", "--matrix", "{matrix}"], id="initial-matrix"),
+])
+def test_max_convention_is_negated_min(tmp_path, capsys, argv):
+    ideal = tmp_path / "tc.ideal"
+    ideal.write_text("vars: a,b,c,d\na*c - b^2\nb*d - c^2\na*d - b*c\n")
+    rows = [[1, 1, 1, 1], [3, 0, 2, 1]]
+    outputs = {}
+    for conv, sign in (("max", 1), ("min", -1), ("min", 1)):
+        matrix = tmp_path / f"{conv}{sign}.json"
+        matrix.write_text(json.dumps([[sign * x for x in r] for r in rows]))
+        w = ",".join(str(sign * x) for x in rows[1])
+        args = [a.format(w=w, matrix=matrix) for a in argv]
+        assert cli.main([args[0], "--in", str(ideal), *args[1:],
+                         "--convention", conv]) == 0
+        outputs[conv, sign] = capsys.readouterr().out
+    assert outputs["max", 1] == outputs["min", -1]
+    assert outputs["max", 1] != outputs["min", 1]
 
 
 def test_moment_heptagon(tmp_path):

@@ -33,7 +33,6 @@ from toricdeg.groebner import (
     saturate,
 )
 from toricdeg.polycore import (
-    MIN,
     DegRevLex,
     Grading,
     Lex,
@@ -199,7 +198,7 @@ def test_initial_ideal_gvector_weight():
     I = _pluecker_ideal()
     # min-convention weight from the translated value rows
     w = [79, 71, 67, 65, 61, 64]
-    init = initial_ideal(I, w, MIN)
+    init = initial_ideal(I, w)
     want = canonical(_ideal(PLUECKER, "p13*p24 - p14*p23"))
     assert same_ideal(init, want)
 
@@ -207,13 +206,13 @@ def test_initial_ideal_gvector_weight():
 def test_initial_ideal_elliptic():
     vars = ("x", "y", "z")
     I = _ideal(vars, "y^2*z - x^3 + x*z^2", grading=Grading.standard(3))
-    init = initial_ideal(I, (1, 0, 3), MIN)
+    init = initial_ideal(I, (1, 0, 3))
     assert same_ideal(init, canonical(_ideal(vars, "y^2*z - x^3")))
 
 
 def test_initial_ideal_zero_weight():
     I = _ideal(("x", "y"), "x^2 - y^2 + x*y")
-    assert same_ideal(initial_ideal(I, (0, 0), MIN), canonical(I))
+    assert same_ideal(initial_ideal(I, (0, 0)), canonical(I))
 
 
 def test_initial_ideal_term_order_gives_monomials():
@@ -226,7 +225,7 @@ def test_initial_ideal_accepts_matrix_spec():
     from toricdeg.intlat import IntMatrix
     vars = ("x", "y", "z")
     I = _ideal(vars, "y^2*z - x^3 + x*z^2", grading=Grading.standard(3))
-    init = initial_ideal(I, IntMatrix([[1, 1, 1], [1, 0, 3]]), MIN)
+    init = initial_ideal(I, IntMatrix([[1, 1, 1], [1, 0, 3]]))
     assert same_ideal(init, canonical(_ideal(vars, "y^2*z - x^3")))
 
 
@@ -426,6 +425,6 @@ def test_initial_ideal_preserves_hilbert_function():
     dims = [graded_dimension(I, m) for m in range(5)]
     for _ in range(6):
         w = [rng.randint(-4, 4) for _ in range(6)]
-        J = initial_ideal(I, w, MIN)
+        J = initial_ideal(I, w)
         J = Ideal(J.gens, J.vars, grading=I.grading)
         assert [graded_dimension(J, m) for m in range(5)] == dims

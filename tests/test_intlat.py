@@ -20,7 +20,7 @@ from toricdeg.intlat import (
     kernel_lattice,
     weight_from_matrix,
 )
-from toricdeg.polycore import MIN, Grading, parse_polynomial
+from toricdeg.polycore import Grading, parse_polynomial
 
 
 def _hnf_shape_ok(H: IntMatrix) -> bool:
@@ -167,7 +167,7 @@ def test_weight_from_single_row():
     vars = ("x", "y", "z")
     J = Ideal([parse_polynomial("y^2*z - x^3 + x*z^2", vars)], vars,
               grading=Grading.standard(3))
-    w = weight_from_matrix(J, IntMatrix([[1, 0, 3]]), MIN)
+    w = weight_from_matrix(J, IntMatrix([[1, 0, 3]]))
     assert w == [1, 0, 3]
 
 
@@ -183,8 +183,8 @@ def test_weight_from_gr24_matrix():
         [1, 1, 1, 2, 2, 1],
         [1, 1, 1, 1, 1, 2],
     ])
-    w = weight_from_matrix(J, M, MIN)
-    init = initial_ideal(J, w, MIN)
+    w = weight_from_matrix(J, M)
+    init = initial_ideal(J, w)
     want = canonical(Ideal([parse_polynomial("p13*p24 - p14*p23", vars)], vars))
     assert same_ideal(init, want)
 
@@ -194,4 +194,4 @@ def test_weight_certification_bound():
     J = Ideal([parse_polynomial("x^2 - y^2", vars)], vars)
     M = IntMatrix([[1, 1], [0, 1]])
     with pytest.raises(NoCertificate):
-        weight_from_matrix(J, M, MIN, max_doublings=0)
+        weight_from_matrix(J, M, max_doublings=0)

@@ -23,8 +23,8 @@ from toricdeg.polycore import (
     ZeroPolynomialError,
     format_polynomial,
     initial_form,
-    lex_reversed,
     parse_polynomial,
+    to_min,
 )
 
 PLUECKER = ("p12", "p13", "p14", "p23", "p24", "p34")
@@ -151,22 +151,41 @@ def test_lex_basic():
 
 
 def test_weight_tie_defers_to_tiebreak():
-    order = WeightOrder([(1, 0, 3)], MIN)
-    # y^2 z and x^3 both have weight 3: the tie-break decides
-    assert order.key((0, 2, 1)) != order.key((3, 0, 0))
-    w = order.weight((0, 2, 1))
-    assert w == order.weight((3, 0, 0)) == (3,)
+    order = WeightOrder([(1, 0, 3)])
+    # y^2 z and x^3 both have weight 3: the tie-break decides, by reversed
+    # lex (the last variable is the biggest)
+    assert order.key((0, 2, 1))[0] == order.key((3, 0, 0))[0] == (-3,)
+    assert order.key((0, 2, 1)) > order.key((3, 0, 0))
 
 
 def test_weight_min_prefers_smaller_weight():
-    order = WeightOrder([(1, 0, 3)], MIN)
+    order = WeightOrder([(1, 0, 3)])
     # x z^2 has weight 7, y^2 z has weight 3; min convention selects y^2 z
     assert order.key((1, 0, 2)) < order.key((0, 2, 1))
 
 
 def test_weight_max_prefers_larger_weight():
-    order = WeightOrder([(1, 0, 3)], MAX)
+    order = WeightOrder(to_min([(1, 0, 3)], MAX))
     assert order.key((1, 0, 2)) > order.key((0, 2, 1))
+
+
+def test_to_min_negates_only_max():
+    assert to_min([(1, 0, -3)], MIN) == [[1, 0, -3]]
+    assert to_min([(1, 0, -3), (2, 2, 0)], MAX) == [[-1, 0, 3], [-2, -2, 0]]
+    with pytest.raises(ValueError, match="convention"):
+        to_min([(1,)], "median")
+
+
+def test_weight_order_well_ordered():
+    # well-ordered exactly when 1 < x_i for every variable
+    for rows in ([(-1, -2)], [(0, -1), (-5, 3)], [(0, 0)], [(0, -1), (0, 7)]):
+        order = WeightOrder(rows)
+        assert order.well_ordered
+        assert all(order.key(e) > order.key((0, 0)) for e in ((1, 0), (0, 1)))
+    for rows in ([(1, 1)], [(0, -1), (1, 0)], [(-1, 0), (0, 0), (2, 2)]):
+        order = WeightOrder(rows)
+        assert not order.well_ordered
+        assert any(order.key(e) < order.key((0, 0)) for e in ((1, 0), (0, 1)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -177,8 +196,8 @@ def test_order_laws(seed):
     orders = [
         DegRevLex(n),
         Lex(tuple(rng.sample(range(n), n))),
-        WeightOrder([[rng.randint(-3, 3) for _ in range(n)]],
-                    rng.choice([MIN, MAX]), tie=lex_reversed(n)),
+        WeightOrder(to_min([[rng.randint(-3, 3) for _ in range(n)]],
+                           rng.choice([MIN, MAX]))),
     ]
     exps = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(6)]
     shift = tuple(rng.randint(0, 3) for _ in range(n))
@@ -207,27 +226,27 @@ def test_order_laws(seed):
 def test_initial_form_elliptic_weights():
     vars = ("x", "y", "z")
     p = parse_polynomial("y^2*z - x^3 + x*z^2", vars)
-    init = initial_form(p, (1, 0, 3), MIN)
+    init = initial_form(p, (1, 0, 3))
     assert init == parse_polynomial("y^2*z - x^3", vars)
 
 
 def test_initial_form_zero_weight_is_identity():
     vars = ("x", "y")
     p = parse_polynomial("x^2 + y - 3", vars)
-    assert initial_form(p, (0, 0), MIN) == p
+    assert initial_form(p, (0, 0)) == p
 
 
 def test_initial_form_gvector_weight_on_pluecker():
     p = parse_polynomial("p12*p34 - p13*p24 + p14*p23", PLUECKER)
     # second row of the translated value matrix separates p12*p34 off
     w = (2, 1, 1, 1, 1, 1)
-    init = initial_form(p, w, MIN)
+    init = initial_form(p, w)
     assert init == parse_polynomial("-p13*p24 + p14*p23", PLUECKER)
 
 
 def test_initial_form_rejects_zero():
     with pytest.raises(ZeroPolynomialError):
-        initial_form(Polynomial.zero(("x",)), (1,), MIN)
+        initial_form(Polynomial.zero(("x",)), (1,))
 
 
 def test_initial_form_idempotent():
@@ -238,8 +257,8 @@ def test_initial_form_idempotent():
         if p.is_zero():
             continue
         w = tuple(rng.randint(-4, 4) for _ in vars)
-        i1 = initial_form(p, w, MIN)
-        assert initial_form(i1, w, MIN) == i1
+        i1 = initial_form(p, w)
+        assert initial_form(i1, w) == i1
 
 
 def test_initial_form_multiplicative_200_pairs():
@@ -252,8 +271,8 @@ def test_initial_form_multiplicative_200_pairs():
         if f.is_zero() or g.is_zero():
             continue
         w = tuple(rng.randint(-5, 5) for _ in vars)
-        lhs = initial_form(f * g, w, MIN)
-        rhs = initial_form(f, w, MIN) * initial_form(g, w, MIN)
+        lhs = initial_form(f * g, w)
+        rhs = initial_form(f, w) * initial_form(g, w)
         assert lhs == rhs
         checked += 1
 
