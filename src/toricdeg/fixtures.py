@@ -521,5 +521,5 @@ FIXTURE_NAMES = tuple(RUNNERS)
 
 def run_fixture(name: str) -> FixtureReport:
     if name not in RUNNERS:
-        raise KeyError(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}")
+        raise ValueError(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}")
     return RUNNERS[name]()

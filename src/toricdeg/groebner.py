@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import heapq
 import operator
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .polycore import (
@@ -148,24 +150,46 @@ def _reversed_key(order: TermOrder):
     return rk
 
 
-def _normal_form(p: Polynomial, basis: Sequence[Polynomial],
-                 leads: Sequence[Exponent], rkey) -> Polynomial:
-    """Full normal form: no term of the result is divisible by any lead.
+def _cleared(p: Polynomial) -> tuple:
+    """(terms, d): p's coefficients times their least common denominator d,
+    as ints."""
+    d = lcm(*[c.denominator for c in p.terms.values()])
+    return {e: c.numerator * (d // c.denominator) for e, c in p.terms.items()}, d
 
-    Terms are taken largest first from a heap keyed by `rkey` (see
-    `_reversed_key`).  A term that cancels stays in the heap and is skipped
-    when popped: every term a reduction step adds is smaller than the one it
-    removes, so a popped exponent never comes back.
+
+def _primitive(terms: dict) -> dict:
+    """`terms`, whose first term is the lead, divided by its integer content
+    and signed so that the lead coefficient is positive."""
+    k = gcd(*terms.values())
+    if next(iter(terms.values())) < 0:
+        k = -k
+    if k == 1:
+        return terms
+    return {e: c // k for e, c in terms.items()}
+
+
+def _normal_form(terms: dict, divisors: list, rkey) -> tuple:
+    """Fraction-free full normal form of the integer polynomial `terms`.
+
+    `divisors` are (lead, integer polynomial) pairs whose lead coefficients
+    are positive.  Returns (r, m): the integer polynomial r = m*terms - (a
+    combination of divisors), with no term divisible by any lead, and the
+    positive multiplier m, so r/m is the normal form of `terms`.  r lists its
+    terms largest first.
+
+    A term c*x^e with lead l of g dividing e is removed by terms := (a/k)*terms
+    - (c/k)*x^(e-l)*g, where a is g's lead coefficient and k = gcd(a, c): the
+    factor a/k scales both the terms still to be reduced and those already in
+    r, and multiplies m.  Terms are taken largest first from a heap keyed by
+    `rkey` (see `_reversed_key`).  A term that cancels stays in the heap and
+    is skipped when popped: every term a reduction step adds is smaller than
+    the one it removes, so a popped exponent never comes back.
     """
-    if not p.terms or not basis:
-        return p
-    work = dict(p.terms)
+    work = dict(terms)
     heap = [(rkey(e), e) for e in work]
     heapq.heapify(heap)
     out: dict = {}
-    # a list: tuple(zip(...)) grows by resizing, which fills CPython's tuple
-    # free lists of many sizes and raises peak memory
-    divisors = list(zip(basis, leads))
+    mult = 1
     le, add, sub = operator.le, operator.add, operator.sub
     pop, push = heapq.heappop, heapq.heappush
     while heap:
@@ -173,65 +197,92 @@ def _normal_form(p: Polynomial, basis: Sequence[Polynomial],
         c = work.pop(e, None)
         if c is None:
             continue
-        for g, l in divisors:
+        for l, g in divisors:
             if all(map(le, l, e)):
                 break
         else:
             out[e] = c
             continue
         shift = tuple(map(sub, e, l))
-        factor = c / g.terms[l]
-        for eg, cg in g.terms.items():
+        a = g[l]
+        k = gcd(a, c)
+        a //= k
+        c //= k
+        if a != 1:
+            mult *= a
+            work = {x: y * a for x, y in work.items()}
+            out = {x: y * a for x, y in out.items()}
+        for eg, cg in g.items():
             if eg == l:
                 continue
             et = tuple(map(add, eg, shift))
             c0 = work.get(et)
             if c0 is None:
-                work[et] = -factor * cg
+                work[et] = -c * cg
                 push(heap, (rkey(et), et))
             else:
-                c0 -= factor * cg
+                c0 -= c * cg
                 if c0:
                     work[et] = c0
                 else:
                     del work[et]
-    return Polynomial._trusted(p.vars, out)
+    return out, mult
 
 
 def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
-    """Remainder of p on division by G (fully reduced)."""
+    """The remainder of p on division by G, with no term divisible by a lead
+    of G: exact, and unique because G is a Groebner basis.
+
+    Computed fraction-free (see `_normal_form`): p and each element of G are
+    cleared of denominators, and the remainder is divided by p's common
+    denominator and the multiplier the reduction tracked.
+    """
     if p.vars and G.elements and p.vars != G.elements[0].vars:
         raise DimensionMismatch("polynomial and basis in different rings")
-    return _normal_form(p, G.elements, G.leads, _reversed_key(G.order))
+    if not p.terms or not G.elements:
+        return p
+    terms, d = _cleared(p)
+    divisors = [(l, _cleared(g)[0]) for l, g in zip(G.leads, G.elements)]
+    r, m = _normal_form(terms, divisors, _reversed_key(G.order))
+    d *= m
+    return Polynomial._trusted(p.vars, {e: Fraction(c, d) for e, c in r.items()})
 
 
-def _spoly(f: Polynomial, g: Polynomial, ef: Exponent, eg: Exponent) -> Polynomial:
-    """S-polynomial of monic f and g with leads ef and eg, which cancel."""
+def _spoly(f: dict, g: dict, ef: Exponent, eg: Exponent) -> dict:
+    """Integer S-polynomial (b/k)*x^sf*f - (a/k)*x^sg*g of f and g with leads
+    ef and eg, lead coefficients a and b, k = gcd(a, b), and x^sf*ef =
+    x^sg*eg the lcm of the leads, which cancels."""
+    a, b = f[ef], g[eg]
+    k = gcd(a, b)
+    a //= k
+    b //= k
     l = exp_lcm(ef, eg)
     sf, sg = exp_sub(l, ef), exp_sub(l, eg)
-    terms = {exp_add(e, sf): c for e, c in f.terms.items() if e != ef}
-    for e, c in g.terms.items():
+    terms = {exp_add(e, sf): b * c for e, c in f.items() if e != ef}
+    for e, c in g.items():
         if e != eg:
             e = exp_add(e, sg)
-            c = terms.pop(e, 0) - c
+            c = terms.pop(e, 0) - a * c
             if c:
                 terms[e] = c
-    return Polynomial._trusted(f.vars, terms)
+    return terms
 
 
-def _interreduce(polys: list, order: TermOrder) -> list:
-    """Tail-reduce to the unique reduced basis.
+def _interreduce(divisors: list, vars: tuple, rkey) -> list:
+    """The unique reduced basis, as monic Fraction polynomials sorted by lead.
 
-    `polys` are the active elements of `buchberger`: monic and nonzero, and
-    no lead divides another, so each keeps its lead.
+    `divisors` are the active (lead, element) pairs of `buchberger`: no lead
+    divides another, so each element keeps its lead when its tail is reduced
+    by the others.
     """
-    rkey = _reversed_key(order)
-    leads = [p.lead(order)[0] for p in polys]
-    reduced = [_normal_form(p, polys[:i] + polys[i + 1:],
-                            leads[:i] + leads[i + 1:], rkey)
-               for i, p in enumerate(polys)]
-    reduced.sort(key=lambda q: rkey(q.lead(order)[0]))
-    return reduced
+    reduced = []
+    for i, (l, g) in enumerate(divisors):
+        r, _ = _normal_form(g, divisors[:i] + divisors[i + 1:], rkey)
+        lc = r[l]
+        reduced.append((rkey(l), Polynomial._trusted(
+            vars, {e: Fraction(c, lc) for e, c in r.items()})))
+    reduced.sort(key=operator.itemgetter(0))
+    return [p for _, p in reduced]
 
 
 def buchberger(I: Ideal, order: TermOrder | None = None) -> GroebnerBasis:
@@ -252,6 +303,13 @@ def buchberger(I: Ideal, order: TermOrder | None = None) -> GroebnerBasis:
     standard grading a pair's sugar is the degree of its lcm.  The output is
     the unique reduced basis, independent of the generator order.
 
+    The arithmetic is fraction-free (Geddes, Czapor & Labahn 1992): the
+    generators are cleared of denominators once, S-polynomials and normal
+    forms are integer combinations (`_spoly`, `_normal_form`), and every
+    element joins the basis as a primitive integer polynomial, its content
+    divided out.  `Fraction` appears only in the final interreduction, which
+    makes each element monic.
+
     An order that is not a well-order needs I homogeneous for its grading
     (NotHomogeneous otherwise): then every reduction stays in one degree,
     among finitely many monomials, and the algorithm ends.
@@ -266,25 +324,24 @@ def buchberger(I: Ideal, order: TermOrder | None = None) -> GroebnerBasis:
     rkey = _reversed_key(order)
     le = operator.le
 
-    basis: list[Polynomial] = []
+    basis: list[dict] = []  # primitive integer polynomials, lead first
     leads: list[Exponent] = []
     degrees: list[int] = []  # total degree of each lead
     excess: list[int] = []  # sugar minus the total degree of the lead
     active: list[int] = []  # elements whose lead no later lead divides
-    reducers: list[Polynomial] = []
-    reducer_leads: list[Exponent] = []
+    reducers: list = []  # (lead, element) of the active elements
     pairs: dict = {}  # (i, j) -> lcm; heap entries of missing pairs are stale
     heap: list = []  # (sugar, key(lcm), i, j)
 
-    def add(r: Polynomial, sugar: int):
-        r = r.monic(order)
+    def add(r: dict, sugar: int):
+        r = _primitive(r)
         j = len(basis)
-        ej = r.lead(order)[0]
+        ej = next(iter(r))
         dj = sum(ej)
         basis.append(r)
         leads.append(ej)
         degrees.append(dj)
-        excess.append(max(sugar, max(map(sum, r.terms))) - dj)
+        excess.append(max(sugar, max(map(sum, r))) - dj)
         # new pairs, by degree of the lcm: a proper divisor of an lcm has
         # lower degree, so criterion M looks only at kept lower-degree lcms
         fresh = []
@@ -319,14 +376,13 @@ def buchberger(I: Ideal, order: TermOrder | None = None) -> GroebnerBasis:
                                       key(l), i, j))
         active[:] = [i for i in active if not all(map(le, ej, leads[i]))]
         active.append(j)
-        reducers[:] = [basis[i] for i in active]
-        reducer_leads[:] = [leads[i] for i in active]
+        reducers[:] = [(leads[i], basis[i]) for i in active]
 
     # seed with successive normal forms of the generators; unlike the final
     # interreduction this never drops ideal content
     for g in I.gens:
-        r = _normal_form(g, reducers, reducer_leads, rkey)
-        if not r.is_zero():
+        r = _normal_form(_cleared(g)[0], reducers, rkey)[0]
+        if r:
             add(r, max(map(sum, g.terms)))
 
     while heap:
@@ -334,11 +390,11 @@ def buchberger(I: Ideal, order: TermOrder | None = None) -> GroebnerBasis:
         if pairs.pop((i, j), None) is None:
             continue
         s = _spoly(basis[i], basis[j], leads[i], leads[j])
-        r = _normal_form(s, reducers, reducer_leads, rkey)
-        if not r.is_zero():
+        r = _normal_form(s, reducers, rkey)[0]
+        if r:
             add(r, sugar)
 
-    return GroebnerBasis(_interreduce(reducers, order), order)
+    return GroebnerBasis(_interreduce(reducers, I.vars, rkey), order)
 
 
 def reduced_basis(I: Ideal) -> GroebnerBasis:
@@ -598,13 +654,11 @@ def _graded_dimensions(I: Ideal, degrees: Sequence[int]) -> list:
     if any(m < 0 for m in degrees):
         raise ValueError("degree must be nonnegative")
     top = max(degrees, default=0)
-    num = _hilbert_numerator(reduced_basis(I).leads, weights, top)
-    # coefficients of 1 / prod(1 - t^w_i): monomials of each weighted degree
-    ways = [1] + [0] * top
-    for w in weights:
+    series = _hilbert_numerator(reduced_basis(I).leads, weights, top)
+    for w in weights:  # divide by (1 - t^w), in place, up to t^top
         for d in range(w, top + 1):
-            ways[d] += ways[d - w]
-    return [sum(num[j] * ways[m - j] for j in range(m + 1)) for m in degrees]
+            series[d] += series[d - w]
+    return [series[m] for m in degrees]
 
 
 def graded_dimension(I: Ideal, degree: int) -> int:

@@ -2,11 +2,14 @@
 work.
 
 `reference_groebner.buchberger` is the engine toricdeg used before the
-Gebauer-Moller rewrite.  Reduced bases are unique, so on every ideal and
-order the two engines must return identical bases.
+Gebauer-Moller rewrite, reducing over `Fraction`.  Reduced bases are unique,
+so on every ideal and order the two engines must return identical bases, and
+`normal_form` must return the reference's exact remainder.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,16 +18,24 @@ from hypothesis import strategies as st
 import reference_groebner
 from toricdeg import fixtures, groebner
 from toricdeg.degeneration import embed_value_semigroup
-from toricdeg.groebner import Ideal, _GradedRevLexLast, buchberger, ring_map_kernel
+from toricdeg.groebner import Ideal, _GradedRevLexLast, buchberger, normal_form, ring_map_kernel
 from toricdeg.polycore import MAX, MIN, BlockOrder, DegRevLex, Polynomial, WeightOrder, to_min
 
 ORDER_KINDS = ("degrevlex", "weight-min", "weight-max", "block", "graded-last")
+
+# small integers, which cancel often, and rationals with numerators and
+# denominators up to about 10^30
+_COEFFS = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30)),
+)
 
 
 @st.composite
 def _ideals(draw):
     """(ideal, homogeneous?) with 2-4 variables, up to 3 generators of at
-    most 4 terms each and exponents of total degree at most 3."""
+    most 4 terms each, exponents of total degree at most 3 and `_COEFFS`
+    coefficients."""
     n = draw(st.integers(2, 4))
     homogeneous = draw(st.booleans())
     vars = tuple(f"x{i}" for i in range(n))
@@ -41,7 +52,7 @@ def _ideals(draw):
                 e = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
                 if sum(e) > 3:
                     continue
-            terms[e] = terms.get(e, 0) + draw(st.integers(-3, 3))
+            terms[e] = terms.get(e, 0) + draw(_COEFFS)
         gens.append(Polynomial(vars, terms))
     return Ideal(gens, vars), homogeneous
 
@@ -76,6 +87,52 @@ def test_engine_matches_reference(kind, data):
     old = reference_groebner.buchberger(I, order)
     assert new.elements == old.elements
     assert new.leads == old.leads
+    for g, l in zip(new.elements, new.leads):
+        assert all(type(c) is Fraction for c in g.terms.values())
+        assert g.terms[l] == 1
+
+
+def _reference_normal_form(p, G):
+    return reference_groebner._normal_form(
+        p, G.elements, G.leads, reference_groebner._cached_key(G.order))
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_normal_form_is_exact_remainder(kind, data):
+    I, homogeneous = data.draw(_ideals())
+    G = buchberger(I, _order(data.draw, kind, len(I.vars), homogeneous))
+    n = len(I.vars)
+    terms = {}
+    for _ in range(data.draw(st.integers(0, 5))):
+        e = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        terms[e] = terms.get(e, 0) + data.draw(_COEFFS)
+    p = Polynomial(I.vars, terms)
+    r = normal_form(p, G)
+    assert r == _reference_normal_form(p, G)
+    assert all(type(c) is Fraction for c in r.terms.values())
+
+
+def test_normal_form_divides_out_the_multiplier(monkeypatch):
+    # p = x/3 + 1 is cleared to x + 3; the lead coefficient 2 of the cleared
+    # element 2*x - y scales its reduction by 2, which ends at y + 6, so the
+    # remainder is (y + 6)/(3*2) = y/6 + 1
+    vars = ("x", "y")
+    G = buchberger(Ideal([Polynomial(vars, {(1, 0): 1, (0, 1): Fraction(-1, 2)})], vars))
+    p = Polynomial(vars, {(1, 0): Fraction(1, 3), (0, 0): 1})
+    nf, multipliers = groebner._normal_form, []
+
+    def recording_nf(*args):
+        r, m = nf(*args)
+        multipliers.append(m)
+        return r, m
+
+    monkeypatch.setattr(groebner, "_normal_form", recording_nf)
+    r = normal_form(p, G)
+    assert multipliers == [2]
+    assert r == Polynomial(vars, {(0, 1): Fraction(1, 6), (0, 0): 1})
+    assert r == _reference_normal_form(p, G)
 
 
 def test_gr24_elimination_zero_reductions(monkeypatch):
@@ -92,7 +149,7 @@ def test_gr24_elimination_zero_reductions(monkeypatch):
 
     def counting_nf(*args):
         r = nf(*args)
-        if counts and r.is_zero():
+        if counts and not r[0]:
             counts[-1] += 1
         return r
 

@@ -148,6 +148,15 @@ def test_fixtures_run_all_hermetic(capsys):
         assert f"[PASS] {name}:" in out
 
 
+def test_unknown_fixture_exit_1(capsys):
+    assert cli.main(["fixtures", "run", "nope"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown fixture 'nope'; choose from (")
+    assert len(captured.err.splitlines()) == 1
+    assert '"' not in captured.err
+
+
 def test_fixture_failure_exits_2(monkeypatch, capsys):
     def fake_runner():
         rep = FixtureReport("doomed")
@@ -246,6 +255,17 @@ def test_max_convention_is_negated_min(tmp_path, capsys, argv):
         outputs[conv, sign] = capsys.readouterr().out
     assert outputs["max", 1] == outputs["min", -1]
     assert outputs["max", 1] != outputs["min", 1]
+
+
+def test_embed_large_degree_bound(tmp_path):
+    # graded dimensions up to the bound take time linear in it
+    ideal, matrix = _write_elliptic(tmp_path)
+    res = _run_cli(["embed", "--in", ideal, "--matrix", matrix,
+                    "--degree-bound", "10000"], timeout=30)
+    assert res.returncode == 0, res.stderr
+    dims = json.loads(res.stdout)["dims_checked"]
+    assert len(dims) == 10001
+    assert dims[-1] == [10000, 30000, 30000]
 
 
 def test_moment_heptagon(tmp_path):
