@@ -25,7 +25,6 @@ from .intlat import (
     IntMatrix,
     embed_degree_one_vector,
     homogenize_matrix,
-    in_row_space,
     weight_from_matrix,
 )
 from .polycore import (
@@ -136,9 +135,10 @@ def valuation_pipeline(J: Ideal, M: IntMatrix, convention: str = MIN) -> Pipelin
 
     Computes a certified weight w with in_w(J) = in_M(J), the initial ideal,
     the column semigroup, and compares the initial ideal against the toric
-    ideal of M (homogenized first when the all-ones vector is outside M's row
-    space).  J must be homogeneous: the weight orders used here need not be
-    well-orders otherwise, and their Buchberger runs need not end.
+    ideal of M, homogenized (which changes nothing when the all-ones vector
+    already lies in M's row space).  J must be homogeneous: the weight orders
+    used here need not be well-orders otherwise, and their Buchberger runs
+    need not end.
     """
     rows_min = to_min(M.rows_list(), convention)
     if M.cols != len(J.vars):
@@ -152,8 +152,10 @@ def valuation_pipeline(J: Ideal, M: IntMatrix, convention: str = MIN) -> Pipelin
     if all(x > 0 for x in M.entries[0]):
         semigroup = Semigroup(M.columns(), degree_coord=0, labels=J.vars)
 
-    A_hat = M if in_row_space(M, [1] * M.cols) else homogenize_matrix(M)
-    T = toric_ideal(A_hat, J.vars)
+    # When the all-ones vector lies in M's row space, every u in ker M has
+    # sum(u) = 0, so the added row (c - s_j) is orthogonal to ker M and
+    # ker homogenize_matrix(M) = ker M: the toric ideal is the same either way
+    T = toric_ideal(homogenize_matrix(M), J.vars)
     prime = same_ideal(init, T)
     return PipelineReport(tuple(w), convention, convention == MAX, w_min, init,
                           semigroup, T, prime)

@@ -178,15 +178,6 @@ def kernel_lattice(A: IntMatrix):
     return basis
 
 
-def in_row_space(A: IntMatrix, v: Sequence[int]) -> bool:
-    """Exact test whether v lies in the rational row space of A."""
-    if len(v) != A.cols:
-        raise DimensionMismatch("vector length does not match columns")
-    # v in rowspace(A)  iff  v is orthogonal to ker(A)
-    return all(sum(int(x) * u[k] for k, x in enumerate(v)) == 0
-               for u in kernel_lattice(A))
-
-
 def homogenize_matrix(A: IntMatrix) -> IntMatrix:
     """Prepend a row making every column sum equal max of the column sums."""
     sums = [sum(A.column(j)) for j in range(A.cols)]

@@ -43,11 +43,12 @@ def parse_ideal_text(text: str) -> Ideal:
 def read_ideal(path: str) -> Ideal:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if path.endswith(".json"):
-        return ideal_from_json(json.loads(text))
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return ideal_from_json(json.loads(text))
+    if path.endswith(".json") or text.lstrip().startswith("{"):
+        obj = json.loads(text)
+        try:
+            return ideal_from_json(obj)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
     return parse_ideal_text(text)
 
 
@@ -71,6 +72,8 @@ def ideal_to_json(I: Ideal) -> dict:
 def ideal_from_json(obj: dict) -> Ideal:
     if not isinstance(obj, dict):
         raise ValueError("an ideal in JSON is an object with vars and gens")
+    if "vars" not in obj:
+        raise ValueError("ideal JSON has no 'vars' field")
     vars, gens = obj["vars"], obj.get("gens", [])
     if not (isinstance(vars, list) and all(isinstance(v, str) for v in vars)):
         raise ValueError("ideal vars must be a list of strings")

@@ -198,12 +198,80 @@ def point_in_polytope(point, P: PolytopeQ, slack: Fraction = Fraction(0)) -> boo
 # operations
 
 
+def _balanced_core(S: int, signs) -> int:
+    """Largest balanced subset of the variable bitmask S.
+
+    `signs` holds one (supp u+, supp u-) pair of bitmasks per basis vector.
+    A balanced subset of S meets neither support of a vector whose supports
+    S meets unequally, so removing that vector's support from S keeps every
+    balanced subset; when no vector is left to remove, S is balanced.
+    """
+    while True:
+        for plus, minus in signs:
+            if bool(S & plus) != bool(S & minus):
+                S &= ~(plus | minus)
+                break
+        else:
+            return S
+
+
+def _saturation_variables(basis) -> list[int]:
+    """Indices of a set sigma that meets every nonempty balanced set of the
+    variables that occur in the basis.
+
+    sigma is valid exactly when those variables outside sigma have an empty
+    balanced core.  It is grown greedily, each time by the variable of the
+    current core that leaves the smallest core, and then each variable that
+    is not needed is dropped, so no proper subset of sigma is valid.
+    """
+    n = len(basis[0])
+    signs = [(sum(1 << i for i, x in enumerate(u) if x > 0),
+              sum(1 << i for i, x in enumerate(u) if x < 0)) for u in basis]
+    full = 0
+    for plus, minus in signs:
+        full |= plus | minus
+    sigma = 0
+    core = _balanced_core(full, signs)
+    while core:
+        i = min((i for i in range(n) if core >> i & 1),
+                key=lambda i: bin(_balanced_core(core & ~(1 << i), signs)).count("1"))
+        sigma |= 1 << i
+        core = _balanced_core(core & ~(1 << i), signs)
+    for i in range(n):
+        bit = 1 << i
+        if sigma & bit and not _balanced_core(full & ~(sigma & ~bit), signs):
+            sigma &= ~bit
+    return [i for i in range(n) if sigma >> i & 1]
+
+
 def toric_ideal(A: IntMatrix, names: Sequence[str]) -> Ideal:
     """Prime binomial ideal of the saturated kernel lattice of A.
 
-    Built from the kernel-basis binomials x^(u+) - x^(u-) and saturated
-    successively by each variable.  Homogeneous for every row of A; carries
-    the standard grading when the all-ones vector lies in the row space.
+    Built from the kernel-basis binomials x^(u+) - x^(u-) of the basis B,
+    whose ideal I_B is saturated by the variables of a set sigma that meets
+    every balanced set of variables occurring in B (`_saturation_variables`).
+    Call a nonempty set tau of variables balanced when, for every u in B,
+    supp(u+) meets tau exactly when supp(u-) does.  Homogeneous for every
+    row of A; carries the standard grading when the all-ones vector lies in
+    the row space.
+
+    Why sigma suffices.  Let P be an associated prime of I_B and tau(P) the
+    set of variables in P.  If supp(u+) meets tau(P) then x^(u+) lies in P,
+    so x^(u-) = x^(u+) - (x^(u+) - x^(u-)) does too, and as P is prime some
+    variable of supp(u-) lies in P; symmetrically the other way.  So tau(P)
+    is empty or balanced (Eisenbud & Sturmfels 1996, Binomial ideals).  It
+    also holds only variables that occur in B: I_B is extended from the
+    polynomial ring in those, and so are its associated primes.
+    Saturating by the product x_sigma keeps exactly the primary components
+    of I_B whose prime contains no variable of sigma, that is, whose tau(P)
+    misses sigma; as sigma meets every such tau(P) that is not empty, these
+    are the components with tau(P) empty, the same ones that saturating by
+    all the variables keeps.  Hence I_B : x_sigma^infinity = I_B : (x_1...x_n)^infinity,
+    which is the ideal of the lattice spanned by B, saturated here because
+    B spans a kernel (Hosten & Sturmfels 1995, GRIN, reduced saturation
+    sets).  The successive saturations by each x_i in sigma give the
+    saturation by their product.  When no balanced set exists, sigma is
+    empty and I_B is already the toric ideal.
     """
     names = tuple(names)
     if len(names) != A.cols:
@@ -221,7 +289,8 @@ def toric_ideal(A: IntMatrix, names: Sequence[str]) -> Ideal:
         minus = tuple(-x if x < 0 else 0 for x in u)
         gens.append(Polynomial.monomial(names, plus)
                     - Polynomial.monomial(names, minus))
-    return saturate_by_variables(Ideal(gens, names, grading=grading), names)
+    sigma = [names[i] for i in _saturation_variables(basis)]
+    return saturate_by_variables(Ideal(gens, names, grading=grading), sigma)
 
 
 def delta_polytope(S: Semigroup) -> PolytopeQ:

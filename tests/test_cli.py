@@ -298,6 +298,17 @@ def test_gb_json_malformed_exit_1(tmp_path, capsys, payload):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+def test_gb_json_missing_vars_names_field_and_file(tmp_path, capsys):
+    f = tmp_path / "novars.json"
+    f.write_text('{"gens":["x"]}\n')
+    assert cli.main(["gb", "--in", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "'vars'" in err and str(f) in err and "Traceback" not in err
+
+
 def test_toric_non_integer_entry_exit_1(tmp_path, capsys):
     m = tmp_path / "frac.json"
     m.write_text("[[1.7,2],[1,1]]\n")

@@ -14,13 +14,13 @@ import random
 from fractions import Fraction
 
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import symbols
 from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
 
 from toricdeg import fixtures as fx
-from toricdeg import groebner
+from toricdeg import groebner, toric
 from toricdeg.degeneration import (
     NoIndependentSubset,
     _finite_over,
@@ -40,7 +40,13 @@ from toricdeg.groebner import (
     saturate,
     saturate_by_variables,
 )
-from toricdeg.intlat import IntMatrix, hermite_normal_form, kernel_lattice, weight_from_matrix
+from toricdeg.intlat import (
+    IntMatrix,
+    hermite_normal_form,
+    homogenize_matrix,
+    kernel_lattice,
+    weight_from_matrix,
+)
 from toricdeg.polycore import (
     MIN,
     Grading,
@@ -119,6 +125,95 @@ def test_graded_saturation_route_agrees_with_saturate(monkeypatch):
         assert fast.gens == slow.gens
         enlarged += not same_ideal(fast, canonical(I))
     assert enlarged >= 3
+
+
+def _all_variables_toric_oracle(A, vars):
+    """The toric ideal saturated by every variable, as before hitting sets."""
+    basis = kernel_lattice(A)
+    grading = Grading.standard(len(vars)) if all(sum(u) == 0 for u in basis) else None
+    return saturate_by_variables(Ideal(_kernel_binomials(A, vars), vars, grading=grading), vars)
+
+
+@st.composite
+def _small_matrices(draw):
+    """1-3 rows over 3-7 columns, entries in -1..2, the first row all ones
+    or not."""
+    n = draw(st.integers(3, 7))
+    rows = draw(st.lists(st.lists(st.integers(-1, 2), min_size=n, max_size=n),
+                         min_size=1, max_size=3))
+    if draw(st.booleans()):
+        rows[0] = [1] * n
+    return IntMatrix(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(A=_small_matrices())
+# kernel (1, 1, 0): no balanced set, so sigma is empty
+@example(A=IntMatrix([[1, -1, 0], [0, 0, 1]]))
+# not positively graded, sigma = {x2}: the `saturate` fallback
+@example(A=IntMatrix([[1, -2, -1, -2], [0, 2, 2, 2]]))
+def test_toric_ideal_matches_all_variables_saturation(A):
+    vars = tuple(f"x{i}" for i in range(A.cols))
+    T = toric_ideal(A, vars)
+    if not kernel_lattice(A):
+        assert T.is_zero()
+        return
+    oracle = _all_variables_toric_oracle(A, vars)
+    assert T.gens == oracle.gens
+    assert T.grading == oracle.grading
+
+
+def test_rational_normal_curve_saturates_by_fewer_than_all_variables(monkeypatch):
+    A = IntMatrix([[1] * 8, list(range(8))])
+    names = tuple(f"x{i}" for i in range(8))
+    steps = []
+    original = groebner._saturate_variable_graded
+
+    def spy(I, name, w):
+        steps.append(name)
+        return original(I, name, w)
+
+    monkeypatch.setattr(groebner, "_saturate_variable_graded", spy)
+    T = toric_ideal(A, names)
+    assert 0 < len(steps) < 8
+    monkeypatch.setattr(groebner, "_saturate_variable_graded", original)
+    oracle = _all_variables_toric_oracle(A, names)
+    assert T.gens == oracle.gens and T.grading == oracle.grading
+
+
+def test_toric_ideal_reaches_saturate_fallback(monkeypatch):
+    # the second example above: no positive grading, sigma = {x2}
+    calls = []
+    original = groebner.saturate
+
+    def spy(I, f):
+        calls.append(format_polynomial(f))
+        return original(I, f)
+
+    monkeypatch.setattr(groebner, "saturate", spy)
+    toric_ideal(IntMatrix([[1, -2, -1, -2], [0, 2, 2, 2]]), ("x0", "x1", "x2", "x3"))
+    assert calls == ["x2"]
+
+
+def test_dropping_a_hitting_set_variable_changes_some_toric_ideal():
+    # every sigma is inclusion-minimal; dropping one element leaves some
+    # balanced set unsaturated, which shows as a wrong ideal on some draw
+    rng = random.Random(1729)
+    wrong = 0
+    for _ in range(20):
+        n = rng.randint(4, 6)
+        A = IntMatrix([[1] * n, [rng.randint(0, 4) for _ in range(n)]])
+        basis = kernel_lattice(A)
+        if not basis:
+            continue
+        vars = tuple(f"x{i}" for i in range(n))
+        I = Ideal(_kernel_binomials(A, vars), vars, grading=Grading.standard(n))
+        sigma = toric._saturation_variables(basis)
+        want = _all_variables_toric_oracle(A, vars)
+        for k in range(len(sigma)):
+            mutated = [vars[i] for i in sigma[:k] + sigma[k + 1:]]
+            wrong += saturate_by_variables(I, mutated).gens != want.gens
+    assert wrong >= 1
 
 
 def _random_projection_input(rng, vars, homogeneous):
@@ -250,6 +345,17 @@ def test_embed_kernel_matches_ring_map_kernel_on_toric_ideals(M):
         _assert_kernel_matches_ring_map(J, M)
     except NoIndependentSubset:
         pass
+
+
+@settings(max_examples=20, deadline=None)
+@given(M=_degree_one_matrices())
+def test_homogenizing_keeps_the_toric_ideal_when_ones_are_in_the_row_space(M):
+    # valuation_pipeline homogenizes every matrix; with the all-ones row the
+    # kernel, and hence the toric ideal, must not change
+    vars = tuple(f"x{i}" for i in range(M.cols))
+    T = toric_ideal(M, vars)
+    H = toric_ideal(homogenize_matrix(M), vars)
+    assert T.gens == H.gens and T.grading == H.grading
 
 
 def _to_sympy(p, syms):

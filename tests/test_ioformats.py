@@ -45,6 +45,11 @@ def test_ideal_file_roundtrip(tmp_path: Path):
         assert same_ideal(read_ideal(str(path)), I)
 
 
+def test_ideal_json_requires_vars():
+    with pytest.raises(ValueError, match="'vars'"):
+        ideal_from_json({"gens": ["x"]})
+
+
 def test_ideal_text_requires_header():
     with pytest.raises(ValueError):
         parse_ideal_text("x + y\n")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,12 +10,13 @@ import pytest
 
 from toricdeg.groebner import Ideal, canonical, normal_form, reduced_basis, same_ideal
 from toricdeg.intlat import IntMatrix, kernel_lattice
-from toricdeg.polycore import Grading, Polynomial, dot, parse_polynomial
+from toricdeg.polycore import Grading, Polynomial, dot, format_polynomial, parse_polynomial
 from toricdeg.toric import (
     NotDegreeOneGenerated,
     PolytopeQ,
     Semigroup,
     ZeroParameter,
+    _saturation_variables,
     delta_polytope,
     embed_semigroup,
     hull_vertices,
@@ -123,6 +125,48 @@ def test_kernel_binomials_reduce_to_zero():
             minus = tuple(-x if x < 0 else 0 for x in u)
             b = Polynomial.monomial(names, plus) - Polynomial.monomial(names, minus)
             assert normal_form(b, G).is_zero()
+
+
+def _balanced(tau, basis):
+    return all(bool(tau & {i for i, x in enumerate(u) if x > 0})
+               == bool(tau & {i for i, x in enumerate(u) if x < 0}) for u in basis)
+
+
+def _hits_every_balanced_set(sigma, basis, n):
+    occurring = [i for i in range(n) if any(u[i] for u in basis)]
+    return all(set(sigma) & set(tau)
+               for k in range(1, len(occurring) + 1)
+               for tau in itertools.combinations(occurring, k)
+               if _balanced(set(tau), basis))
+
+
+def test_saturation_variables_minimal_hitting_set_brute_force():
+    rng = random.Random(4242)
+    nonempty = 0
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        basis = [tuple(rng.randint(-2, 2) for _ in range(n))
+                 for _ in range(rng.randint(1, n))]
+        basis = [u for u in basis if any(u)]
+        if not basis:
+            continue
+        sigma = _saturation_variables(basis)
+        assert sigma == sorted(set(sigma))
+        assert _hits_every_balanced_set(sigma, basis, n)
+        for k in range(len(sigma)):
+            for sub in itertools.combinations(sigma, k):
+                assert not _hits_every_balanced_set(sub, basis, n)
+        nonempty += bool(sigma)
+    assert nonempty >= 50
+
+
+def test_saturation_variables_empty_without_balanced_sets():
+    # x0*x1 - 1: no balanced set, and the binomial ideal is already prime;
+    # x2 occurs in no binomial, so no associated prime contains it
+    assert _saturation_variables([(1, 1)]) == []
+    assert _saturation_variables([(1, 1, 0)]) == []
+    T = toric_ideal(IntMatrix([[1, -1]]), ("x", "y"))
+    assert [format_polynomial(g) for g in T.gens] == ["x*y - 1"]
 
 
 # ---------------------------------------------------------------------------
