@@ -65,7 +65,8 @@ T_NAME = "t"
 @dataclass(frozen=True)
 class FamilyIdeal:
     """Ideal in k[t][x...] interpolating the base ideal (t=1) and its
-    weight-initial ideal (t=0); generators are t-primitive."""
+    weight-initial ideal (t=0); generators are t-primitive.  base_ideal is
+    the input ideal as given, kept for its grading."""
 
     gens: tuple
     vars: tuple  # base variables plus the parameter, parameter last
@@ -99,7 +100,7 @@ def family_ideal(J: Ideal, w: Sequence[int], convention: str = MIN) -> FamilyIde
         for e, c in g.terms.items():
             terms[e + (weights[e] - m,)] = c
         gens.append(Polynomial(big, terms))
-    return FamilyIdeal(tuple(gens), big, canonical(J), w, convention)
+    return FamilyIdeal(tuple(gens), big, J, w, convention)
 
 
 def fiber(F: FamilyIdeal, t0) -> Ideal:

@@ -48,47 +48,33 @@ def moment(A: IntMatrix, z: Sequence[complex]):
     return tuple(float(x) for x in (weights @ norms) / total)
 
 
-def moment_of_torus_parameter(A: IntMatrix, t: Sequence[complex]):
-    """mu of the dense-orbit point with coordinates prod t_i^(A[i][j])."""
-    import numpy as np
-
-    if len(t) != A.rows:
-        raise DimensionMismatch("one parameter per matrix row required")
-    if any(x == 0 for x in t):
-        raise ZeroVector("torus parameters must be nonzero")
-    coords = []
-    for j in range(A.cols):
-        val = complex(1.0)
-        for i in range(A.rows):
-            e = A.entries[i][j]
-            if e:
-                val *= complex(t[i]) ** e
-        coords.append(val)
-    z = np.asarray(coords)
-    # normalize the largest modulus to 1 before evaluating
-    top = np.abs(z).max()
-    if top == 0.0:
-        raise ZeroVector("orbit point collapsed to zero")
-    return moment(A, tuple(z / top))
-
-
 def sample_moment_image(A: IntMatrix, n: int, seed: int):
-    """n moment values of torus points: log-moduli uniform in
-    [-LOG_MODULUS_RANGE, LOG_MODULUS_RANGE], phases uniform, deterministic
-    for a fixed seed (PCG64)."""
+    """n moment values of torus points t = exp(u + i*phase): log-moduli u
+    uniform in [-LOG_MODULUS_RANGE, LOG_MODULUS_RANGE] and phases uniform in
+    [0, 2*pi), deterministic for a fixed seed (PCG64).
+
+    The orbit point z_j = prod_i t_i^A[i][j] has |z_j|^2 = exp(2 <u, a_j>),
+    so mu = A softmax(2 u A) depends on |t| only.  It is evaluated in the
+    log domain, shifted by each sample's largest exponent, so no matrix
+    entry overflows it; the phases only make up each sample's source_t.
+    """
     import numpy as np
 
     if n < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    samples = []
-    for _ in range(n):
-        u = rng.uniform(-LOG_MODULUS_RANGE, LOG_MODULUS_RANGE, size=A.rows)
-        phase = rng.uniform(0.0, 2.0 * math.pi, size=A.rows)
-        t = tuple(math.exp(ui) * complex(math.cos(pi), math.sin(pi))
-                  for ui, pi in zip(u, phase))
-        samples.append(MomentSample(moment_of_torus_parameter(A, t), t))
-    return samples
+    # per sample: A.rows log-moduli, then A.rows phases, as Generator.uniform
+    # would draw and scale them
+    draws = np.random.default_rng(seed).random((n, 2, A.rows))
+    u = -LOG_MODULUS_RANGE + 2.0 * LOG_MODULUS_RANGE * draws[:, 0]
+    phase = 2.0 * math.pi * draws[:, 1]
+    weights = np.array(A.entries, dtype=float)
+    log_norms = 2.0 * (u @ weights)
+    norms = np.exp(log_norms - log_norms.max(axis=1, keepdims=True))
+    values = (norms @ weights.T) / norms.sum(axis=1, keepdims=True)
+    source_t = [tuple(math.exp(x) * complex(math.cos(p), math.sin(p))
+                      for x, p in zip(us, ps))
+                for us, ps in zip(u.tolist(), phase.tolist())]
+    return [MomentSample(tuple(v), t) for v, t in zip(values.tolist(), source_t)]
 
 
 def image_vs_polytope(samples: Sequence[MomentSample], P: PolytopeQ, eps: float):

@@ -249,3 +249,18 @@ def test_fixture_registry_all_green():
         bad = [c.name for c in report.checks if not c.passed]
         assert report.passed, f"{name}: {bad}"
     _ok("fixtures", f"all {len(fx.FIXTURE_NAMES)} fixtures green")
+
+
+def test_gr25_fixture_solves_each_vertex_lp_once(monkeypatch):
+    calls = []
+    vertex = fx.is_vertex
+
+    def spy(p, pts):
+        calls.append(p)
+        return vertex(p, pts)
+
+    monkeypatch.setattr(fx, "is_vertex", spy)
+    rep = fx.run_gr25()
+    check = next(c for c in rep.checks if c.name == "delta.all_values_are_vertices")
+    assert check.passed and check.computed == "10/10"
+    assert len(calls) == 10

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -276,6 +277,19 @@ def test_moment_heptagon(tmp_path):
     payload = json.loads(res.stdout)
     assert len(payload["polytope"]["vertices"]) == 7
     assert payload["stats"]["inside_fraction"] == 1.0
+
+
+@pytest.mark.parametrize("rows", ["[[0,400,1],[1,0,2]]", "[[-400,0,1]]"])
+def test_moment_large_entries_finite(tmp_path, rows):
+    # complex powers of the torus parameter would overflow at these entries
+    m = tmp_path / "big.json"
+    m.write_text(rows + "\n")
+    res = _run_cli(["moment", "--matrix", str(m), "--samples", "50"], timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert "Traceback" not in res.stderr
+    samples = json.loads(res.stdout)["samples"]
+    assert len(samples) == 50
+    assert all(math.isfinite(x) for s in samples for x in s)
 
 
 def test_toric_matrix_not_rows_exit_1(tmp_path, capsys):

@@ -60,6 +60,25 @@ def test_family_zero_weight_has_no_parameter():
     assert same_ideal(fiber(F, 7), canonical(J))
 
 
+def test_family_ideal_runs_one_buchberger(monkeypatch):
+    # the weight-order basis only; the base ideal is kept as given
+    from toricdeg import degeneration, groebner
+    orders = []
+    bb = groebner.buchberger
+
+    def spy(I, order=None):
+        orders.append(order)
+        return bb(I, order)
+
+    monkeypatch.setattr(groebner, "buchberger", spy)
+    monkeypatch.setattr(degeneration, "buchberger", spy)
+    J = fx.elliptic_ideal()
+    F = family_ideal(J, (1, 0, 3))
+    assert len(orders) == 1 and orders[0] is not None
+    assert F.base_ideal is J
+    assert same_ideal(fiber(F, 1), J)
+
+
 def test_family_generators_t_primitive():
     J = fx.gr25_ideal()
     w = valuation_pipeline(J, fx.gr25_matrix(), MAX).w

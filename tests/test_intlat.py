@@ -189,6 +189,30 @@ def test_weight_from_gr24_matrix():
     assert same_ideal(init, want)
 
 
+def test_weight_from_matrix_one_matrix_order_basis(monkeypatch):
+    # the matrix-order basis gives both the splitting check and in_M(J)
+    from toricdeg import groebner
+    from toricdeg.polycore import WeightOrder
+    vars = ("p12", "p13", "p14", "p23", "p24", "p34")
+    J = Ideal([parse_polynomial("p12*p34 - p13*p24 + p14*p23", vars)], vars,
+              grading=Grading.standard(6))
+    M = IntMatrix([[1, 1, 1, 1, 1, 1], [0, 1, 0, 1, 2, 3], [1, 0, 2, 0, 1, 1]])
+    rows = tuple(tuple(r) for r in M.rows_list())
+    matrix_orders = []
+    bb = groebner.buchberger
+
+    def spy(I, order=None):
+        if isinstance(order, WeightOrder) and order.rows == rows:
+            matrix_orders.append(order)
+        return bb(I, order)
+
+    monkeypatch.setattr(groebner, "buchberger", spy)
+    w = weight_from_matrix(J, M)
+    assert len(matrix_orders) == 1
+    monkeypatch.setattr(groebner, "buchberger", bb)
+    assert same_ideal(initial_ideal(J, w), initial_ideal(J, M))
+
+
 def test_weight_certification_bound():
     vars = ("x", "y")
     J = Ideal([parse_polynomial("x^2 - y^2", vars)], vars)

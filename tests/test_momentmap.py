@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
 from fractions import Fraction
@@ -12,12 +11,12 @@ import pytest
 
 from toricdeg.intlat import IntMatrix
 from toricdeg.momentmap import (
+    LOG_MODULUS_RANGE,
     MomentSample,
     ZeroVector,
     emit_svg,
     image_vs_polytope,
     moment,
-    moment_of_torus_parameter,
     sample_moment_image,
 )
 from toricdeg.toric import PolytopeQ, Semigroup, delta_polytope
@@ -74,15 +73,62 @@ def test_moment_scaling_invariance():
         assert max(abs(p - q) for p, q in zip(a, b)) < 1e-12
 
 
-def test_torus_parameter_unit_modulus_equivariance():
-    rng = random.Random(15)
-    A = IntMatrix([[1, 0, 3]])
-    for _ in range(50):
-        t = cmath.rect(math.exp(rng.uniform(-2, 2)), rng.uniform(0, 6.28))
-        u = cmath.rect(1.0, rng.uniform(0, 6.28))
-        a = moment_of_torus_parameter(A, (t,))
-        b = moment_of_torus_parameter(A, (t * u,))
-        assert abs(a[0] - b[0]) < 1e-12
+def _orbit_point(A: IntMatrix, t):
+    """z_j = prod_i t_i^A[i][j], scaled so that the largest modulus is 1."""
+    z = []
+    for j in range(A.cols):
+        val = complex(1.0)
+        for i in range(A.rows):
+            if A.entries[i][j]:
+                val *= t[i] ** A.entries[i][j]
+        z.append(val)
+    top = max(abs(x) for x in z)
+    return [x / top for x in z]
+
+
+def _reference_samples(A: IntMatrix, n: int, seed: int):
+    """The per-sample orbit route: draw each torus parameter separately,
+    take complex powers, and evaluate moment() at the orbit point."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        u = rng.uniform(-LOG_MODULUS_RANGE, LOG_MODULUS_RANGE, size=A.rows)
+        phase = rng.uniform(0.0, 2.0 * math.pi, size=A.rows)
+        t = tuple(math.exp(ui) * complex(math.cos(pi), math.sin(pi))
+                  for ui, pi in zip(u, phase))
+        out.append(MomentSample(moment(A, _orbit_point(A, t)), t))
+    return out
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0, 3]],
+    [[3, 2, 1, 0]],
+    [[1, 0, 3], [0, 2, 1]],
+    [[0, 1, 3, 4, 4, 2, 0], [1, 0, 0, 1, 3, 4, 3]],
+    [[-2, 5, 0, 1], [1, 1, 1, 1], [0, -1, 4, 2]],
+])
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_sampler_matches_per_sample_orbit_route(rows, seed):
+    A = IntMatrix(rows)
+    new = sample_moment_image(A, 40, seed)
+    ref = _reference_samples(A, 40, seed)
+    assert [s.source_t for s in new] == [s.source_t for s in ref]
+    for s, r in zip(new, ref):
+        assert max(abs(a - b) for a, b in zip(s.value, r.value)) < 1e-12
+        at_orbit = moment(A, _orbit_point(A, s.source_t))
+        assert max(abs(a - b) for a, b in zip(s.value, at_orbit)) < 1e-12
+
+
+def test_sampler_large_entries_stay_finite():
+    # |t|^400 overflows a double, the log-domain evaluation does not
+    for rows in ([[0, 400, 1], [1, 0, 2]], [[-400, 0, 1]]):
+        A = IntMatrix(rows)
+        for s in sample_moment_image(A, 200, seed=1):
+            assert all(math.isfinite(x) for x in s.value)
+            for i, x in enumerate(s.value):
+                assert min(rows[i]) - 1e-9 <= x <= max(rows[i]) + 1e-9
 
 
 def test_sampling_seed_determinism():
