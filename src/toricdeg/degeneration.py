@@ -10,6 +10,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .groebner import (
+    GroebnerBasis,
     Ideal,
     _graded_dimensions,
     buchberger,
@@ -31,6 +32,7 @@ from .polycore import (
     MIN,
     MAX,
     DimensionMismatch,
+    Grading,
     Lex,
     Polynomial,
     WeightOrder,
@@ -66,7 +68,8 @@ T_NAME = "t"
 class FamilyIdeal:
     """Ideal in k[t][x...] interpolating the base ideal (t=1) and its
     weight-initial ideal (t=0); generators are t-primitive.  base_ideal is
-    the input ideal as given, kept for its grading."""
+    the input ideal as given, whose grading and cached degrevlex basis the
+    fibers use."""
 
     gens: tuple
     vars: tuple  # base variables plus the parameter, parameter last
@@ -82,15 +85,24 @@ class FamilyIdeal:
 def family_ideal(J: Ideal, w: Sequence[int], convention: str = MIN) -> FamilyIdeal:
     """t-interpolating family: each term of a weight-adapted reduced basis is
     scaled by t^(w.alpha - min w.beta), so t=1 gives back J and t=0 the
-    initial ideal."""
+    initial ideal.
+
+    The weight-adapted basis is computed with J's degrevlex leads as its
+    Hilbert target when J is homogeneous in the standard grading: they are
+    the leads of a Groebner basis of J itself, so their Hilbert function is
+    J's.  That degrevlex basis is cached on J, where `fiber` reads it.
+    """
     w = tuple(int(x) for x in w)
     (w_min,) = to_min([w], convention)
     if len(w) != len(J.vars):
         raise DimensionMismatch("weight length does not match variables")
-    homogeneous_grading(J)
+    grading = homogeneous_grading(J)
     if T_NAME in J.vars:
         raise ValueError(f"base ring already contains a variable named {T_NAME!r}")
-    G = buchberger(J, WeightOrder([w_min]))
+    target = None
+    if grading == Grading.standard(len(J.vars)):
+        target = reduced_basis(J).leads
+    G = buchberger(J, WeightOrder([w_min]), hilbert=target)
     big = J.vars + (T_NAME,)
     gens = []
     for g in G.elements:
@@ -99,20 +111,51 @@ def family_ideal(J: Ideal, w: Sequence[int], convention: str = MIN) -> FamilyIde
         terms = {}
         for e, c in g.terms.items():
             terms[e + (weights[e] - m,)] = c
-        gens.append(Polynomial(big, terms))
+        gens.append(Polynomial._trusted(big, terms))
     return FamilyIdeal(tuple(gens), big, J, w, convention)
 
 
 def fiber(F: FamilyIdeal, t0) -> Ideal:
-    """Substitute the parameter and return the canonical fiber ideal."""
+    """The fiber of the family at t = t0, in canonical form.
+
+    At t0 = 0 the parameter is substituted into the family generators, which
+    leaves the initial forms of the weight basis, and the result is
+    canonicalized: one Buchberger call.  It takes no Hilbert target, though
+    J's leads would be one: on the `families` catalogue the per-degree
+    Hilbert counts cost more there than the zero reductions they save.
+
+    At t0 != 0 no Groebner basis is computed.  With the min weight w, the
+    family generator made from g in the weight basis is, at t0,
+    t0^(-m) g(t0^(w_1) x_1, ..., t0^(w_n) x_n).  The weight basis generates
+    J = F.base_ideal, so the fiber is phi(J) for the automorphism
+    phi: x_i -> t0^(w_i) x_i of k[x].  phi multiplies each monomial x^e by
+    the nonzero scalar t0^(w.e), so phi(f) has the monomials of f and keeps
+    every leading term.  Hence in(phi(J)) = in(J), and for the reduced basis
+    G of J the phi(g) are a Groebner basis of phi(J) whose tails, on the
+    monomials of G's tails, hold no lead: the monic phi(g) are the reduced
+    basis of phi(J), which is unique.  G is J's cached degrevlex basis.
+    """
     t0 = Fraction(t0)
-    base_vars = F.vars[:-1]
-    gens = []
-    for g in F.gens:
-        h = g.substitute({F.parameter: t0})
-        if not h.is_zero():
-            gens.append(h.restrict(base_vars))
-    return canonical(Ideal(gens, base_vars, grading=F.base_ideal.grading))
+    J = F.base_ideal
+    if t0 == 0:
+        gens = []
+        for g in F.gens:
+            h = g.substitute({F.parameter: t0})
+            if not h.is_zero():
+                gens.append(h.restrict(J.vars))
+        return canonical(Ideal(gens, J.vars, grading=J.grading))
+    (w,) = to_min([F.w], F.convention)
+    G = reduced_basis(J)
+    elements = G.elements  # phi is the identity at t0 = 1
+    if t0 != 1:
+        elements = []
+        for g, lead in zip(G.elements, G.leads):
+            top = dot(w, lead)
+            elements.append(Polynomial._trusted(J.vars, {
+                e: c * t0 ** (dot(w, e) - top) for e, c in g.terms.items()}))
+    out = Ideal(elements, J.vars, grading=J.grading)
+    out._rgb_cache = GroebnerBasis(elements, G.order)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +188,9 @@ def valuation_pipeline(J: Ideal, M: IntMatrix, convention: str = MIN) -> Pipelin
     if M.cols != len(J.vars):
         raise DimensionMismatch("one matrix column per variable required")
     homogeneous_grading(J)
-    w_min = tuple(weight_from_matrix(J, IntMatrix(rows_min)))
+    w_min, init = weight_from_matrix(J, IntMatrix(rows_min))
+    w_min = tuple(w_min)
     (w,) = to_min([w_min], convention)
-    init = initial_ideal(J, rows_min)
 
     semigroup = None
     if all(x > 0 for x in M.entries[0]):
@@ -354,7 +397,10 @@ def projection_limit(I: Ideal, kept: Sequence[str]) -> ProjectionReport:
     The limit is the initial ideal for weights 0 on kept and -1 on dropped
     variables (min convention); the closure of the projected image is the
     elimination ideal; their agreement on the kept coordinate plane is the
-    scheme-level check.
+    scheme-level check.  The limit's weight basis takes no Hilbert target,
+    though I's leads would be one when I is standard-homogeneous: on the
+    `lattices` catalogue the per-degree Hilbert counts cost more than the
+    few zero reductions of binomial bases.
     """
     kept = tuple(kept)
     if not kept or set(kept) == set(I.vars):

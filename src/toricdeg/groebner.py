@@ -285,7 +285,8 @@ def _interreduce(divisors: list, vars: tuple, rkey) -> list:
     return [p for _, p in reduced]
 
 
-def buchberger(I: Ideal, order: TermOrder | None = None) -> GroebnerBasis:
+def buchberger(I: Ideal, order: TermOrder | None = None,
+               hilbert: Sequence[Exponent] | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of I under `order` (default degrevlex).
 
     Pairs are kept by the Gebauer-Moller update.  A new element is paired
@@ -313,12 +314,33 @@ def buchberger(I: Ideal, order: TermOrder | None = None) -> GroebnerBasis:
     An order that is not a well-order needs I homogeneous for its grading
     (NotHomogeneous otherwise): then every reduction stays in one degree,
     among finitely many monomials, and the algorithm ends.
+
+    `hilbert`, when given, is the lead exponents of a Groebner basis, under
+    any order, of an ideal with the Hilbert function of I; I must then be
+    homogeneous in the standard grading (NotHomogeneous otherwise), so that
+    pairs come degree by degree.  At the first pair of degree d the engine
+    counts h = dim (k[x]/L)_d for the ideal L of the current leads of degree
+    at most d, and lowers h by one for each new lead of degree d (a normal
+    form's lead lies outside L).  L is inside in(I), whose Hilbert function
+    is that of I, so h is never below the target's value (ValueError if it
+    is: the target is not I's); once it reaches it, L and in(I) agree in
+    degree d, every pair left in that degree reduces to zero, and those
+    pairs are dropped (Traverso 1996, Hilbert functions and the Buchberger
+    algorithm).  The result does not change.
     """
     if order is None:
         order = DegRevLex(len(I.vars))
     if order.nvars != len(I.vars):
         raise DimensionMismatch("order does not match the ideal's ring")
-    if not order.well_ordered:
+    if hilbert is not None:
+        standard = Grading.standard(len(I.vars))
+        if not all(map(standard.is_homogeneous, I.gens)):
+            raise NotHomogeneous("a Hilbert target needs input homogeneous "
+                                 "in the standard grading")
+        hilbert = _minimal(hilbert)
+        ones = standard.weights
+        target = []  # the Hilbert function of `hilbert`, extended on demand
+    elif not order.well_ordered:
         homogeneous_grading(I)
     key = _cached_key(order)
     rkey = _reversed_key(order)
@@ -385,14 +407,28 @@ def buchberger(I: Ideal, order: TermOrder | None = None) -> GroebnerBasis:
         if r:
             add(r, max(map(sum, g.terms)))
 
+    deg = gap = -1  # with a target: h minus the target's value in degree deg
     while heap:
         sugar, _, i, j = heapq.heappop(heap)
         if pairs.pop((i, j), None) is None:
             continue
+        if hilbert is not None:
+            if sugar != deg:
+                deg = sugar
+                if deg >= len(target):
+                    target = _hilbert_function(hilbert, ones, 2 * deg)
+                low = [leads[k] for k in active if degrees[k] <= deg]
+                gap = _hilbert_function(low, ones, deg)[deg] - target[deg]
+                if gap < 0:
+                    raise ValueError("the Hilbert target exceeds the ideal's "
+                                     f"Hilbert function in degree {deg}")
+            if not gap:
+                continue
         s = _spoly(basis[i], basis[j], leads[i], leads[j])
         r = _normal_form(s, reducers, rkey)[0]
         if r:
             add(r, sugar)
+            gap -= 1
 
     return GroebnerBasis(_interreduce(reducers, I.vars, rkey), order)
 
@@ -612,7 +648,6 @@ def _hilbert_numerator(leads: Sequence[Exponent], weights: Sequence[int],
     prod (1 - t^deg a).  The terms of t^deg(p) N(I : p) start at t^deg(p), so
     a pending ideal whose shift exceeds `top` is dropped.
     """
-    le = operator.le
     num = [0] * (top + 1)
     stack = [(0, list(leads))]
     while stack:
@@ -634,30 +669,43 @@ def _hilbert_numerator(leads: Sequence[Exponent], weights: Sequence[int],
         # every generator with x_i is a multiple of p
         p = (0,) * i + (k,) + (0,) * (len(weights) - i - 1)
         stack.append((shift, [g for g in gens if not g[i]] + [p]))
-        # minimal generators of I : p; a proper divisor has smaller total degree
-        quotients = {g[:i] + (max(g[i] - k, 0),) + g[i + 1:] for g in gens}
-        colon = []
-        for g in sorted(quotients, key=sum):
-            if not any(all(map(le, h, g)) for h in colon):
-                colon.append(g)
+        colon = _minimal({g[:i] + (max(g[i] - k, 0),) + g[i + 1:] for g in gens})
         stack.append((shift + k * weights[i], colon))
     return num
+
+
+def _minimal(exps) -> list:
+    """The minimal exponents of `exps` under divisibility, without repeats;
+    a proper divisor has smaller total degree."""
+    le = operator.le
+    out: list = []
+    for g in sorted(set(exps), key=sum):
+        if not any(all(map(le, h, g)) for h in out):
+            out.append(g)
+    return out
+
+
+def _hilbert_function(leads: Sequence[Exponent], weights: Sequence[int],
+                      top: int) -> list:
+    """dim_k of k[x] / (x^a : a in leads) in the degrees 0..top, for minimal
+    `leads`: the Hilbert numerator divided by each (1 - t^w)."""
+    series = _hilbert_numerator(leads, weights, top)
+    for w in weights:  # divide by (1 - t^w), in place, up to t^top
+        for d in range(w, top + 1):
+            series[d] += series[d - w]
+    return series
 
 
 def _graded_dimensions(I: Ideal, degrees: Sequence[int]) -> list:
     """dim_k of (k[vars]/I) in each of the given degrees; order-independent.
 
-    Read off one Hilbert numerator, up to the top degree, of the degrevlex
+    Read off the Hilbert function, up to the top degree, of the degrevlex
     leading-term ideal, which has the Hilbert function of I.
     """
     weights = homogeneous_grading(I).weights
     if any(m < 0 for m in degrees):
         raise ValueError("degree must be nonnegative")
-    top = max(degrees, default=0)
-    series = _hilbert_numerator(reduced_basis(I).leads, weights, top)
-    for w in weights:  # divide by (1 - t^w), in place, up to t^top
-        for d in range(w, top + 1):
-            series[d] += series[d - w]
+    series = _hilbert_function(reduced_basis(I).leads, weights, max(degrees, default=0))
     return [series[m] for m in degrees]
 
 

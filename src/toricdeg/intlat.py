@@ -218,20 +218,23 @@ def embed_degree_one_vector(N: int, v: Sequence[int]):
 
 
 def weight_from_matrix(J: "groebner.Ideal", M: IntMatrix, max_doublings: int = 40):
-    """A single weight vector w with in_w(J) = in_M(J), certified; M and w are
-    in the min convention.
+    """(w, in_M(J)): a single weight vector w with in_w(J) = in_M(J),
+    certified, and that initial ideal in canonical form; M and w are in the
+    min convention.
 
     w = sum_k B^(d-k) * row_k for the smallest B in {2, 4, 8, ...} whose
     weight separations match the matrix refinement on the marked reduced
     basis; the identity of the two initial ideals is then verified outright
-    (reduced-basis equality) before returning.
+    (reduced-basis equality) before returning.  in_M(J) is read off the
+    initial forms of the one WeightOrder(M) basis.  A one-row M is its own
+    weight.
     """
     if M.cols != len(J.vars):
         raise DimensionMismatch("one matrix column per ideal variable required")
     rows = M.rows_list()
     d = len(rows)
     if d == 1:
-        return rows[0]
+        return rows[0], groebner.initial_ideal(J, rows)
 
     G = groebner.buchberger(J, WeightOrder(rows))
     init_M = groebner.canonical(groebner.Ideal(
@@ -244,7 +247,7 @@ def weight_from_matrix(J: "groebner.Ideal", M: IntMatrix, max_doublings: int = 4
         if _splits_agree(G, rows, w):
             init_w = groebner.initial_ideal(J, w)
             if groebner.same_ideal(init_w, init_M):
-                return w
+                return w, init_M
         B *= 2
     raise NoCertificate(
         f"no certified weight within {max_doublings} doublings")

@@ -11,6 +11,7 @@ determinism for a fixed seed within one build.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -32,6 +33,18 @@ class MomentSample:
     source_t: tuple   # the torus parameter (complex numbers) that produced it
 
 
+def _float_rows(A: IntMatrix) -> list:
+    """A's rows as floats, for entries small enough that no sum the sampler
+    forms overflows (ValueError otherwise): each exponent 2 <u, a_j> is at
+    most 2 * LOG_MODULUS_RANGE * rows * max |entry|, and the weighted sum of
+    the columns at most cols * max |entry|."""
+    bound = sys.float_info.max / (2 * LOG_MODULUS_RANGE * A.rows * A.cols)
+    if any(abs(x) > bound for r in A.entries for x in r):
+        raise ValueError(f"matrix entries must be at most {bound:.3g} in "
+                         "absolute value for floating-point sampling")
+    return [[float(x) for x in r] for r in A.entries]
+
+
 def moment(A: IntMatrix, z: Sequence[complex]):
     """mu([z]) = (1/|z|^2) * sum_j |z_j|^2 a_j, columns of A as weights."""
     import numpy as np
@@ -43,8 +56,7 @@ def moment(A: IntMatrix, z: Sequence[complex]):
     total = norms.sum()
     if total == 0.0:
         raise ZeroVector("zero projective vector")
-    weights = np.array([[A.entries[i][j] for j in range(A.cols)]
-                        for i in range(A.rows)], dtype=float)
+    weights = np.array(_float_rows(A))
     return tuple(float(x) for x in (weights @ norms) / total)
 
 
@@ -67,7 +79,7 @@ def sample_moment_image(A: IntMatrix, n: int, seed: int):
     draws = np.random.default_rng(seed).random((n, 2, A.rows))
     u = -LOG_MODULUS_RANGE + 2.0 * LOG_MODULUS_RANGE * draws[:, 0]
     phase = 2.0 * math.pi * draws[:, 1]
-    weights = np.array(A.entries, dtype=float)
+    weights = np.array(_float_rows(A))
     log_norms = 2.0 * (u @ weights)
     norms = np.exp(log_norms - log_norms.max(axis=1, keepdims=True))
     values = (norms @ weights.T) / norms.sum(axis=1, keepdims=True)
@@ -82,7 +94,8 @@ def image_vs_polytope(samples: Sequence[MomentSample], P: PolytopeQ, eps: float)
 
     inside_fraction: fraction of samples within eps of P (exact feasibility
     on the rationalized sample).  coverage_gap: the largest distance from a
-    vertex of P to its nearest sample.
+    vertex of P to its nearest sample, by `math.dist`, which does not
+    overflow where the squared distance would.
     """
     if not samples:
         raise ValueError("no samples")
@@ -108,9 +121,7 @@ def image_vs_polytope(samples: Sequence[MomentSample], P: PolytopeQ, eps: float)
     gap = 0.0
     for v in P.vertices:
         vf = [float(x) for x in v]
-        best = min(
-            math.sqrt(sum((a - b) ** 2 for a, b in zip(vf, s.value)))
-            for s in samples)
+        best = min(math.dist(vf, s.value) for s in samples)
         gap = max(gap, best)
     return {"inside_fraction": inside / len(samples), "coverage_gap": gap}
 

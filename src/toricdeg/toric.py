@@ -253,7 +253,10 @@ def toric_ideal(A: IntMatrix, names: Sequence[str]) -> Ideal:
     Call a nonempty set tau of variables balanced when, for every u in B,
     supp(u+) meets tau exactly when supp(u-) does.  Homogeneous for every
     row of A; carries the standard grading when the all-ones vector lies in
-    the row space.
+    the row space.  The saturations take the graded route under that
+    grading, or else under the first strictly positive row of A, for which
+    every binomial is homogeneous as the row is orthogonal to ker A; the
+    result keeps the standard grading or none.
 
     Why sigma suffices.  Let P be an associated prime of I_B and tau(P) the
     set of variables in P.  If supp(u+) meets tau(P) then x^(u+) lies in P,
@@ -290,7 +293,11 @@ def toric_ideal(A: IntMatrix, names: Sequence[str]) -> Ideal:
         gens.append(Polynomial.monomial(names, plus)
                     - Polynomial.monomial(names, minus))
     sigma = [names[i] for i in _saturation_variables(basis)]
-    return saturate_by_variables(Ideal(gens, names, grading=grading), sigma)
+    positive = next((Grading(r) for r in A.entries if all(x > 0 for x in r)), None)
+    T = saturate_by_variables(Ideal(gens, names, grading=grading or positive), sigma)
+    out = Ideal(T.gens, names, grading=grading)
+    out._rgb_cache = T._rgb_cache
+    return out
 
 
 def delta_polytope(S: Semigroup) -> PolytopeQ:

@@ -18,8 +18,24 @@ from hypothesis import strategies as st
 import reference_groebner
 from toricdeg import fixtures, groebner
 from toricdeg.degeneration import embed_value_semigroup
-from toricdeg.groebner import Ideal, _GradedRevLexLast, buchberger, normal_form, ring_map_kernel
-from toricdeg.polycore import MAX, MIN, BlockOrder, DegRevLex, Polynomial, WeightOrder, to_min
+from toricdeg.groebner import (
+    Ideal,
+    NotHomogeneous,
+    _GradedRevLexLast,
+    buchberger,
+    normal_form,
+    ring_map_kernel,
+)
+from toricdeg.polycore import (
+    MAX,
+    MIN,
+    BlockOrder,
+    DegRevLex,
+    Grading,
+    Polynomial,
+    WeightOrder,
+    to_min,
+)
 
 ORDER_KINDS = ("degrevlex", "weight-min", "weight-max", "block", "graded-last")
 
@@ -32,12 +48,13 @@ _COEFFS = st.one_of(
 
 
 @st.composite
-def _ideals(draw):
+def _ideals(draw, homogeneous=None):
     """(ideal, homogeneous?) with 2-4 variables, up to 3 generators of at
     most 4 terms each, exponents of total degree at most 3 and `_COEFFS`
-    coefficients."""
+    coefficients; homogeneous in the standard grading when asked."""
     n = draw(st.integers(2, 4))
-    homogeneous = draw(st.booleans())
+    if homogeneous is None:
+        homogeneous = draw(st.booleans())
     vars = tuple(f"x{i}" for i in range(n))
     gens = []
     for _ in range(draw(st.integers(1, 3))):
@@ -90,6 +107,64 @@ def test_engine_matches_reference(kind, data):
     for g, l in zip(new.elements, new.leads):
         assert all(type(c) is Fraction for c in g.terms.values())
         assert g.terms[l] == 1
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_engine_with_hilbert_target_matches_reference(kind, data):
+    # the target: the reference's degrevlex leads of the same ideal
+    I, _ = data.draw(_ideals(homogeneous=True))
+    order = _order(data.draw, kind, len(I.vars), True)
+    target = reference_groebner.buchberger(I, DegRevLex(len(I.vars))).leads
+    new = buchberger(I, order, hilbert=target)
+    old = reference_groebner.buchberger(I, order)
+    assert new.elements == old.elements
+    assert new.leads == old.leads
+
+
+def _zero_reductions(monkeypatch, I, order, hilbert):
+    """(basis, zero reductions) of one Buchberger run."""
+    nf, zeros = groebner._normal_form, []
+
+    def counting_nf(*args):
+        r = nf(*args)
+        zeros.append(not r[0])
+        return r
+
+    monkeypatch.setattr(groebner, "_normal_form", counting_nf)
+    G = buchberger(I, order, hilbert=hilbert)
+    monkeypatch.setattr(groebner, "_normal_form", nf)
+    return G, sum(zeros)
+
+
+def test_hilbert_target_drops_zero_reductions(monkeypatch):
+    # the Plucker quadrics of Gr(2,5) under a weight order: once the leads
+    # fill a degree, its remaining pairs are dropped unreduced
+    J = fixtures.gr25_ideal()
+    order = WeightOrder([(0, 1, 2, 3, 1, 2, 3, 3, 4, 5)])
+    plain, plain_zeros = _zero_reductions(monkeypatch, J, order, None)
+    target = groebner.reduced_basis(J).leads
+    driven, driven_zeros = _zero_reductions(monkeypatch, J, order, target)
+    assert driven.elements == plain.elements
+    assert driven_zeros < plain_zeros
+
+
+def test_hilbert_target_needs_standard_grading():
+    # homogeneous for the grading (1, 2), not for the standard one
+    vars = ("x", "y")
+    I = Ideal([Polynomial(vars, {(2, 0): 1, (0, 1): -1})], vars, grading=Grading([1, 2]))
+    with pytest.raises(NotHomogeneous, match="standard grading"):
+        buchberger(I, hilbert=[(2, 0)])
+
+
+def test_hilbert_target_too_large_is_rejected():
+    # (x^2, x*y) holds all of degree 3 but y^3; the zero ideal's target
+    # claims all four monomials are missing
+    vars = ("x", "y")
+    I = Ideal([Polynomial(vars, {(2, 0): 1}), Polynomial(vars, {(1, 1): 1})], vars)
+    with pytest.raises(ValueError, match="Hilbert target"):
+        buchberger(I, hilbert=[])
 
 
 def _reference_normal_form(p, G):

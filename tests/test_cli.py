@@ -292,6 +292,20 @@ def test_moment_large_entries_finite(tmp_path, rows):
     assert all(math.isfinite(x) for s in samples for x in s)
 
 
+@pytest.mark.parametrize("exponent", [300, 400])
+def test_moment_huge_entries_no_traceback(tmp_path, exponent):
+    # 10^300 fits a float and exits 0; 10^400 does not and exits 1
+    m = tmp_path / "huge.json"
+    m.write_text(f"[[1, {10 ** exponent}]]\n")
+    res = _run_cli(["moment", "--matrix", str(m), "--samples", "20"], timeout=60)
+    assert "Traceback" not in res.stderr
+    assert res.returncode == (0 if exponent == 300 else 1), res.stderr
+    if res.returncode:
+        assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+    else:
+        assert json.loads(res.stdout)["stats"]["coverage_gap"] >= 0
+
+
 def test_toric_matrix_not_rows_exit_1(tmp_path, capsys):
     m = tmp_path / "flat.json"
     m.write_text("[1,2]\n")

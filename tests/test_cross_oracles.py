@@ -496,7 +496,8 @@ def test_weight_certificates_on_random_matrices():
             continue
         J = Ideal(gens, vars)
         M = IntMatrix([[rng.randint(-3, 3) for _ in range(4)] for _ in range(3)])
-        w = weight_from_matrix(J, M)
+        w, init_M = weight_from_matrix(J, M)
         # the contract: certified equality of the two initial ideals
         assert same_ideal(initial_ideal(J, w), initial_ideal(J, M))
+        assert same_ideal(init_M, initial_ideal(J, M))
         done += 1

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricdeg import fixtures as fx
 from toricdeg.degeneration import (
@@ -24,6 +26,7 @@ from toricdeg.groebner import (
     canonical,
     graded_dimension,
     initial_ideal,
+    reduced_basis,
     same_ideal,
 )
 from toricdeg.intlat import IntMatrix
@@ -32,6 +35,7 @@ from toricdeg.polycore import (
     MIN,
     Grading,
     Polynomial,
+    WeightOrder,
     format_polynomial,
     parse_polynomial,
 )
@@ -60,23 +64,76 @@ def test_family_zero_weight_has_no_parameter():
     assert same_ideal(fiber(F, 7), canonical(J))
 
 
-def test_family_ideal_runs_one_buchberger(monkeypatch):
-    # the weight-order basis only; the base ideal is kept as given
+def test_family_and_fibers_run_three_buchbergers(monkeypatch):
+    # J's degrevlex basis, the weight-order basis with J's leads as its
+    # Hilbert target, and the t = 0 fiber; a fiber at t != 0 needs none
     from toricdeg import degeneration, groebner
-    orders = []
+    calls = []
     bb = groebner.buchberger
 
-    def spy(I, order=None):
-        orders.append(order)
-        return bb(I, order)
+    def spy(I, order=None, hilbert=None):
+        calls.append((order, hilbert))
+        return bb(I, order, hilbert)
 
     monkeypatch.setattr(groebner, "buchberger", spy)
     monkeypatch.setattr(degeneration, "buchberger", spy)
     J = fx.elliptic_ideal()
     F = family_ideal(J, (1, 0, 3))
-    assert len(orders) == 1 and orders[0] is not None
     assert F.base_ideal is J
-    assert same_ideal(fiber(F, 1), J)
+    assert len(calls) == 2 and calls[0] == (None, None)
+    assert isinstance(calls[1][0], WeightOrder)
+    assert calls[1][1] == reduced_basis(J).leads
+    f1 = fiber(F, 1)
+    fiber(F, Fraction(-2, 3))
+    assert len(calls) == 2
+    fiber(F, 0)
+    assert len(calls) == 3 and calls[2] == (None, None)
+    assert same_ideal(f1, J)
+
+
+def _substituted_fiber(F, t0):
+    """The fiber by substituting t0 into the family generators and
+    canonicalizing: the route `fiber` took at every t0 before it used the
+    torus action, kept here as its oracle."""
+    base = F.vars[:-1]
+    gens = [g.substitute({F.parameter: Fraction(t0)}).restrict(base) for g in F.gens]
+    return canonical(Ideal([g for g in gens if not g.is_zero()], base,
+                           grading=F.base_ideal.grading))
+
+
+@st.composite
+def _homogeneous_ideals(draw):
+    """Standard-homogeneous ideals in 2-4 variables: 1-3 generators of degree
+    1-3 with up to 4 terms and small integer coefficients."""
+    n = draw(st.integers(2, 4))
+    vars = tuple(f"x{i}" for i in range(n))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        degree = draw(st.integers(1, 3))
+        terms = {}
+        for _ in range(draw(st.integers(1, 4))):
+            cuts = sorted(draw(st.lists(st.integers(0, degree),
+                                        min_size=n - 1, max_size=n - 1)))
+            e = tuple(b - a for a, b in zip([0] + cuts, cuts + [degree]))
+            terms[e] = terms.get(e, 0) + draw(st.integers(-3, 3))
+        gens.append(Polynomial(vars, terms))
+    return Ideal(gens, vars, grading=draw(st.sampled_from([None, Grading.standard(n)])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(J=_homogeneous_ideals(), data=st.data())
+def test_fiber_matches_substituted_fiber(J, data):
+    n = len(J.vars)
+    w = data.draw(st.lists(st.integers(-3, 4), min_size=n, max_size=n))
+    convention = data.draw(st.sampled_from([MIN, MAX]))
+    t0 = data.draw(st.builds(Fraction, st.integers(-7, 7).filter(bool), st.integers(1, 7)))
+    F = family_ideal(J, w, convention)
+    got, want = fiber(F, t0), _substituted_fiber(F, t0)
+    assert got.gens == want.gens
+    assert got.grading == want.grading
+    assert reduced_basis(got).elements == reduced_basis(want).elements
+    assert reduced_basis(got).leads == reduced_basis(want).leads
+    assert fiber(F, 0).gens == _substituted_fiber(F, 0).gens
 
 
 def test_family_generators_t_primitive():
@@ -389,6 +446,24 @@ def test_embed_dims_one_numerator_per_ideal(numerator_tops):
     assert numerator_tops == [5, 5]
     assert rep.dims_checked == tuple((m, 3 * m if m else 1, 3 * m if m else 1)
                                      for m in range(6))
+
+
+def test_pipeline_one_matrix_order_basis(monkeypatch):
+    # weight_from_matrix returns in_M(J) with w, so the gr25 pipeline runs
+    # its multi-row WeightOrder basis once
+    from toricdeg import groebner
+    bb = groebner.buchberger
+    multi_row = []
+
+    def spy(I, order=None, **kwargs):
+        if isinstance(order, WeightOrder) and len(order.rows) > 1:
+            multi_row.append(order.rows)
+        return bb(I, order, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", spy)
+    rep = valuation_pipeline(fx.gr25_ideal(), fx.gr25_matrix(), MAX)
+    assert rep.binomial_prime
+    assert len(multi_row) == 1
 
 
 def test_pipeline_rejects_non_homogeneous_before_buchberger(monkeypatch):

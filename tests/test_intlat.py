@@ -167,8 +167,9 @@ def test_weight_from_single_row():
     vars = ("x", "y", "z")
     J = Ideal([parse_polynomial("y^2*z - x^3 + x*z^2", vars)], vars,
               grading=Grading.standard(3))
-    w = weight_from_matrix(J, IntMatrix([[1, 0, 3]]))
+    w, init = weight_from_matrix(J, IntMatrix([[1, 0, 3]]))
     assert w == [1, 0, 3]
+    assert same_ideal(init, initial_ideal(J, w))
 
 
 def test_weight_from_gr24_matrix():
@@ -183,10 +184,11 @@ def test_weight_from_gr24_matrix():
         [1, 1, 1, 2, 2, 1],
         [1, 1, 1, 1, 1, 2],
     ])
-    w = weight_from_matrix(J, M)
+    w, init_M = weight_from_matrix(J, M)
     init = initial_ideal(J, w)
     want = canonical(Ideal([parse_polynomial("p13*p24 - p14*p23", vars)], vars))
     assert same_ideal(init, want)
+    assert same_ideal(init_M, want)
 
 
 def test_weight_from_matrix_one_matrix_order_basis(monkeypatch):
@@ -201,16 +203,17 @@ def test_weight_from_matrix_one_matrix_order_basis(monkeypatch):
     matrix_orders = []
     bb = groebner.buchberger
 
-    def spy(I, order=None):
+    def spy(I, order=None, **kwargs):
         if isinstance(order, WeightOrder) and order.rows == rows:
             matrix_orders.append(order)
-        return bb(I, order)
+        return bb(I, order, **kwargs)
 
     monkeypatch.setattr(groebner, "buchberger", spy)
-    w = weight_from_matrix(J, M)
+    w, init_M = weight_from_matrix(J, M)
     assert len(matrix_orders) == 1
     monkeypatch.setattr(groebner, "buchberger", bb)
     assert same_ideal(initial_ideal(J, w), initial_ideal(J, M))
+    assert same_ideal(init_M, initial_ideal(J, M))
 
 
 def test_weight_certification_bound():

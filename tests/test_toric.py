@@ -169,6 +169,62 @@ def test_saturation_variables_empty_without_balanced_sets():
     assert [format_polynomial(g) for g in T.gens] == ["x*y - 1"]
 
 
+def _eliminated_toric(A, names):
+    """The kernel binomials saturated by every variable through
+    `groebner.saturate` (elimination with 1 - y*x), the route toric_ideal
+    took whenever its grading did not apply, with toric_ideal's grading."""
+    from toricdeg import groebner
+    basis = kernel_lattice(A)
+    grading = Grading.standard(len(names)) if all(sum(u) == 0 for u in basis) else None
+    gens = []
+    for u in basis:
+        plus = tuple(x if x > 0 else 0 for x in u)
+        minus = tuple(-x if x < 0 else 0 for x in u)
+        gens.append(Polynomial.monomial(names, plus) - Polynomial.monomial(names, minus))
+    I = Ideal(gens, names)
+    for v in names:
+        I = groebner.saturate(I, Polynomial.variable(names, v))
+    return canonical(Ideal(I.gens, names, grading=grading))
+
+
+def test_toric_positive_row_takes_graded_route(monkeypatch):
+    # the all-ones vector is outside the row space of (2,1,2,3,3,2), but the
+    # binomials are homogeneous for that positive row
+    from toricdeg import groebner
+    names = ("a", "b", "c", "d", "e", "f")
+    A = IntMatrix([[2, 1, 2, 3, 3, 2]])
+    want = _eliminated_toric(A, names)
+    saturate = groebner.saturate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("elimination fallback taken")
+
+    monkeypatch.setattr(groebner, "saturate", refuse)
+    T = toric_ideal(A, names)
+    monkeypatch.setattr(groebner, "saturate", saturate)
+    assert T.grading is None
+    assert T.gens == want.gens
+    assert reduced_basis(T).elements == reduced_basis(want).elements
+
+
+def test_toric_positive_row_matches_elimination_route():
+    rng = random.Random(7331)
+    nonstandard = 0
+    for _ in range(30):
+        n = rng.randint(3, 5)
+        rows = [[rng.randint(1, 3) for _ in range(n)]]
+        rows += [[rng.randint(-2, 3) for _ in range(n)] for _ in range(rng.randint(0, 1))]
+        rng.shuffle(rows)
+        A = IntMatrix(rows)
+        names = tuple(f"x{i}" for i in range(n))
+        T = toric_ideal(A, names)
+        want = _eliminated_toric(A, names)
+        assert T.grading == want.grading
+        assert T.gens == want.gens
+        nonstandard += T.grading is None
+    assert nonstandard >= 10
+
+
 # ---------------------------------------------------------------------------
 # polytopes
 
