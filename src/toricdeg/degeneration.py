@@ -12,10 +12,11 @@ from typing import Sequence
 from .groebner import (
     GroebnerBasis,
     Ideal,
+    _eliminated,
     _graded_dimensions,
+    _weight_initial,
     buchberger,
     canonical,
-    eliminate,
     homogeneous_grading,
     initial_ideal,
     reduced_basis,
@@ -394,13 +395,27 @@ class ProjectionReport:
 def projection_limit(I: Ideal, kept: Sequence[str]) -> ProjectionReport:
     """Split a coordinate projection's flat limit into cone part and closure.
 
-    The limit is the initial ideal for weights 0 on kept and -1 on dropped
-    variables (min convention); the closure of the projected image is the
-    elimination ideal; their agreement on the kept coordinate plane is the
-    scheme-level check.  The limit's weight basis takes no Hilbert target,
-    though I's leads would be one when I is standard-homogeneous: on the
-    `lattices` catalogue the per-degree Hilbert counts cost more than the
-    few zero reductions of binomial bases.
+    The limit is the initial ideal for weights w = 0 on kept and -1 on
+    dropped variables (min convention); the closure of the projected image
+    is the elimination ideal I intersected with k[kept]; their agreement on
+    the kept coordinate plane is the scheme-level check.
+
+    One Groebner basis G of I, under WeightOrder([w]), gives both.  Its
+    initial forms generate the limit.  The first entry of that order's key
+    is the total degree in the dropped variables, so a monomial with a
+    dropped variable beats every monomial without one: the order eliminates
+    the dropped block (and is a well-order, as no entry of w is positive).
+    For f in I free of dropped variables, some lead of G divides f's lead,
+    so that lead has dropped degree 0; it is its element's largest term, so
+    every term of that element has dropped degree 0.  Hence G's elements
+    free of dropped variables, restricted to the kept ones, are a Groebner
+    basis of I intersected with k[kept]; `eliminate` would compute a second
+    basis for it.
+
+    The weight basis takes no Hilbert target, though I's leads would be one
+    when I is standard-homogeneous: on the `lattices` catalogue the
+    per-degree Hilbert counts cost more than the few zero reductions of
+    binomial bases.
     """
     kept = tuple(kept)
     if not kept or set(kept) == set(I.vars):
@@ -410,9 +425,10 @@ def projection_limit(I: Ideal, kept: Sequence[str]) -> ProjectionReport:
             raise ValueError(f"variable {v!r} not in the ring")
     dropped = tuple(v for v in I.vars if v not in kept)
     w = tuple(0 if v in kept else -1 for v in I.vars)
-    limit = initial_ideal(I, [list(w)])
+    G = buchberger(I, WeightOrder([w]))
+    limit = _weight_initial(I, G, [w])
     cone_part = saturate_by_variables(limit, dropped)
-    closure = eliminate(I, kept)
+    closure = _eliminated(I, G, kept)
     zeroed = []
     subs = {v: Fraction(0) for v in dropped}
     for g in reduced_basis(limit).elements:

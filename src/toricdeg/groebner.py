@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import operator
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -112,44 +113,6 @@ class GroebnerBasis:
 # core algorithms
 
 
-def _cached_key(order: TermOrder):
-    cache: dict = {}
-    key = order.key
-
-    def k(e):
-        v = cache.get(e)
-        if v is None:
-            v = key(e)
-            cache[e] = v
-        return v
-
-    return k
-
-
-def _negated(k: tuple) -> tuple:
-    """The nested tuple `k` with every entry negated."""
-    return tuple([_negated(x) if x.__class__ is tuple else -x for x in k])
-
-
-def _reversed_key(order: TermOrder):
-    """Cached map from an exponent to its order key with every entry negated.
-
-    Every key of one order has the same nested shape, so negated keys
-    compare in reverse: heapq's smallest entry is the largest term.
-    """
-    cache: dict = {}
-    key = order.key
-
-    def rk(e):
-        v = cache.get(e)
-        if v is None:
-            v = _negated(key(e))
-            cache[e] = v
-        return v
-
-    return rk
-
-
 def _cleared(p: Polynomial) -> tuple:
     """(terms, d): p's coefficients times their least common denominator d,
     as ints."""
@@ -181,9 +144,10 @@ def _normal_form(terms: dict, divisors: list, rkey) -> tuple:
     - (c/k)*x^(e-l)*g, where a is g's lead coefficient and k = gcd(a, c): the
     factor a/k scales both the terms still to be reduced and those already in
     r, and multiplies m.  Terms are taken largest first from a heap keyed by
-    `rkey` (see `_reversed_key`).  A term that cancels stays in the heap and
-    is skipped when popped: every term a reduction step adds is smaller than
-    the one it removes, so a popped exponent never comes back.
+    `rkey`, the order's reversed key, whose smallest entry is the largest
+    term.  A term that cancels stays in the heap and is skipped when popped:
+    every term a reduction step adds is smaller than the one it removes, so a
+    popped exponent never comes back.
     """
     work = dict(terms)
     heap = [(rkey(e), e) for e in work]
@@ -243,7 +207,7 @@ def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
         return p
     terms, d = _cleared(p)
     divisors = [(l, _cleared(g)[0]) for l, g in zip(G.leads, G.elements)]
-    r, m = _normal_form(terms, divisors, _reversed_key(G.order))
+    r, m = _normal_form(terms, divisors, cache(G.order.reversed_key))
     d *= m
     return Polynomial._trusted(p.vars, {e: Fraction(c, d) for e, c in r.items()})
 
@@ -342,8 +306,8 @@ def buchberger(I: Ideal, order: TermOrder | None = None,
         target = []  # the Hilbert function of `hilbert`, extended on demand
     elif not order.well_ordered:
         homogeneous_grading(I)
-    key = _cached_key(order)
-    rkey = _reversed_key(order)
+    key = cache(order.key)  # each exponent's keys are computed once
+    rkey = cache(order.reversed_key)
     le = operator.le
 
     basis: list[dict] = []  # primitive integer polynomials, lead first
@@ -478,7 +442,13 @@ def initial_ideal(I: Ideal, spec) -> Ideal:
         gens = [Polynomial.monomial(I.vars, e) for e in G.leads]
         return canonical(Ideal(gens, I.vars, grading=I.grading))
     rows = _weight_rows(spec, len(I.vars))
-    G = buchberger(I, WeightOrder(rows))
+    return _weight_initial(I, buchberger(I, WeightOrder(rows)), rows)
+
+
+def _weight_initial(I: Ideal, G: GroebnerBasis, rows) -> Ideal:
+    """The initial ideal of I for the weight rows, in canonical form, from
+    I's reduced basis G under WeightOrder(rows): G's initial forms generate
+    it."""
     gens = [initial_form_rows(g, rows) for g in G.elements]
     return canonical(Ideal(gens, I.vars, grading=I.grading))
 
@@ -514,11 +484,17 @@ def eliminate(I: Ideal, keep: Sequence[str]) -> Ideal:
     keep_idx = [i for i, v in enumerate(I.vars) if v in keep]
     if not drop_idx:
         return canonical(Ideal(I.gens, I.vars, grading=I.grading))
-    order = BlockOrder(drop_idx, keep_idx)
-    G = buchberger(I, order)
-    drop_set = set(drop_idx)
-    kept = [g for g in G.elements if not (g.support_vars() & drop_set)]
-    restricted = [g.restrict(keep) for g in kept]
+    return _eliminated(I, buchberger(I, BlockOrder(drop_idx, keep_idx)), keep)
+
+
+def _eliminated(I: Ideal, G: GroebnerBasis, keep: tuple) -> Ideal:
+    """I intersected with k[keep], in canonical form and with the grading of
+    I restricted to `keep`, from a Groebner basis G of I under an order that
+    eliminates the other variables: G's elements free of them, restricted to
+    `keep`, are a Groebner basis of the intersection."""
+    drop = {i for i, v in enumerate(I.vars) if v not in keep}
+    restricted = [g.restrict(keep) for g in G.elements
+                  if not (g.support_vars() & drop)]
     grading = None
     if I.grading is not None:
         grading = Grading([I.grading.weights[I.vars.index(v)] for v in keep])
@@ -574,35 +550,28 @@ def saturate_by_variables(I: Ideal, var_names: Sequence[str]) -> Ideal:
     return canonical(J)
 
 
-class _GradedRevLexLast(TermOrder):
-    """w-graded order whose leading term minimizes one chosen exponent.
+def _graded_last(w: Sequence[int], i: int) -> TermOrder:
+    """The w-graded order whose leading term minimizes the exponent of x_i:
+    w.e first, then -e[i], then reversed lex on the other variables.
 
     For a w-homogeneous polynomial the leading term has minimal degree in
     x_i; hence x_i divides the lead only when it divides every term, which
     is what makes content-division compute (I : x_i^infinity).
     """
-
-    def __init__(self, w: Sequence[int], i: int):
-        self.w = tuple(w)
-        self.i = i
-        self.nvars = len(self.w)
-        self._rest_rev = tuple(j for j in range(self.nvars - 1, -1, -1) if j != i)
-
-    def key(self, e: Exponent):
-        return (sum(wi * ei for wi, ei in zip(self.w, e)), -e[self.i],
-                tuple(-e[j] for j in self._rest_rev))
+    rest = [j for j in reversed(range(len(w))) if j != i]
+    return TermOrder(len(w), [(w, [(i, -1)] + [(j, -1) for j in rest])])
 
 
 def _saturate_variable_graded(I: Ideal, name: str, w: Sequence[int]) -> Ideal:
     """(I : x^infinity) for the w-homogeneous I, with the grading of I.
 
-    One Groebner basis under `_GradedRevLexLast` suffices: its elements
+    One Groebner basis under `_graded_last(w, i)` suffices: its elements
     divided by their x-content are a Groebner basis of the saturation
     (Sturmfels, Lemma 12.1), so a second pass would find no content.
     """
     i = I.vars.index(name)
     divided = []
-    for g in buchberger(I, _GradedRevLexLast(w, i)).elements:
+    for g in buchberger(I, _graded_last(w, i)).elements:
         m = min(e[i] for e in g.terms)
         if m:
             g = Polynomial._trusted(I.vars, {e[:i] + (e[i] - m,) + e[i + 1:]: c

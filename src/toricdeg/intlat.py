@@ -237,8 +237,7 @@ def weight_from_matrix(J: "groebner.Ideal", M: IntMatrix, max_doublings: int = 4
         return rows[0], groebner.initial_ideal(J, rows)
 
     G = groebner.buchberger(J, WeightOrder(rows))
-    init_M = groebner.canonical(groebner.Ideal(
-        [initial_form_rows(g, rows) for g in G.elements], J.vars, grading=J.grading))
+    init_M = groebner._weight_initial(J, G, rows)
 
     B = 2
     for _ in range(max_doublings):

@@ -100,29 +100,53 @@ def dot(w: Sequence[int], e: Exponent) -> int:
 # term orders
 
 class TermOrder:
-    """Total order on exponents of a fixed length, via sort keys.
+    """Total order on exponents of a fixed length, as a matrix order
+    (Robbiano 1985, Term orderings on the polynomial ring).
 
-    `key(e)` returns a tuple; bigger key = bigger monomial.  Leading terms
-    are maxima under the order.  `well_ordered` is False when some variable
-    is smaller than 1, so that Buchberger's algorithm need not end on
-    non-homogeneous input.
+    `blocks` is a short tuple of (row, entries): `row` is an integer weight
+    row or None, and each (i, s) in `entries` stands for s*e[i].  `key(e)`
+    is the flat tuple of the integers row.e and s*e[i] that the blocks give
+    in turn; bigger key = bigger monomial, and leading terms are maxima.
+    `reversed_key(e)` is the key under the negated blocks: it sorts the
+    other way.  `well_ordered` says whether 1 < x_i for every i, that is,
+    whether the first nonzero coefficient of every e[i] is positive; if not,
+    Buchberger's algorithm need not end on non-homogeneous input.
     """
 
-    nvars: int
-    well_ordered = True
+    def __init__(self, nvars: int, blocks):
+        self.nvars = nvars
+        self.blocks = tuple([(tuple(row) if row else None, tuple(entries))
+                             for row, entries in blocks])
+        self._negated_blocks = tuple([(row and tuple([-x for x in row]),
+                                       tuple([(i, -s) for i, s in entries]))
+                                      for row, entries in self.blocks])
+        first = [0] * nvars  # the first nonzero coefficient of each e[i] in the key
+        for row, entries in self.blocks:
+            for i, c in [*enumerate(row or ()), *entries]:
+                first[i] = first[i] or c
+        self.well_ordered = all(c > 0 for c in first)
 
-    def key(self, e: Exponent):
-        raise NotImplementedError
+    def key(self, e: Exponent) -> tuple:
+        return _matrix_key(self.blocks, e)
+
+    def reversed_key(self, e: Exponent) -> tuple:
+        return _matrix_key(self._negated_blocks, e)
+
+
+def _matrix_key(blocks, e: Exponent) -> tuple:
+    k = []
+    for row, entries in blocks:
+        if row:
+            k.append(sum(map(operator.mul, row, e)))
+        k += [s * e[i] for i, s in entries]
+    return tuple(k)
 
 
 class DegRevLex(TermOrder):
     """Graded reverse lexicographic on the declared variable sequence."""
 
     def __init__(self, nvars: int):
-        self.nvars = nvars
-
-    def key(self, e: Exponent):
-        return (sum(e), tuple(-x for x in reversed(e)))
+        super().__init__(nvars, [((1,) * nvars, [(i, -1) for i in reversed(range(nvars))])])
 
     def __repr__(self):
         return f"DegRevLex({self.nvars})"
@@ -136,12 +160,10 @@ class Lex(TermOrder):
 
     def __init__(self, priority: Sequence[int]):
         self.priority = tuple(priority)
-        self.nvars = len(self.priority)
-        if sorted(self.priority) != list(range(self.nvars)):
+        n = len(self.priority)
+        if sorted(self.priority) != list(range(n)):
             raise ValueError("priority must be a permutation of all variable indices")
-
-    def key(self, e: Exponent):
-        return tuple(e[i] for i in self.priority)
+        super().__init__(n, [(None, tuple((i, 1) for i in self.priority))])
 
     def __repr__(self):
         return f"Lex({self.priority})"
@@ -151,10 +173,10 @@ class WeightOrder(TermOrder):
     """Min-convention weight rows refined by reversed lex.
 
     Rows are compared in sequence, and the monomial of smaller weight is the
-    bigger one, so leading terms have minimal weight.  Ties go to lex with
-    the last variable biggest.  This is a well-order exactly when the first
-    nonzero entry of every column is negative, or the column is zero: then
-    1 < x_i for every i.
+    bigger one, so leading terms have minimal weight: each row enters the
+    key negated.  Ties go to lex with the last variable biggest.  This is a
+    well-order exactly when the first nonzero entry of every column is
+    negative, or the column is zero: then 1 < x_i for every i.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]]):
@@ -165,12 +187,9 @@ class WeightOrder(TermOrder):
         if any(len(r) != n for r in rows):
             raise DimensionMismatch("weight rows of unequal length")
         self.rows = rows
-        self.nvars = n
-        self.well_ordered = all(next((x for x in col if x), -1) < 0
-                                for col in zip(*rows))
-
-    def key(self, e: Exponent):
-        return (tuple(-dot(r, e) for r in self.rows), e[::-1])
+        blocks = [(tuple(-x for x in r), ()) for r in rows]
+        blocks.append((None, [(i, 1) for i in reversed(range(n))]))
+        super().__init__(n, blocks)
 
     def __repr__(self):
         return f"WeightOrder({len(self.rows)} rows)"
@@ -187,19 +206,12 @@ class BlockOrder(TermOrder):
     def __init__(self, first: Sequence[int], second: Sequence[int]):
         self.first = tuple(first)
         self.second = tuple(second)
-        self.nvars = len(self.first) + len(self.second)
-        if sorted(self.first + self.second) != list(range(self.nvars)):
+        n = len(self.first) + len(self.second)
+        if sorted(self.first + self.second) != list(range(n)):
             raise ValueError("blocks must partition the variable indices")
-        self._rev1 = tuple(reversed(self.first))
-        self._rev2 = tuple(reversed(self.second))
-
-    def key(self, e: Exponent):
-        return (
-            sum(e[i] for i in self.first),
-            tuple(-e[i] for i in self._rev1),
-            sum(e[i] for i in self.second),
-            tuple(-e[i] for i in self._rev2),
-        )
+        super().__init__(n, [
+            (tuple(int(i in block) for i in range(n)), [(i, -1) for i in reversed(block)])
+            for block in (self.first, self.second)])
 
     def __repr__(self):
         return f"BlockOrder({self.first} >> {self.second})"

@@ -1,0 +1,98 @@
+"""The term orders as toricdeg implemented them before `polycore.TermOrder`
+became the one order class: five classes, each with its own nested-tuple
+key, and the engine's negation of such keys.  The keys are copied verbatim;
+tests compare the block orders against them.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from toricdeg.polycore import DimensionMismatch, Exponent, dot
+
+
+class DegRevLex:
+    """Graded reverse lexicographic on the declared variable sequence."""
+
+    def __init__(self, nvars: int):
+        self.nvars = nvars
+
+    def key(self, e: Exponent):
+        return (sum(e), tuple(-x for x in reversed(e)))
+
+
+class Lex:
+    """Lexicographic with an explicit variable priority.
+
+    `priority` lists variable indices from most to least significant.
+    """
+
+    def __init__(self, priority: Sequence[int]):
+        self.priority = tuple(priority)
+        self.nvars = len(self.priority)
+        if sorted(self.priority) != list(range(self.nvars)):
+            raise ValueError("priority must be a permutation of all variable indices")
+
+    def key(self, e: Exponent):
+        return tuple(e[i] for i in self.priority)
+
+
+class WeightOrder:
+    """Min-convention weight rows refined by reversed lex."""
+
+    def __init__(self, rows: Sequence[Sequence[int]]):
+        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        if not rows:
+            raise ValueError("need at least one weight row")
+        n = len(rows[0])
+        if any(len(r) != n for r in rows):
+            raise DimensionMismatch("weight rows of unequal length")
+        self.rows = rows
+        self.nvars = n
+        self.well_ordered = all(next((x for x in col if x), -1) < 0
+                                for col in zip(*rows))
+
+    def key(self, e: Exponent):
+        return (tuple(-dot(r, e) for r in self.rows), e[::-1])
+
+
+class BlockOrder:
+    """Two-block elimination order: degrevlex on `first`, then on `second`."""
+
+    def __init__(self, first: Sequence[int], second: Sequence[int]):
+        self.first = tuple(first)
+        self.second = tuple(second)
+        self.nvars = len(self.first) + len(self.second)
+        if sorted(self.first + self.second) != list(range(self.nvars)):
+            raise ValueError("blocks must partition the variable indices")
+        self._rev1 = tuple(reversed(self.first))
+        self._rev2 = tuple(reversed(self.second))
+
+    def key(self, e: Exponent):
+        return (
+            sum(e[i] for i in self.first),
+            tuple(-e[i] for i in self._rev1),
+            sum(e[i] for i in self.second),
+            tuple(-e[i] for i in self._rev2),
+        )
+
+
+class GradedRevLexLast:
+    """w-graded order whose leading term minimizes one chosen exponent (the
+    order of `groebner._saturate_variable_graded`)."""
+
+    def __init__(self, w: Sequence[int], i: int):
+        self.w = tuple(w)
+        self.i = i
+        self.nvars = len(self.w)
+        self._rest_rev = tuple(j for j in range(self.nvars - 1, -1, -1) if j != i)
+
+    def key(self, e: Exponent):
+        return (sum(wi * ei for wi, ei in zip(self.w, e)), -e[self.i],
+                tuple(-e[j] for j in self._rest_rev))
+
+
+def negated(k: tuple) -> tuple:
+    """The nested tuple `k` with every entry negated: the engine's reversed
+    key."""
+    return tuple([negated(x) if x.__class__ is tuple else -x for x in k])

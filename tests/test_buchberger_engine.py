@@ -21,7 +21,7 @@ from toricdeg.degeneration import embed_value_semigroup
 from toricdeg.groebner import (
     Ideal,
     NotHomogeneous,
-    _GradedRevLexLast,
+    _graded_last,
     buchberger,
     normal_form,
     ring_map_kernel,
@@ -91,7 +91,7 @@ def _order(draw, kind: str, n: int, homogeneous: bool):
         first = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
         return BlockOrder(sorted(first), [i for i in range(n) if i not in first])
     w = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
-    return _GradedRevLexLast(w, draw(st.integers(0, n - 1)))
+    return _graded_last(w, draw(st.integers(0, n - 1)))
 
 
 @pytest.mark.parametrize("kind", ORDER_KINDS)

@@ -24,6 +24,7 @@ from toricdeg.groebner import (
     Ideal,
     NotHomogeneous,
     canonical,
+    eliminate,
     graded_dimension,
     initial_ideal,
     reduced_basis,
@@ -33,6 +34,7 @@ from toricdeg.intlat import IntMatrix
 from toricdeg.polycore import (
     MAX,
     MIN,
+    BlockOrder,
     Grading,
     Polynomial,
     WeightOrder,
@@ -395,6 +397,53 @@ def test_projection_validates_kept():
         projection_limit(I, ())
     with pytest.raises(ValueError):
         projection_limit(I, ("x", "y", "z"))
+
+
+def test_projection_makes_no_block_order_call(monkeypatch):
+    # the closure is read off the limit's weight basis, not computed from a
+    # second basis under an elimination order
+    from toricdeg import degeneration, groebner
+    I = fx.elliptic_p9_ideal()
+    orders = []
+    bb = groebner.buchberger
+
+    def spy(I, order=None, hilbert=None):
+        orders.append(order)
+        return bb(I, order, hilbert)
+
+    monkeypatch.setattr(groebner, "buchberger", spy)
+    monkeypatch.setattr(degeneration, "buchberger", spy)
+    pr = projection_limit(I, fx.ELLIPTIC_P9_KEPT)
+    assert pr.scheme_check
+    assert not any(isinstance(order, BlockOrder) for order in orders)
+    assert sum(isinstance(order, WeightOrder) for order in orders) == 1
+
+
+@st.composite
+def _inhomogeneous_ideals(draw):
+    """Ideals in 2-4 variables: 1-3 generators with up to 4 terms of
+    exponents at most 2 and small integer coefficients."""
+    n = draw(st.integers(2, 4))
+    vars = tuple(f"x{i}" for i in range(n))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = {}
+        for _ in range(draw(st.integers(1, 4))):
+            e = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+            terms[e] = terms.get(e, 0) + draw(st.integers(-3, 3))
+        gens.append(Polynomial(vars, terms))
+    return Ideal(gens, vars)
+
+
+@settings(max_examples=60, deadline=None)
+@given(I=st.one_of(_homogeneous_ideals(), _inhomogeneous_ideals()), data=st.data())
+def test_projection_closure_matches_eliminate(I, data):
+    kept = data.draw(st.lists(st.sampled_from(I.vars), min_size=1,
+                              max_size=len(I.vars) - 1, unique=True))
+    got, want = projection_limit(I, kept).closure, eliminate(I, kept)
+    assert got.vars == want.vars
+    assert got.gens == want.gens
+    assert got.grading == want.grading
 
 
 # ---------------------------------------------------------------------------

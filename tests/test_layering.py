@@ -1,0 +1,84 @@
+"""Module layering of `src/toricdeg`: every import points to a lower rank,
+and `polycore` alone implements term orders.
+
+Imports are read from the source with `ast`, including those inside
+functions.  ROADMAP item 8 plans to move `weight_from_matrix`, which needs
+Groebner bases, out of `intlat`; `intlat` then no longer needs `groebner`.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "toricdeg"
+
+RANK = {
+    "polycore": 0,
+    "groebner": 1,
+    "intlat": 2,
+    "toric": 3,
+    "degeneration": 4,
+    "momentmap": 4,
+    "ioformats": 4,
+    "fixtures": 5,
+    "cli": 6,
+}
+
+
+def _trees() -> dict:
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"}
+
+
+def _imported_modules(tree: ast.AST) -> set:
+    """The toricdeg modules that `tree` imports, wherever the import is."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").split(".")[0] != "toricdeg":
+                continue
+            parts = (node.module or "").split(".")
+            path = parts[1:] if node.level == 0 else parts
+            if path and path[0]:
+                out.add(path[0])
+            else:  # from . import groebner
+                out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "toricdeg" and len(parts) > 1:
+                    out.add(parts[1])
+    return out
+
+
+def test_every_module_has_a_rank():
+    assert set(_trees()) == set(RANK)
+
+
+def test_imports_point_down():
+    upward = [(name, dep) for name, tree in _trees().items()
+              for dep in sorted(_imported_modules(tree))
+              if RANK[dep] >= RANK[name]]
+    assert upward == []
+
+
+def _subclasses_term_order(tree: ast.AST, cls: ast.ClassDef) -> bool:
+    """Whether `cls` names TermOrder as a base, directly, as an attribute or
+    under an alias it was imported by."""
+    names = {"TermOrder"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.asname for alias in node.names
+                         if alias.name == "TermOrder" and alias.asname)
+    return any((isinstance(base, ast.Name) and base.id in names)
+               or (isinstance(base, ast.Attribute) and base.attr == "TermOrder")
+               for base in cls.bases)
+
+
+def test_term_orders_live_in_polycore():
+    subclasses = [(name, node.name) for name, tree in _trees().items()
+                  if name != "polycore"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) and _subclasses_term_order(tree, node)]
+    assert subclasses == []

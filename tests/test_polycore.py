@@ -9,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_orders as ref
+from toricdeg.groebner import _graded_last
 from toricdeg.polycore import (
     MAX,
     MIN,
+    BlockOrder,
     DegRevLex,
     DimensionMismatch,
     Grading,
@@ -21,6 +24,7 @@ from toricdeg.polycore import (
     UnknownVariable,
     WeightOrder,
     ZeroPolynomialError,
+    dot,
     format_polynomial,
     initial_form,
     parse_polynomial,
@@ -152,10 +156,15 @@ def test_lex_basic():
 
 def test_weight_tie_defers_to_tiebreak():
     order = WeightOrder([(1, 0, 3)])
-    # y^2 z and x^3 both have weight 3: the tie-break decides, by reversed
-    # lex (the last variable is the biggest)
-    assert order.key((0, 2, 1))[0] == order.key((3, 0, 0))[0] == (-3,)
+    reversed_lex = Lex((2, 1, 0))  # the last variable is the biggest
+    # y^2 z and x^3 both have weight 3: the tie-break decides
+    assert dot((1, 0, 3), (0, 2, 1)) == dot((1, 0, 3), (3, 0, 0)) == 3
     assert order.key((0, 2, 1)) > order.key((3, 0, 0))
+    assert reversed_lex.key((0, 2, 1)) > reversed_lex.key((3, 0, 0))
+    # x z^2 (weight 7) loses to y^2 z (weight 3) though reversed lex ranks
+    # it higher: the tie-break applies only to ties
+    assert order.key((1, 0, 2)) < order.key((0, 2, 1))
+    assert reversed_lex.key((1, 0, 2)) > reversed_lex.key((0, 2, 1))
 
 
 def test_weight_min_prefers_smaller_weight():
@@ -217,6 +226,52 @@ def test_order_laws(seed):
         key_sorted = sorted(exps, key=order.key)
         for i in range(len(key_sorted) - 1):
             assert order.key(key_sorted[i]) <= order.key(key_sorted[i + 1])
+
+
+ORDER_KINDS = ("degrevlex", "lex", "weight", "block", "graded-last")
+
+
+@st.composite
+def _order_and_reference(draw, kind):
+    """A random order of `kind` on 1-6 variables and the same order built
+    from the keys toricdeg used before the block orders."""
+    n = draw(st.integers(1, 6))
+    if kind == "degrevlex":
+        return DegRevLex(n), ref.DegRevLex(n)
+    if kind == "lex":
+        priority = draw(st.permutations(range(n)))
+        return Lex(priority), ref.Lex(priority)
+    if kind == "weight":
+        rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                             min_size=1, max_size=3))
+        return WeightOrder(rows), ref.WeightOrder(rows)
+    if kind == "block":
+        first = draw(st.lists(st.integers(0, n - 1), unique=True))
+        second = draw(st.permutations([i for i in range(n) if i not in first]))
+        return BlockOrder(first, second), ref.BlockOrder(first, second)
+    w = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    i = draw(st.integers(0, n - 1))
+    return _graded_last(w, i), ref.GradedRevLexLast(w, i)
+
+
+def _sign(a, b) -> int:
+    return (a > b) - (a < b)
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_orders_rank_as_the_reference_keys(kind, data):
+    order, old = data.draw(_order_and_reference(kind))
+    exps = st.lists(st.integers(0, 5), min_size=order.nvars,
+                    max_size=order.nvars).map(tuple)
+    for _ in range(10):
+        a, b = data.draw(exps), data.draw(exps)
+        ka, kb = old.key(a), old.key(b)
+        assert _sign(order.key(a), order.key(b)) == _sign(ka, kb)
+        assert (_sign(order.reversed_key(a), order.reversed_key(b))
+                == _sign(ref.negated(ka), ref.negated(kb)) == -_sign(ka, kb))
+    assert order.well_ordered == getattr(old, "well_ordered", True)
 
 
 # ---------------------------------------------------------------------------
