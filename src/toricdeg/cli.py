@@ -34,11 +34,11 @@ from .ioformats import (
 from .momentmap import emit_svg, image_vs_polytope, sample_moment_image
 from .polycore import (
     DegreeOverflow,
-    DegRevLex,
     Lex,
     ParseError,
     UnknownVariable,
     WeightOrder,
+    _degrevlex,
     to_min,
 )
 from .toric import PolytopeQ, hull_vertices, toric_ideal
@@ -58,7 +58,7 @@ def _print_ideal(I: Ideal, as_json: bool):
 def _order_from_flags(args, nvars: int):
     kind = getattr(args, "order", "degrevlex") or "degrevlex"
     if kind == "degrevlex":
-        return DegRevLex(nvars)
+        return _degrevlex(nvars)
     if kind == "lex":
         return Lex(tuple(range(nvars)))
     if kind == "weight":

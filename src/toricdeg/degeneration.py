@@ -15,6 +15,7 @@ from .groebner import (
     _eliminated,
     _graded_dimensions,
     _weight_initial,
+    _with_basis,
     buchberger,
     canonical,
     homogeneous_grading,
@@ -38,6 +39,7 @@ from .polycore import (
     Polynomial,
     WeightOrder,
     dot,
+    exact_int,
     exp_divides,
     to_min,
 )
@@ -93,7 +95,7 @@ def family_ideal(J: Ideal, w: Sequence[int], convention: str = MIN) -> FamilyIde
     the leads of a Groebner basis of J itself, so their Hilbert function is
     J's.  That degrevlex basis is cached on J, where `fiber` reads it.
     """
-    w = tuple(int(x) for x in w)
+    w = tuple(exact_int(x, "weight") for x in w)
     (w_min,) = to_min([w], convention)
     if len(w) != len(J.vars):
         raise DimensionMismatch("weight length does not match variables")
@@ -134,7 +136,8 @@ def fiber(F: FamilyIdeal, t0) -> Ideal:
     every leading term.  Hence in(phi(J)) = in(J), and for the reduced basis
     G of J the phi(g) are a Groebner basis of phi(J) whose tails, on the
     monomials of G's tails, hold no lead: the monic phi(g) are the reduced
-    basis of phi(J), which is unique.  G is J's cached degrevlex basis.
+    basis of phi(J), which is unique, with G's leads.  G is J's cached
+    degrevlex basis.
     """
     t0 = Fraction(t0)
     J = F.base_ideal
@@ -147,16 +150,14 @@ def fiber(F: FamilyIdeal, t0) -> Ideal:
         return canonical(Ideal(gens, J.vars, grading=J.grading))
     (w,) = to_min([F.w], F.convention)
     G = reduced_basis(J)
-    elements = G.elements  # phi is the identity at t0 = 1
-    if t0 != 1:
+    if t0 != 1:  # phi is the identity at t0 = 1
         elements = []
         for g, lead in zip(G.elements, G.leads):
             top = dot(w, lead)
             elements.append(Polynomial._trusted(J.vars, {
                 e: c * t0 ** (dot(w, e) - top) for e, c in g.terms.items()}))
-    out = Ideal(elements, J.vars, grading=J.grading)
-    out._rgb_cache = GroebnerBasis(elements, G.order)
-    return out
+        G = GroebnerBasis(elements, G.order, G.leads)
+    return _with_basis(G, J.vars, J.grading)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +306,7 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
             raise VerificationFailed("dims", f"degree {m}: {dR} != {dS}")
     images = {label: e for label, e in zip(labels, images_exp)}
     # reported without a grading, as the kernel of a map into k[x]/J
-    kernel = canonical(Ideal(K.gens, source_vars))
+    kernel = _with_basis(reduced_basis(K), source_vars, None)
     return EmbeddingReport(tuple(sorted(T)), tuple(hosts), N, images, kernel,
                            tuple(dims), finite_ok, cone)
 

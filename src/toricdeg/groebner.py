@@ -18,13 +18,14 @@ from typing import Iterable, Sequence
 
 from .polycore import (
     BlockOrder,
-    DegRevLex,
     DimensionMismatch,
     Exponent,
     Grading,
     Polynomial,
     TermOrder,
     WeightOrder,
+    _degrevlex,
+    exact_int,
     exp_add,
     exp_lcm,
     exp_sub,
@@ -89,14 +90,16 @@ def homogeneous_grading(I: Ideal) -> Grading:
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis: monic, auto-reduced, sorted by leading term."""
+    """Reduced Groebner basis: monic, auto-reduced, sorted by leading term.
+    `leads` are the elements' lead exponents under `order`, in turn."""
 
     __slots__ = ("elements", "order", "leads")
 
-    def __init__(self, elements: Sequence[Polynomial], order: TermOrder):
+    def __init__(self, elements: Sequence[Polynomial], order: TermOrder,
+                 leads: Sequence[Exponent]):
         self.elements = tuple(elements)
         self.order = order
-        self.leads = tuple(g.lead(order)[0] for g in self.elements)
+        self.leads = tuple(leads)
 
     def __len__(self):
         return len(self.elements)
@@ -232,8 +235,9 @@ def _spoly(f: dict, g: dict, ef: Exponent, eg: Exponent) -> dict:
     return terms
 
 
-def _interreduce(divisors: list, vars: tuple, rkey) -> list:
-    """The unique reduced basis, as monic Fraction polynomials sorted by lead.
+def _interreduce(divisors: list, vars: tuple, rkey) -> tuple:
+    """(elements, leads) of the unique reduced basis: monic Fraction
+    polynomials sorted by lead, and their leads.
 
     `divisors` are the active (lead, element) pairs of `buchberger`: no lead
     divides another, so each element keeps its lead when its tail is reduced
@@ -243,10 +247,10 @@ def _interreduce(divisors: list, vars: tuple, rkey) -> list:
     for i, (l, g) in enumerate(divisors):
         r, _ = _normal_form(g, divisors[:i] + divisors[i + 1:], rkey)
         lc = r[l]
-        reduced.append((rkey(l), Polynomial._trusted(
+        reduced.append((rkey(l), l, Polynomial._trusted(
             vars, {e: Fraction(c, lc) for e, c in r.items()})))
     reduced.sort(key=operator.itemgetter(0))
-    return [p for _, p in reduced]
+    return [p for _, _, p in reduced], [l for _, l, _ in reduced]
 
 
 def buchberger(I: Ideal, order: TermOrder | None = None,
@@ -293,7 +297,7 @@ def buchberger(I: Ideal, order: TermOrder | None = None,
     algorithm).  The result does not change.
     """
     if order is None:
-        order = DegRevLex(len(I.vars))
+        order = _degrevlex(len(I.vars))
     if order.nvars != len(I.vars):
         raise DimensionMismatch("order does not match the ideal's ring")
     if hilbert is not None:
@@ -394,7 +398,8 @@ def buchberger(I: Ideal, order: TermOrder | None = None,
             add(r, sugar)
             gap -= 1
 
-    return GroebnerBasis(_interreduce(reducers, I.vars, rkey), order)
+    elements, leads = _interreduce(reducers, I.vars, rkey)
+    return GroebnerBasis(elements, order, leads)
 
 
 def reduced_basis(I: Ideal) -> GroebnerBasis:
@@ -406,10 +411,18 @@ def reduced_basis(I: Ideal) -> GroebnerBasis:
 
 def canonical(I: Ideal) -> Ideal:
     """The ideal regenerated by its degrevlex reduced basis."""
-    G = reduced_basis(I)
-    J = Ideal(G.elements, I.vars, grading=I.grading)
-    J._rgb_cache = G
-    return J
+    return _with_basis(reduced_basis(I), I.vars, I.grading)
+
+
+def _with_basis(G: GroebnerBasis, vars: Sequence[str],
+                grading: Grading | None) -> Ideal:
+    """The ideal generated by G, a degrevlex reduced basis over `vars`, with
+    G installed as its cached basis: the one place a basis computed
+    elsewhere is installed.  The reduced basis does not depend on the grading, so any grading for
+    which G is homogeneous may be attached."""
+    I = Ideal(G.elements, vars, grading=grading)
+    I._rgb_cache = G
+    return I
 
 
 def same_ideal(I: Ideal, J: Ideal) -> bool:
@@ -463,7 +476,7 @@ def _weight_rows(spec, nvars: int) -> tuple:
             rows = [tuple(r) for r in spec]
         else:
             rows = [tuple(spec)]
-    rows = tuple(tuple(int(x) for x in r) for r in rows)
+    rows = tuple(tuple(exact_int(x, "weight") for x in r) for r in rows)
     for r in rows:
         if len(r) != nvars:
             raise DimensionMismatch("weight row length does not match variables")
@@ -475,15 +488,14 @@ def _weight_rows(spec, nvars: int) -> tuple:
 
 
 def eliminate(I: Ideal, keep: Sequence[str]) -> Ideal:
-    """Generators of I intersected with k[keep], via a two-block order."""
+    """I intersected with k[keep], over `keep` in its given order, via a
+    two-block order."""
     keep = tuple(keep)
     for v in keep:
         if v not in I.vars:
             raise ValueError(f"variable {v!r} not in the ring")
     drop_idx = [i for i, v in enumerate(I.vars) if v not in keep]
     keep_idx = [i for i, v in enumerate(I.vars) if v in keep]
-    if not drop_idx:
-        return canonical(Ideal(I.gens, I.vars, grading=I.grading))
     return _eliminated(I, buchberger(I, BlockOrder(drop_idx, keep_idx)), keep)
 
 
@@ -523,7 +535,7 @@ def saturate(I: Ideal, f: Polynomial) -> Ideal:
     gens.append(one - Polynomial.variable(big, aux) * f.extend(big))
     out = eliminate(Ideal(gens, big), I.vars)
     if I.grading is not None and I.grading.is_homogeneous(f):
-        out = canonical(Ideal(out.gens, I.vars, grading=I.grading))
+        out = _with_basis(reduced_basis(out), I.vars, I.grading)
     return out
 
 

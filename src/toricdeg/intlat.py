@@ -207,7 +207,7 @@ def graded_embedding_matrix(N: int, r: int) -> IntMatrix:
 
 def embed_degree_one_vector(N: int, v: Sequence[int]):
     """Image (N - sum a, a) of a degree-one value (1, a_1, ..., a_r)."""
-    v = tuple(int(x) for x in v)
+    v = tuple(exact_int(x, "value entry") for x in v)
     if v[0] != 1:
         raise ValueError("vector must have degree coordinate 1")
     a = v[1:]
@@ -233,11 +233,10 @@ def weight_from_matrix(J: "groebner.Ideal", M: IntMatrix, max_doublings: int = 4
         raise DimensionMismatch("one matrix column per ideal variable required")
     rows = M.rows_list()
     d = len(rows)
-    if d == 1:
-        return rows[0], groebner.initial_ideal(J, rows)
-
     G = groebner.buchberger(J, WeightOrder(rows))
     init_M = groebner._weight_initial(J, G, rows)
+    if d == 1:
+        return rows[0], init_M
 
     B = 2
     for _ in range(max_doublings):

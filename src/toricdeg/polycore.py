@@ -17,6 +17,7 @@ import numbers
 import operator
 import re
 from fractions import Fraction
+from functools import cache
 from typing import Mapping, Sequence
 
 Exponent = tuple  # tuple[int, ...]
@@ -180,7 +181,7 @@ class WeightOrder(TermOrder):
     """
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(tuple(exact_int(x, "weight") for x in r) for r in rows)
         if not rows:
             raise ValueError("need at least one weight row")
         n = len(rows[0])
@@ -215,6 +216,12 @@ class BlockOrder(TermOrder):
 
     def __repr__(self):
         return f"BlockOrder({self.first} >> {self.second})"
+
+
+@cache
+def _degrevlex(nvars: int) -> DegRevLex:
+    """The canonical order on `nvars` variables, built once per arity."""
+    return DegRevLex(nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -263,29 +270,18 @@ class Polynomial:
     def __init__(self, vars: Sequence[str], terms: Mapping[Exponent, object] | None = None):
         self.vars = tuple(vars)
         n = len(self.vars)
-        clean: dict = {}
-        if terms:
-            for e, c in terms.items():
-                if len(e) != n:
-                    raise DimensionMismatch(
-                        f"exponent {e} has length {len(e)}, expected {n}")
-                if any(x < 0 for x in e):
-                    raise ValueError(f"negative exponent in {e}")
-                if any(x > MAX_EXPONENT for x in e):
-                    raise DegreeOverflow(f"exponent exceeds {MAX_EXPONENT}")
-                c = Fraction(c)
-                if c != 0:
-                    te = tuple(int(x) for x in e)
-                    c0 = clean.get(te)
-                    if c0 is None:
-                        clean[te] = c
-                    else:
-                        c0 = c0 + c
-                        if c0 == 0:
-                            del clean[te]
-                        else:
-                            clean[te] = c0
-        self.terms = clean
+        checked = []
+        for e, c in (terms or {}).items():
+            if len(e) != n:
+                raise DimensionMismatch(
+                    f"exponent {e} has length {len(e)}, expected {n}")
+            e = tuple(exact_int(x, "exponent") for x in e)
+            if any(x < 0 for x in e):
+                raise ValueError(f"negative exponent in {e}")
+            if any(x > MAX_EXPONENT for x in e):
+                raise DegreeOverflow(f"exponent exceeds {MAX_EXPONENT}")
+            checked.append((e, Fraction(c)))
+        self.terms = _add_terms({}, checked)
 
     # -- constructors
 
@@ -364,38 +360,16 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_same_ring(other)
-        res = dict(self.terms)
-        for e, c in other.terms.items():
-            c0 = res.get(e)
-            if c0 is None:
-                res[e] = c
-            else:
-                c0 = c0 + c
-                if c0 == 0:
-                    del res[e]
-                else:
-                    res[e] = c0
-        return Polynomial._trusted(self.vars, res)
+        return Polynomial._trusted(self.vars, _add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_same_ring(other)
-        res: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = exp_add(e1, e2)
-                c0 = res.get(e)
-                if c0 is None:
-                    res[e] = c1 * c2
-                else:
-                    c0 = c0 + c1 * c2
-                    if c0 == 0:
-                        del res[e]
-                    else:
-                        res[e] = c0
-        return Polynomial._trusted(self.vars, res)
+        return Polynomial._trusted(self.vars, _add_terms({}, (
+            (exp_add(e1, e2), c1 * c2)
+            for e1, c1 in self.terms.items() for e2, c2 in other.terms.items())))
 
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)
@@ -459,27 +433,15 @@ class Polynomial:
             if name not in self.vars:
                 raise UnknownVariable(name)
             idx[self.vars.index(name)] = Fraction(val)
-        res: dict = {}
+        pairs = []
         for e, c in self.terms.items():
-            coeff = c
             ne = list(e)
             for i, val in idx.items():
                 if e[i]:
-                    coeff = coeff * val ** e[i]
+                    c = c * val ** e[i]
                 ne[i] = 0
-            if coeff == 0:
-                continue
-            te = tuple(ne)
-            c0 = res.get(te)
-            if c0 is None:
-                res[te] = coeff
-            else:
-                c0 = c0 + coeff
-                if c0 == 0:
-                    del res[te]
-                else:
-                    res[te] = c0
-        return Polynomial._trusted(self.vars, res)
+            pairs.append((tuple(ne), c))
+        return Polynomial._trusted(self.vars, _add_terms({}, pairs))
 
     def evaluate(self, point: Sequence[object]) -> Fraction:
         """Exact evaluation at a full rational point."""
@@ -500,6 +462,21 @@ class Polynomial:
 
     def __hash__(self):
         return hash((self.vars, frozenset(self.terms.items())))
+
+
+def _add_terms(out: dict, pairs) -> dict:
+    """Add the (exponent, coefficient) pairs into `out` in place, keeping
+    only nonzero sums, and return it.  An exponent already in `out` keeps
+    its place."""
+    for e, c in pairs:
+        c0 = out.get(e)
+        if c0 is not None:
+            c += c0
+        if c:
+            out[e] = c
+        elif c0 is not None:
+            del out[e]
+    return out
 
 
 def to_min(rows: Sequence[Sequence[int]], convention: str) -> list:
@@ -627,18 +604,13 @@ def parse_polynomial(text: str, vars: Sequence[str]) -> Polynomial:
             raise ParseError(peek()[2], "factor")
         return coeff, exp
 
-    terms: dict = {}
+    pairs = []
     sign = 1
     if peek()[0] == "op" and peek()[1] in "+-":
         sign = -1 if take("op")[1] == "-" else 1
     while True:
         c, e = parse_term()
-        c *= sign
-        c0 = terms.get(e, Fraction(0)) + c
-        if c0 == 0:
-            terms.pop(e, None)
-        else:
-            terms[e] = c0
+        pairs.append((e, c * sign))
         if peek()[0] == "op" and peek()[1] in "+-":
             sign = -1 if take("op")[1] == "-" else 1
             continue
@@ -646,7 +618,8 @@ def parse_polynomial(text: str, vars: Sequence[str]) -> Polynomial:
     end = peek()
     if end[0] != "end":
         raise ParseError(end[2], "'+', '-' or end of input")
-    return Polynomial(vars, terms)
+    # exponents come from checked tokens, and exp_add bounds them
+    return Polynomial._trusted(vars, _add_terms({}, pairs))
 
 
 def _format_term(vars, e, c, leading: bool) -> str:
@@ -674,7 +647,7 @@ def format_polynomial(p: Polynomial, order: TermOrder | None = None) -> str:
     if p.is_zero():
         return "0"
     if order is None:
-        order = DegRevLex(len(p.vars))
+        order = _degrevlex(len(p.vars))
     if order.nvars != len(p.vars):
         raise DimensionMismatch("order does not match variable count")
     exps = sorted(p.terms, key=order.key, reverse=True)

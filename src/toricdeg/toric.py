@@ -13,9 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .groebner import Ideal, saturate_by_variables
+from .groebner import Ideal, _with_basis, reduced_basis, saturate_by_variables
 from .intlat import IntMatrix, kernel_lattice, embed_degree_one_vector
-from .polycore import DimensionMismatch, Grading, Polynomial
+from .polycore import DimensionMismatch, Grading, Polynomial, exact_int
 
 
 class NotDegreeOneGenerated(ValueError):
@@ -45,7 +45,7 @@ class Semigroup:
         kept_labels = []
         labels_in = list(labels) if labels is not None else None
         for k, g in enumerate(gens):
-            t = tuple(int(x) for x in g)
+            t = tuple(exact_int(x, "generator entry") for x in g)
             if t not in seen:
                 seen.append(t)
                 if labels_in is not None:
@@ -67,7 +67,7 @@ class Semigroup:
         self.labels = tuple(kept_labels) if labels_in is not None else None
         if degree_scale < 1:
             raise ValueError("degree_scale must be positive")
-        self.degree_scale = int(degree_scale)
+        self.degree_scale = exact_int(degree_scale, "degree_scale")
 
     @property
     def ambient_dim(self) -> int:
@@ -295,9 +295,7 @@ def toric_ideal(A: IntMatrix, names: Sequence[str]) -> Ideal:
     sigma = [names[i] for i in _saturation_variables(basis)]
     positive = next((Grading(r) for r in A.entries if all(x > 0 for x in r)), None)
     T = saturate_by_variables(Ideal(gens, names, grading=grading or positive), sigma)
-    out = Ideal(T.gens, names, grading=grading)
-    out._rgb_cache = T._rgb_cache
-    return out
+    return _with_basis(reduced_basis(T), names, grading)
 
 
 def delta_polytope(S: Semigroup) -> PolytopeQ:

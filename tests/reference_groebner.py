@@ -197,4 +197,5 @@ def buchberger(I: Ideal, order: TermOrder | None = None) -> GroebnerBasis:
         leads.append(r.lead(order)[0])
         push_pairs(len(basis) - 1)
 
-    return GroebnerBasis(_interreduce(basis, order), order)
+    reduced = _interreduce(basis, order)
+    return GroebnerBasis(reduced, order, [g.lead(order)[0] for g in reduced])

@@ -138,6 +138,13 @@ def test_fiber_matches_substituted_fiber(J, data):
     assert fiber(F, 0).gens == _substituted_fiber(F, 0).gens
 
 
+def test_family_refuses_fractional_weights():
+    J = fx.elliptic_ideal()
+    with pytest.raises(ValueError, match="not an integer"):
+        family_ideal(J, [1.5, 0, 3])
+    assert family_ideal(J, [1.0, 0, 3.0]).gens == family_ideal(J, (1, 0, 3)).gens
+
+
 def test_family_generators_t_primitive():
     J = fx.gr25_ideal()
     w = valuation_pipeline(J, fx.gr25_matrix(), MAX).w
@@ -244,6 +251,32 @@ def test_embed_elliptic_full_report():
     assert len(rep.dims_checked) == 6
     want = canonical(_ideal(("v_x", "v_y", "v_z"), "v_y^2*v_z - v_x^3"))
     assert same_ideal(rep.kernel_check, want)
+
+
+def test_embed_kernel_runs_no_buchberger_of_its_own(monkeypatch):
+    # the reported kernel adopts the reduced basis toric_ideal(cvecs) holds,
+    # so over the kernel's ring embed makes exactly toric_ideal's calls
+    from toricdeg import degeneration, groebner
+    from toricdeg.intlat import embed_degree_one_vector
+    from toricdeg.toric import toric_ideal
+    rings = []
+    bb = groebner.buchberger
+
+    def spy(I, order=None, hilbert=None):
+        rings.append(I.vars)
+        return bb(I, order, hilbert)
+
+    monkeypatch.setattr(groebner, "buchberger", spy)
+    monkeypatch.setattr(degeneration, "buchberger", spy)
+    M = fx.elliptic_matrix()
+    rep = embed_value_semigroup(fx.elliptic_ideal(), M, MIN, degree_bound=5)
+    source = rep.kernel_check.vars
+    in_embed = rings.count(source)
+    rings.clear()
+    cvecs = [embed_degree_one_vector(rep.N, col) for col in M.columns()]
+    K = toric_ideal(IntMatrix.from_columns(cvecs), source)
+    assert in_embed == rings.count(source) >= 1
+    assert rep.kernel_check.gens == K.gens and rep.kernel_check.grading is None
 
 
 def test_embed_identity_map():

@@ -221,6 +221,18 @@ def test_initial_ideal_term_order_gives_monomials():
     assert all(len(g) == 1 for g in init.gens)
 
 
+def test_initial_ideal_refuses_fractional_weights():
+    # (1.5, 1, 2) would truncate to (1, 1, 2) and keep only x^2; integral
+    # floats pass as the integers they equal
+    vars = ("x", "y", "z")
+    I = _ideal(vars, "x^2 - y*z")
+    with pytest.raises(ValueError, match="not an integer"):
+        initial_ideal(I, (1.5, 1, 2))
+    with pytest.raises(ValueError, match="not an integer"):
+        initial_ideal(I, [(1, 1, 1), (0, 0.5, 0)])
+    assert same_ideal(initial_ideal(I, (3.0, 2, 4)), canonical(I))
+
+
 def test_initial_ideal_accepts_matrix_spec():
     from toricdeg.intlat import IntMatrix
     vars = ("x", "y", "z")
@@ -250,6 +262,15 @@ def test_eliminate_twisted_cubic():
 def test_eliminate_nothing():
     I = _ideal(("x", "y"), "x - y")
     assert same_ideal(eliminate(I, ("x", "y")), canonical(I))
+
+
+def test_eliminate_over_a_reordering_of_all_variables():
+    # the result lives over `keep`, with the grading permuted to match
+    I = _ideal(("x", "y"), "x^2 - y", grading=Grading((1, 2)))
+    E = eliminate(I, ("y", "x"))
+    assert E.vars == ("y", "x")
+    assert E.grading == Grading((2, 1))
+    assert [format_polynomial(g) for g in E.gens] == ["x^2 - y"]
 
 
 def test_eliminate_idempotent_and_supported():
@@ -297,6 +318,28 @@ def test_graded_saturation_one_buchberger_call_per_variable(monkeypatch):
     monkeypatch.undo()
     assert same_ideal(J, canonical(_ideal(vars, "x0*x2 - x1^2", "x1*x3 - x2^2",
                                           "x0*x3 - x1*x2")))
+
+
+def test_saturate_regrading_runs_no_buchberger(monkeypatch):
+    # the graded result adopts the reduced basis of the ungraded one
+    vars = ("x", "y", "z")
+    f = parse_polynomial("y", vars)
+    calls = []
+    original = groebner.buchberger
+
+    def spy(J, order=None, hilbert=None):
+        calls.append(order)
+        return original(J, order, hilbert)
+
+    monkeypatch.setattr(groebner, "buchberger", spy)
+    graded = saturate(_ideal(vars, "x*y^2 - y*z^2", grading=Grading.standard(3)), f)
+    n_graded = len(calls)
+    calls.clear()
+    plain = saturate(_ideal(vars, "x*y^2 - y*z^2"), f)
+    assert n_graded == len(calls)
+    assert graded.grading == Grading.standard(3) and plain.grading is None
+    assert graded.gens == plain.gens
+    assert [format_polynomial(g) for g in graded.gens] == ["x*y - z^2"]
 
 
 def test_saturate_idempotent_and_certified():

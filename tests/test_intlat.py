@@ -163,6 +163,12 @@ def test_embedding_rejects_too_small_N():
         embed_degree_one_vector(2, (1, 3))
 
 
+def test_embedding_refuses_fractional_values():
+    with pytest.raises(ValueError, match="not an integer"):
+        embed_degree_one_vector(3, (1, 0.5, 1))
+    assert embed_degree_one_vector(3, (1.0, 1, 2.0)) == (0, 1, 2)
+
+
 def test_weight_from_single_row():
     vars = ("x", "y", "z")
     J = Ideal([parse_polynomial("y^2*z - x^3 + x*z^2", vars)], vars,

@@ -1,5 +1,6 @@
 """Module layering of `src/toricdeg`: every import points to a lower rank,
-and `polycore` alone implements term orders.
+`polycore` alone implements term orders, and `groebner` alone installs
+cached reduced bases.
 
 Imports are read from the source with `ast`, including those inside
 functions.  ROADMAP item 8 plans to move `weight_from_matrix`, which needs
@@ -82,3 +83,20 @@ def test_term_orders_live_in_polycore():
                   for node in ast.walk(tree)
                   if isinstance(node, ast.ClassDef) and _subclasses_term_order(tree, node)]
     assert subclasses == []
+
+
+def _writes_rgb_cache(node: ast.AST) -> bool:
+    """Whether `node` stores to a `_rgb_cache` attribute, by assignment or
+    by `setattr`."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "_rgb_cache" and isinstance(node.ctx, ast.Store)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "setattr" and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value == "_rgb_cache")
+
+
+def test_only_groebner_installs_bases():
+    writers = [name for name, tree in _trees().items()
+               if any(map(_writes_rgb_cache, ast.walk(tree)))]
+    assert writers == ["groebner"]

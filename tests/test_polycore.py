@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_orders as ref
-from toricdeg.groebner import _graded_last
+from toricdeg import polycore
+from toricdeg.groebner import Ideal, _graded_last, buchberger
 from toricdeg.polycore import (
     MAX,
     MIN,
@@ -140,6 +141,29 @@ def test_mul_difference_of_squares():
     assert f * g == parse_polynomial("x^2 - y^2", vars)
 
 
+def test_like_terms_merge_in_place():
+    # a sum keeps the left operand's terms where they were, drops those that
+    # cancel and appends the new ones; zero coefficients never enter
+    vars = ("x", "y", "z")
+    a = parse_polynomial("x^2 + 2*y - z", vars)
+    b = parse_polynomial("z + y + x*y", vars)
+    assert list((a + b).terms.items()) == [
+        ((2, 0, 0), 1), ((0, 1, 0), 3), ((1, 1, 0), 1)]
+    assert list((a - a).terms) == []
+    p = Polynomial(vars, {(1, 0, 0): 0, (0, 1, 0): 2, (0, 0, 1): Fraction(1, 2)})
+    assert list(p.terms) == [(0, 1, 0), (0, 0, 1)]
+    assert (p * p).terms == {(0, 2, 0): 4, (0, 1, 1): 2, (0, 0, 2): Fraction(1, 4)}
+    assert p.substitute({"y": 1, "z": -4}).is_zero()
+
+
+def test_polynomial_refuses_fractional_exponents():
+    with pytest.raises(ValueError, match="not an integer"):
+        Polynomial(("x", "y"), {(1.5, 0): 1})
+    p = Polynomial(("x", "y"), {(2.0, 0): 1})
+    assert p == parse_polynomial("x^2", ("x", "y"))
+    assert all(type(x) is int for x in next(iter(p.terms)))
+
+
 def test_mixed_rings_rejected():
     with pytest.raises(DimensionMismatch):
         Polynomial.variable(("x",), "x") + Polynomial.variable(("y",), "y")
@@ -183,6 +207,35 @@ def test_to_min_negates_only_max():
     assert to_min([(1, 0, -3), (2, 2, 0)], MAX) == [[-1, 0, 3], [-2, -2, 0]]
     with pytest.raises(ValueError, match="convention"):
         to_min([(1,)], "median")
+
+
+def test_weight_order_refuses_fractional_weights():
+    with pytest.raises(ValueError, match="not an integer"):
+        WeightOrder([(1.5, 1, 2)])
+    assert WeightOrder([(3.0, 2, 4)]).rows == ((3, 2, 4),)
+
+
+def test_canonical_order_is_built_once_per_arity(monkeypatch):
+    # printing and the default Buchberger order share one DegRevLex per arity
+    built = []
+    init = DegRevLex.__init__
+
+    def spy(self, nvars):
+        built.append(nvars)
+        init(self, nvars)
+
+    monkeypatch.setattr(DegRevLex, "__init__", spy)
+    vars = ("x", "y", "z", "u", "v", "w", "s", "t")
+    p = parse_polynomial("x*y - z^2 + 3/2*t", vars)
+    text = format_polynomial(p)
+    buchberger(Ideal([p], vars))
+    built.clear()
+    orders = set()
+    for _ in range(3):
+        assert format_polynomial(p) == text
+        orders.add(id(buchberger(Ideal([p], vars)).order))
+    assert built == []
+    assert orders == {id(polycore._degrevlex(8))}
 
 
 def test_weight_order_well_ordered():

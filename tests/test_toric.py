@@ -427,3 +427,12 @@ def test_semigroup_dedupes_and_validates():
     assert S.gens == ((1, 2), (1, 3))
     with pytest.raises(ValueError):
         Semigroup([(0, 1)], degree_coord=0)
+
+
+def test_semigroup_refuses_fractional_entries():
+    with pytest.raises(ValueError, match="not an integer"):
+        Semigroup([(1, 2.5)], degree_coord=0)
+    with pytest.raises(ValueError, match="not an integer"):
+        Semigroup([(1, 2)], degree_coord=0, degree_scale=1.5)
+    S = Semigroup([(1.0, 2), (1, 2.0)], degree_coord=0, degree_scale=2.0)
+    assert S.gens == ((1, 2),) and S.degree_scale == 2
