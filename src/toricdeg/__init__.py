@@ -38,7 +38,6 @@ from .intlat import (
     IntMatrix,
     NoCertificate,
     NTooSmall,
-    graded_embedding_matrix,
     hermite_normal_form,
     homogenize_matrix,
     kernel_lattice,

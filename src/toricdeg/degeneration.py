@@ -228,11 +228,12 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
     """Realize the value semigroup algebra as a monomial subalgebra of k[x]/J.
 
     Steps: embed the column semigroup into the positive orthant; pick host
-    variables with independent value columns (preferring hulls' vertex
-    columns, requiring finiteness of the quotient when attainable); map each
-    generator to the monomial with its embedded exponent; verify the images
-    are standard monomials for the tie-broken cone, and that graded
-    dimensions match degree by degree.
+    variables T with independent value columns whose images are standard
+    monomials for the tie-broken cone, taking the first such T in the order
+    (not finite(T), not all of T vertex columns, T), so a T over which the
+    quotient is finite wins when one exists; map each generator to the
+    monomial with its embedded exponent; verify that graded dimensions match
+    degree by degree.  finite(T) is `_finite`, read off the value polytope.
 
     The kernel of the induced ring map is toric_ideal(cvecs), with no
     elimination:
@@ -248,6 +249,21 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
     4. Every image is a monomial in the hosts, so the kernel is the toric
        ideal of the image exponents, which is toric_ideal(cvecs): the unused
        coordinates are zero rows.
+
+    finiteness_certified says k[x]/in_M(J) is finite over k[x_T], with no
+    Groebner basis:
+    5. k[x]/I_M is the semigroup ring k[x_i -> t^(a_i)] of M's columns a_i.
+       It is finite over k[x_T] exactly when every a_i lies in cone(a_j :
+       j in T) (Miller & Sturmfels 2005, Combinatorial Commutative Algebra,
+       ch. 7): a monomial is integral over a monomial subalgebra exactly when
+       a power of it lies there.
+    6. With the all-ones degree row a_i = (1, p_i), and (1, p) lies in that
+       cone exactly when p lies in conv(p_j : j in T).  So finite(T) holds
+       exactly when conv(p_T) is the value polytope conv(p), that is when
+       every vertex of conv(p), an extreme point, is some p_j with j in T: T
+       meets every vertex class, the columns sharing one vertex point.
+    7. No T of size |used| has independent columns when rank(M) < |used|,
+       so then no subset is tried.
     """
     if degree_bound < 0:
         raise ValueError("degree_bound must be nonnegative")
@@ -265,35 +281,26 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
     r_plus_1 = len(cvecs[0])
     used = tuple(sorted({j for c in cvecs for j in range(r_plus_1) if c[j] > 0}))
 
-    value_pts = [tuple(Fraction(x) for x in col[1:]) for col in M.columns()]
-    vertex_cols = {i for i, p in enumerate(value_pts) if is_vertex(p, value_pts)}
+    vertex_classes = _vertex_classes(M)
+    vertex_cols = set().union(*vertex_classes)
     nvars = len(J.vars)
-    subsets = list(itertools.combinations(range(nvars), len(used)))
-    subsets.sort(key=lambda T: (not all(i in vertex_cols for i in T), T))
-
-    init = pipe.init
-    chosen = None
-    fallback = None
+    subsets = []
+    if M.rank() >= len(used):
+        subsets = sorted(itertools.combinations(range(nvars), len(used)),
+                         key=lambda T: (not _finite(vertex_classes, T),
+                                        not vertex_cols.issuperset(T), T))
     for T in subsets:
         if not _columns_independent(M, T):
             continue
         hosts = _assign_hosts(T, used, cvecs, J.vars)
         images_exp = _image_exponents(cvecs, hosts, used, nvars)
-        cone = initial_ideal(init, _cone_order(T, nvars))
-        if not _all_standard(images_exp, cone):
-            continue
-        if _finite_over(init, T):
-            chosen = (T, hosts, images_exp, cone, True)
+        cone = initial_ideal(pipe.init, _cone_order(T, nvars))
+        if _all_standard(images_exp, cone):
             break
-        if fallback is None:
-            fallback = (T, hosts, images_exp, cone, False)
-    if chosen is None:
-        chosen = fallback
-    if chosen is None:
+    else:
         raise NoIndependentSubset(
             "no host subset with independent columns and standard images; "
             "a linear change of coordinates would be required")
-    T, hosts, images_exp, cone, finite_ok = chosen
 
     labels = J.vars
     source_vars = _fresh_source_names(labels, J.vars)
@@ -308,7 +315,23 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
     # reported without a grading, as the kernel of a map into k[x]/J
     kernel = _with_basis(reduced_basis(K), source_vars, None)
     return EmbeddingReport(tuple(sorted(T)), tuple(hosts), N, images, kernel,
-                           tuple(dims), finite_ok, cone)
+                           tuple(dims), _finite(vertex_classes, T), cone)
+
+
+def _vertex_classes(M: IntMatrix) -> list:
+    """For each vertex of the value polytope, the set of columns whose value
+    point (the column below the degree row) is that vertex."""
+    classes = {}
+    for i, col in enumerate(M.columns()):
+        classes.setdefault(col[1:], set()).add(i)
+    points = list(classes)
+    return [c for p, c in classes.items() if is_vertex(p, points)]
+
+
+def _finite(vertex_classes, T) -> bool:
+    """k[x]/I_M is finite over the variables T: T meets every vertex class
+    (steps 5-6 of embed_value_semigroup)."""
+    return all(not c.isdisjoint(T) for c in vertex_classes)
 
 
 def _columns_independent(M: IntMatrix, T) -> bool:
@@ -349,23 +372,6 @@ def _cone_order(T, nvars) -> Lex:
 def _all_standard(images_exp, cone: Ideal) -> bool:
     leads = [next(iter(g.terms)) for g in cone.gens]
     return all(not any(exp_divides(l, e) for l in leads) for e in images_exp)
-
-
-def _finite_over(init: Ideal, T) -> bool:
-    """k[x]/(init + host variables) is finite-dimensional: the leads of its
-    reduced basis hold a pure power of every non-host variable (a constant
-    lead, the unit ideal, counts for each).  For the homogeneous initial
-    ideal this says the radical holds every variable."""
-    vars = init.vars
-    gens = list(init.gens) + [Polynomial.variable(vars, vars[i]) for i in T]
-    powers = set()
-    for e in reduced_basis(Ideal(gens, vars)).leads:
-        support = [j for j, k in enumerate(e) if k]
-        if not support:
-            return True
-        if len(support) == 1:
-            powers.add(support[0])
-    return all(i in powers for i in range(len(vars)) if i not in T)
 
 
 def _fresh_source_names(labels, taken):

@@ -1,6 +1,6 @@
 """Integer matrix linear algebra: Hermite normal form, kernel lattices,
-matrix homogenization, the graded embedding matrix, and certified weight
-vectors that realize a matrix refinement as a single weight.
+matrix homogenization, the orthant image of degree-one values, and certified
+weight vectors that realize a matrix refinement as a single weight.
 """
 
 from __future__ import annotations
@@ -186,23 +186,6 @@ def homogenize_matrix(A: IntMatrix) -> IntMatrix:
     if any(x < 0 for x in new_row):
         raise NegativeEntryUnresolvable("no nonnegative completion row")
     return IntMatrix([new_row] + A.rows_list())
-
-
-def graded_embedding_matrix(N: int, r: int) -> IntMatrix:
-    """(r+1)x(r+1) matrix with first row (N, -1, ..., -1) and the identity
-    below.  Applied to (1, a_1, ..., a_r) it yields (N - sum a_j, a), whose
-    entries are nonnegative and sum to N whenever N bounds the total degree.
-    The determinant equals N; on the lattice generated by degree-one values
-    the map is an isomorphism onto its image.
-    """
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    if N < 1:
-        raise ValueError("N must be positive")
-    rows = [[N] + [-1] * r]
-    for i in range(r):
-        rows.append([0] * (i + 1) + [1] + [0] * (r - i - 1))
-    return IntMatrix(rows)
 
 
 def embed_degree_one_vector(N: int, v: Sequence[int]):

@@ -103,8 +103,3 @@ def semigroup_to_json(S: Semigroup) -> dict:
         out["degree_scale"] = S.degree_scale
     return out
 
-
-def semigroup_from_json(obj: dict) -> Semigroup:
-    return Semigroup(obj["gens"], degree_coord=obj.get("degree_coord", 0),
-                     labels=obj.get("labels"),
-                     degree_scale=obj.get("degree_scale", 1))

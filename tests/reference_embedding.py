@@ -1,0 +1,154 @@
+"""Reference routes for the value-semigroup embedding, kept as test oracles.
+
+`_finite_over` decides finiteness of k[x]/init over the host variables from
+the leads of one reduced basis, and `reference_search` is the host search
+that tries every subset of variables with that test, both as toricdeg
+shipped them.  `embed_value_semigroup` reads finiteness off the value
+polytope instead; the tests compare the two.
+
+Also here: the Gr(2,n) Pluecker ideal with its caterpillar-tree matrix, and
+the graded embedding matrix that `embed_degree_one_vector` applies.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+
+from toricdeg.degeneration import (
+    NoIndependentSubset,
+    VerificationFailed,
+    _all_standard,
+    _assign_hosts,
+    _columns_independent,
+    _cone_order,
+    _image_exponents,
+    valuation_pipeline,
+)
+from toricdeg.groebner import Ideal, initial_ideal, reduced_basis
+from toricdeg.intlat import IntMatrix, embed_degree_one_vector
+from toricdeg.polycore import MIN, Grading, Polynomial, parse_polynomial
+from toricdeg.toric import Semigroup, embed_semigroup, is_vertex
+
+
+def _finite_over(init: Ideal, T) -> bool:
+    """k[x]/(init + host variables) is finite-dimensional: the leads of its
+    reduced basis hold a pure power of every non-host variable (a constant
+    lead, the unit ideal, counts for each).  For the homogeneous initial
+    ideal this says the radical holds every variable."""
+    vars = init.vars
+    gens = list(init.gens) + [Polynomial.variable(vars, vars[i]) for i in T]
+    powers = set()
+    for e in reduced_basis(Ideal(gens, vars)).leads:
+        support = [j for j, k in enumerate(e) if k]
+        if not support:
+            return True
+        if len(support) == 1:
+            powers.add(support[0])
+    return all(i in powers for i in range(len(vars)) if i not in T)
+
+
+def reference_search(J: Ideal, M: IntMatrix, convention: str = MIN) -> dict:
+    """The host search by enumeration: the first admissible subset that is
+    finite by `_finite_over`, in the order (not all vertex columns, T), or
+    else the first admissible subset.  Returns the report fields it fixes."""
+    pipe = valuation_pipeline(J, M, convention)
+    if not pipe.binomial_prime:
+        raise VerificationFailed("binomial_prime",
+                                 "initial ideal is not the toric ideal")
+    if any(x != 1 for x in M.entries[0]):
+        raise VerificationFailed("degree_one",
+                                 "degree row must be all ones; apply veronese first")
+    S = Semigroup(M.columns(), degree_coord=0, labels=J.vars)
+    N, _ = embed_semigroup(S)
+    cvecs = [embed_degree_one_vector(N, col) for col in M.columns()]
+    r_plus_1 = len(cvecs[0])
+    used = tuple(sorted({j for c in cvecs for j in range(r_plus_1) if c[j] > 0}))
+
+    value_pts = [tuple(Fraction(x) for x in col[1:]) for col in M.columns()]
+    vertex_cols = {i for i, p in enumerate(value_pts) if is_vertex(p, value_pts)}
+    nvars = len(J.vars)
+    subsets = list(itertools.combinations(range(nvars), len(used)))
+    subsets.sort(key=lambda T: (not all(i in vertex_cols for i in T), T))
+
+    init = pipe.init
+    chosen = None
+    fallback = None
+    for T in subsets:
+        if not _columns_independent(M, T):
+            continue
+        hosts = _assign_hosts(T, used, cvecs, J.vars)
+        images_exp = _image_exponents(cvecs, hosts, used, nvars)
+        cone = initial_ideal(init, _cone_order(T, nvars))
+        if not _all_standard(images_exp, cone):
+            continue
+        if _finite_over(init, T):
+            chosen = (T, hosts, images_exp, cone, True)
+            break
+        if fallback is None:
+            fallback = (T, hosts, images_exp, cone, False)
+    if chosen is None:
+        chosen = fallback
+    if chosen is None:
+        raise NoIndependentSubset(
+            "no host subset with independent columns and standard images; "
+            "a linear change of coordinates would be required")
+    T, hosts, images_exp, cone, finite_ok = chosen
+    return {
+        "independent_vars": tuple(sorted(T)),
+        "hosts": tuple(hosts),
+        "images": dict(zip(J.vars, images_exp)),
+        "finiteness_certified": finite_ok,
+        "cone_initial": cone,
+    }
+
+
+def plucker_ideal(n: int) -> Ideal:
+    """Gr(2,n) in its Pluecker embedding: variables p_ij for i < j in
+    lexicographic order, one relation p_ij p_kl - p_ik p_jl + p_il p_jk for
+    each i < j < k < l."""
+    vars = tuple(f"p{i}{j}" for i, j in itertools.combinations(range(1, n + 1), 2))
+    gens = [parse_polynomial(f"p{i}{j}*p{k}{l} - p{i}{k}*p{j}{l} + p{i}{l}*p{j}{k}",
+                             vars)
+            for i, j, k, l in itertools.combinations(range(1, n + 1), 4)]
+    return Ideal(gens, vars, grading=Grading.standard(len(vars)))
+
+
+def caterpillar_matrix(n: int, independent: bool = True) -> IntMatrix:
+    """Values of the Pluecker coordinates under the caterpillar tree with
+    leaves 1..n (Speyer & Sturmfels 2004), for the max convention.
+
+    An all-ones row, then one row per edge: the leaf edges 1..n, then the
+    inner edges, the m-th of which splits leaves 1..m+1 from the rest.  An
+    edge's row holds 1 at p_ij when the edge lies on the path from leaf i to
+    leaf j.  With `independent`, only rows independent of the rows above
+    them are kept: the leaf rows sum to twice the all-ones row.
+    """
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    rows = [[1] * len(pairs)]
+    rows += [[int(k in p) for p in pairs] for k in range(1, n + 1)]
+    rows += [[int(i <= m + 1 < j) for i, j in pairs] for m in range(1, n - 2)]
+    if not independent:
+        return IntMatrix(rows)
+    kept = []
+    for row in rows:
+        if IntMatrix(kept + [row]).rank() > len(kept):
+            kept.append(row)
+    return IntMatrix(kept)
+
+
+def graded_embedding_matrix(N: int, r: int) -> IntMatrix:
+    """(r+1)x(r+1) matrix with first row (N, -1, ..., -1) and the identity
+    below.  Applied to (1, a_1, ..., a_r) it yields (N - sum a_j, a), whose
+    entries are nonnegative and sum to N whenever N bounds the total degree.
+    The determinant equals N; on the lattice generated by degree-one values
+    the map is an isomorphism onto its image.
+    """
+    if r < 1:
+        raise ValueError("r must be at least 1")
+    if N < 1:
+        raise ValueError("N must be positive")
+    rows = [[N] + [-1] * r]
+    for i in range(r):
+        rows.append([0] * (i + 1) + [1] + [0] * (r - i - 1))
+    return IntMatrix(rows)

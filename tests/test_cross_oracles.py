@@ -2,8 +2,9 @@
 
 Where an operation has two independent computation paths (variable-wise
 content saturation vs elimination, ring-map kernels vs lattice ideals,
-the embedding's kernel vs ring-map kernels, certified weights vs matrix
-refinements) the routes are compared on random inputs; sympy supplies an
+the embedding's kernel vs ring-map kernels, its host search vs enumeration
+with a Groebner finiteness test, certified weights vs matrix refinements)
+the routes are compared on random inputs; sympy supplies an
 outside implementation for Groebner bases and Hermite normal forms.
 """
 
@@ -13,9 +14,16 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_embedding import (
+    _finite_over,
+    caterpillar_matrix,
+    plucker_ideal,
+    reference_search,
+)
 from sympy import symbols
 from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
 
@@ -23,7 +31,8 @@ from toricdeg import fixtures as fx
 from toricdeg import groebner, toric
 from toricdeg.degeneration import (
     NoIndependentSubset,
-    _finite_over,
+    _finite,
+    _vertex_classes,
     embed_value_semigroup,
     projection_limit,
     valuation_pipeline,
@@ -48,6 +57,7 @@ from toricdeg.intlat import (
     weight_from_matrix,
 )
 from toricdeg.polycore import (
+    MAX,
     MIN,
     Grading,
     Lex,
@@ -310,10 +320,11 @@ def _assert_kernel_matches_ring_map(J, M):
     assert reduced_basis(rep.kernel_check).elements == reduced_basis(K).elements
 
 
-def test_embed_kernel_matches_ring_map_kernel_on_fixtures():
+def _embedding_fixtures():
+    """(J, M) pairs that embed under the min convention."""
     vars3 = ("x0", "x1", "x2")
     dup = ("a", "b", "c")
-    cases = [
+    return [
         (fx.elliptic_ideal(), fx.elliptic_matrix()),
         (fx.gr24_ideal(), fx.gr24_gvector_matrix()),
         (fx.gr24_ideal(), fx.gr24_plabic_matrix()),
@@ -323,17 +334,80 @@ def test_embed_kernel_matches_ring_map_kernel_on_fixtures():
                dup, grading=Grading.standard(3)),
          IntMatrix([[1, 1, 1], [0, 0, 2]])),
     ]
-    for J, M in cases:
+
+
+def test_embed_kernel_matches_ring_map_kernel_on_fixtures():
+    for J, M in _embedding_fixtures():
         _assert_kernel_matches_ring_map(J, M)
 
 
 @st.composite
-def _degree_one_matrices(draw):
-    """An all-ones row over 4-6 distinct columns, plus 1-2 rows in 0..3."""
+def _degree_one_matrices(draw, unique=True):
+    """An all-ones row over 4-6 columns, distinct when `unique`, plus 1-2
+    rows in 0..3."""
     extra = draw(st.integers(1, 2))
     cols = draw(st.lists(st.tuples(*[st.integers(0, 3)] * extra),
-                         min_size=4, max_size=6, unique=True))
+                         min_size=4, max_size=6, unique=unique))
     return IntMatrix([[1] * len(cols)] + [[c[k] for c in cols] for k in range(extra)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(M=_degree_one_matrices(unique=False))
+def test_vertex_classes_decide_finiteness_over_every_subset(M):
+    # embed reads finiteness of k[x]/I_M over k[x_T] off the value polytope;
+    # the oracle reads it off a reduced basis of I_M + (x_T)
+    vars = tuple(f"x{i}" for i in range(M.cols))
+    init = toric_ideal(M, vars)
+    classes = _vertex_classes(M)
+    for r in range(M.cols + 1):
+        for T in itertools.combinations(range(M.cols), r):
+            assert _finite(classes, T) == _finite_over(init, T)
+
+
+def _assert_embedding_matches_reference(J, M, convention=MIN):
+    """embed against the enumeration search: the same report fields, or the
+    same exception."""
+    try:
+        want = reference_search(J, M, convention)
+    except NoIndependentSubset:
+        with pytest.raises(NoIndependentSubset):
+            embed_value_semigroup(J, M, convention, degree_bound=1)
+        return
+    rep = embed_value_semigroup(J, M, convention, degree_bound=1)
+    assert rep.independent_vars == want["independent_vars"]
+    assert rep.hosts == want["hosts"]
+    assert rep.images == want["images"]
+    assert rep.finiteness_certified == want["finiteness_certified"]
+    assert rep.cone_initial.gens == want["cone_initial"].gens
+
+
+@st.composite
+def _embedding_matrices(draw):
+    """Degree-one matrices, with repeated columns or an appended row that
+    is the sum of two rows above it."""
+    M = draw(_degree_one_matrices(unique=draw(st.booleans())))
+    if draw(st.booleans()):
+        rows = M.rows_list()
+        i, j = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2,
+                             max_size=2))
+        M = IntMatrix(rows + [[a + b for a, b in zip(rows[i], rows[j])]])
+    return M
+
+
+@settings(max_examples=25, deadline=None)
+@given(M=_embedding_matrices())
+def test_embed_matches_reference_search(M):
+    vars = tuple(f"x{i}" for i in range(M.cols))
+    _assert_embedding_matches_reference(toric_ideal(M, vars), M)
+
+
+def test_embed_matches_reference_search_on_fixtures_and_grassmannians():
+    cases = [(J, M, MIN) for J, M in _embedding_fixtures()]
+    for n in (4, 5):
+        for independent in (True, False):
+            cases.append((plucker_ideal(n), caterpillar_matrix(n, independent), MAX))
+    for J, M, convention in cases:
+        _assert_embedding_matches_reference(J, M, convention)
 
 
 @settings(max_examples=25, deadline=None)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_embedding import caterpillar_matrix, plucker_ideal
 
 from toricdeg import fixtures as fx
 from toricdeg.degeneration import (
@@ -36,6 +37,7 @@ from toricdeg.polycore import (
     MIN,
     BlockOrder,
     Grading,
+    Lex,
     Polynomial,
     WeightOrder,
     format_polynomial,
@@ -333,6 +335,58 @@ def test_embed_no_independent_subset():
     J = Ideal(list(toric_ideal(M, vars).gens), vars, grading=Grading.standard(3))
     with pytest.raises(NoIndependentSubset):
         embed_value_semigroup(J, M, MIN, degree_bound=2)
+
+
+def test_grassmannian_caterpillar_values_are_binomial_prime_under_max():
+    for n in range(4, 8):
+        J, M = plucker_ideal(n), caterpillar_matrix(n)
+        assert M.rows == M.rank() == 2 * n - 3
+        assert valuation_pipeline(J, M, MAX).binomial_prime
+        assert not valuation_pipeline(J, M, MIN).binomial_prime
+
+
+def test_embed_gr26_caterpillar_hosts():
+    rep = embed_value_semigroup(plucker_ideal(6), caterpillar_matrix(6), MAX,
+                                degree_bound=2)
+    assert rep.independent_vars == (0, 1, 2, 3, 4, 5, 9, 12, 14)
+    assert not rep.finiteness_certified
+
+
+def test_embed_caterpillar_with_dependent_rows_has_no_independent_subset(
+        monkeypatch):
+    # the leaf rows sum to twice the degree row: the embedded values use more
+    # coordinates than the matrix has rank, so no host subset is tried
+    from toricdeg import degeneration
+    tried = []
+    monkeypatch.setattr(degeneration, "_columns_independent",
+                        lambda M, T: tried.append(T))
+    for n in range(4, 8):
+        M = caterpillar_matrix(n, independent=False)
+        assert M.rank() < M.rows
+        with pytest.raises(NoIndependentSubset):
+            embed_value_semigroup(plucker_ideal(n), M, MAX, degree_bound=1)
+    assert tried == []
+
+
+def test_embed_decides_finiteness_without_a_groebner_basis(monkeypatch):
+    # one cone basis for the one subset tried, and no basis of an ideal
+    # holding host variables, which a Groebner finiteness test would need
+    from toricdeg import degeneration, groebner
+    inputs = []
+    bb = groebner.buchberger
+
+    def spy(I, order=None, hilbert=None):
+        inputs.append((I, order))
+        return bb(I, order, hilbert)
+
+    monkeypatch.setattr(groebner, "buchberger", spy)
+    monkeypatch.setattr(degeneration, "buchberger", spy)
+    J = plucker_ideal(5)
+    embed_value_semigroup(J, caterpillar_matrix(5), MAX, degree_bound=2)
+    assert sum(isinstance(order, Lex) for _, order in inputs) == 1
+    for I, _ in inputs:
+        assert not any(len(g.terms) == 1 and sum(next(iter(g.terms))) == 1
+                       for g in I.gens)
 
 
 def test_embed_rejects_non_binomial_prime():

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from reference_embedding import graded_embedding_matrix
 
 from toricdeg.groebner import Ideal, canonical, initial_ideal, same_ideal
 from toricdeg.intlat import (
@@ -13,7 +14,6 @@ from toricdeg.intlat import (
     NoCertificate,
     NTooSmall,
     embed_degree_one_vector,
-    graded_embedding_matrix,
     hermite_normal_form,
     homogenize_matrix,
     kernel_lattice,

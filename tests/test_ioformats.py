@@ -15,7 +15,6 @@ from toricdeg.ioformats import (
     parse_ideal_text,
     read_ideal,
     read_matrix,
-    semigroup_from_json,
     semigroup_to_json,
 )
 from toricdeg.toric import Semigroup
@@ -70,8 +69,9 @@ def test_matrix_roundtrip(tmp_path: Path):
 def test_semigroup_json_roundtrip():
     S = Semigroup([(1, 0), (1, 1), (1, 3)], degree_coord=0,
                   labels=("y", "x", "z"))
-    T = semigroup_from_json(semigroup_to_json(S))
-    assert T == S and T.labels == S.labels
+    assert semigroup_to_json(S) == {
+        "degree_coord": 0, "gens": [[1, 0], [1, 1], [1, 3]],
+        "labels": ["y", "x", "z"]}
     V = Semigroup([(1, 0), (1, 9)], degree_coord=0, degree_scale=3)
-    W = semigroup_from_json(semigroup_to_json(V))
-    assert W == V and W.degree_scale == 3
+    assert semigroup_to_json(V) == {
+        "degree_coord": 0, "gens": [[1, 0], [1, 9]], "degree_scale": 3}

