@@ -196,7 +196,7 @@ def valuation_pipeline(J: Ideal, M: IntMatrix, convention: str = MIN) -> Pipelin
 
     semigroup = None
     if all(x > 0 for x in M.entries[0]):
-        semigroup = Semigroup(M.columns(), degree_coord=0, labels=J.vars)
+        semigroup = Semigroup(M.columns(), labels=J.vars)
 
     # When the all-ones vector lies in M's row space, every u in ker M has
     # sum(u) = 0, so the added row (c - s_j) is orthogonal to ker M and
@@ -230,10 +230,11 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
     Steps: embed the column semigroup into the positive orthant; pick host
     variables T with independent value columns whose images are standard
     monomials for the tie-broken cone, taking the first such T in the order
-    (not finite(T), not all of T vertex columns, T), so a T over which the
-    quotient is finite wins when one exists; map each generator to the
+    (not all of T vertex columns, T), so a T over which the quotient is
+    finite wins when one exists (step 8); map each generator to the
     monomial with its embedded exponent; verify that graded dimensions match
-    degree by degree.  finite(T) is `_finite`, read off the value polytope.
+    degree by degree.  The subsets are generated in that order, none of them
+    stored: the vertex-column sets in index order, then the others.
 
     The kernel of the induced ring map is toric_ideal(cvecs), with no
     elimination:
@@ -264,6 +265,17 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
        meets every vertex class, the columns sharing one vertex point.
     7. No T of size |used| has independent columns when rank(M) < |used|,
        so then no subset is tried.
+    8. Let T have independent columns.  Columns in one vertex class are
+       equal, so T holds at most one column of each class.  With the
+       all-ones degree row, rank(M) is one more than the dimension d of the
+       value polytope, which has at least d + 1 vertices, so
+       |T| <= rank(M) <= #classes.  If T meets every class, it holds one
+       column of each, so |T| = #classes and T holds vertex columns only;
+       the converse holds as T holds at most one column of each class.  So
+       when #classes = |T|, finite(T) is "T holds vertex columns only", and
+       otherwise no such T is finite: the order (not finite(T), not all of
+       T vertex columns, T) ranks these T as (not all of T vertex columns,
+       T) does, and the first admissible T is the same.
     """
     if degree_bound < 0:
         raise ValueError("degree_bound must be nonnegative")
@@ -274,8 +286,7 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
     if any(x != 1 for x in M.entries[0]):
         raise VerificationFailed("degree_one",
                                  "degree row must be all ones; apply veronese first")
-    S = Semigroup(M.columns(), degree_coord=0, labels=J.vars)
-    N, _ = embed_semigroup(S)
+    N, _ = embed_semigroup(Semigroup(M.columns()))
     # one image vector per variable (the semigroup deduplicates, columns may not)
     cvecs = [embed_degree_one_vector(N, col) for col in M.columns()]
     r_plus_1 = len(cvecs[0])
@@ -283,12 +294,13 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
 
     vertex_classes = _vertex_classes(M)
     vertex_cols = set().union(*vertex_classes)
-    nvars = len(J.vars)
-    subsets = []
-    if M.rank() >= len(used):
-        subsets = sorted(itertools.combinations(range(nvars), len(used)),
-                         key=lambda T: (not _finite(vertex_classes, T),
-                                        not vertex_cols.issuperset(T), T))
+    nvars, k = len(J.vars), len(used)
+    subsets = ()
+    if M.rank() >= k:
+        subsets = itertools.chain(
+            itertools.combinations(sorted(vertex_cols), k),
+            (T for T in itertools.combinations(range(nvars), k)
+             if not vertex_cols.issuperset(T)))
     for T in subsets:
         if not _columns_independent(M, T):
             continue

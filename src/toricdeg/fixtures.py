@@ -46,7 +46,14 @@ from .polycore import (
     format_polynomial,
     parse_polynomial,
 )
-from .toric import Semigroup, delta_polytope, is_vertex, toric_ideal, torus_point
+from .toric import (
+    Semigroup,
+    delta_polytope,
+    embed_semigroup,
+    is_vertex,
+    toric_ideal,
+    torus_point,
+)
 
 WORKED = "worked-example"
 DERIVED = "derived"
@@ -275,19 +282,17 @@ def run_elliptic() -> FixtureReport:
     rep.add("embed.images", got_images == want_images, WORKED,
             str(want_images), str(got_images))
     rep.add("embed.N", emb.N == 3, WORKED, "3", emb.N)
-    S = Semigroup(elliptic_matrix().columns(), degree_coord=0)
-    from .toric import embed_semigroup
-    N, image = embed_semigroup(S)
+    _, images = embed_semigroup(Semigroup(elliptic_matrix().columns()))
     rep.add("embed.image_semigroup",
-            set(image.gens) == {(3, 0), (2, 1), (0, 3)}, WORKED,
-            "{(3,0), (2,1), (0,3)}", set(image.gens))
+            set(images) == {(3, 0), (2, 1), (0, 3)}, WORKED,
+            "{(3,0), (2,1), (0,3)}", set(images))
     dims_equal = all(a == b for _, a, b in emb.dims_checked)
     rep.add("embed.dims", dims_equal and len(emb.dims_checked) >= ELLIPTIC_DEGREE_BOUND + 1,
             WORKED, f"equal graded dimensions through degree {ELLIPTIC_DEGREE_BOUND}",
             str(emb.dims_checked))
 
     samples = sample_moment_image(IntMatrix([list(ELLIPTIC_W)]), 2000, seed=42)
-    D = delta_polytope(Semigroup([(1, 0), (1, 1), (1, 3)], degree_coord=0))
+    D = delta_polytope(Semigroup([(1, 0), (1, 1), (1, 3)]))
     rep.add("moment.delta", set(D.vertices) == {(Fraction(0),), (Fraction(3),)},
             WORKED, "[0, 3]", set(D.vertices))
     res = image_vs_polytope(samples, D, 1e-9)

@@ -8,7 +8,13 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import groebner
-from .polycore import DimensionMismatch, WeightOrder, dot, exact_int, initial_form_rows
+from .polycore import (
+    DimensionMismatch,
+    WeightOrder,
+    exact_int,
+    initial_form,
+    initial_form_rows,
+)
 
 
 class NegativeEntryUnresolvable(ValueError):
@@ -236,12 +242,5 @@ def weight_from_matrix(J: "groebner.Ideal", M: IntMatrix, max_doublings: int = 4
 
 def _splits_agree(G, rows, w) -> bool:
     """Check w groups each basis element's terms exactly as the rows do."""
-    for g in G.elements:
-        exps = list(g.terms)
-        m_init = set(initial_form_rows(g, rows).terms)
-        wvals = {e: dot(w, e) for e in exps}
-        wmin = min(wvals.values())
-        w_init = {e for e in exps if wvals[e] == wmin}
-        if w_init != m_init:
-            return False
-    return True
+    return all(initial_form(g, w).terms.keys() == initial_form_rows(g, rows).terms.keys()
+               for g in G.elements)

@@ -2,8 +2,8 @@
 
 Ideal files: a `vars:` header line, an optional `grading:` line, then one
 polynomial per line in the ASCII grammar.  Matrices are JSON arrays of arrays
-(row-major).  Semigroups are JSON objects with gens, degree_coord and
-optional labels.
+(row-major).  Semigroups are JSON objects with gens, degree_coord (always
+0: the degree is the first coordinate) and optional labels.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def read_matrix(path: str) -> IntMatrix:
 
 
 def semigroup_to_json(S: Semigroup) -> dict:
-    out = {"degree_coord": S.degree_coord, "gens": [list(g) for g in S.gens]}
+    out = {"degree_coord": 0, "gens": [list(g) for g in S.gens]}
     if S.labels is not None:
         out["labels"] = list(S.labels)
     if S.degree_scale != 1:

@@ -29,17 +29,15 @@ class ZeroParameter(ValueError):
 class Semigroup:
     """Finitely generated subsemigroup of Z^(1+r), given by its generators.
 
-    `degree_coord` marks the grading coordinate (entries there must be
-    positive); pass None for an ungraded generator set (e.g. images of the
-    orthant embedding, which are graded by total degree instead).
+    The first coordinate is the degree: its entries must be positive.
     `degree_scale` records how many original degree units one unit of the
     degree coordinate stands for; Veronese re-gradings set it so normalized
     value polytopes stay put.
     """
 
-    __slots__ = ("gens", "degree_coord", "labels", "degree_scale")
+    __slots__ = ("gens", "labels", "degree_scale")
 
-    def __init__(self, gens: Sequence[Sequence[int]], degree_coord: int | None = 0,
+    def __init__(self, gens: Sequence[Sequence[int]],
                  labels: Sequence[str] | None = None, degree_scale: int = 1):
         seen = []
         kept_labels = []
@@ -55,15 +53,10 @@ class Semigroup:
         n = len(seen[0])
         if any(len(g) != n for g in seen):
             raise DimensionMismatch("generators of unequal length")
-        if degree_coord is not None:
-            if not 0 <= degree_coord < n:
-                raise ValueError("degree coordinate out of range")
-            for g in seen:
-                if g[degree_coord] <= 0:
-                    raise ValueError(
-                        f"generator {g} has nonpositive degree entry")
+        for g in seen:
+            if g[0] <= 0:
+                raise ValueError(f"generator {g} has nonpositive degree entry")
         self.gens = tuple(seen)
-        self.degree_coord = degree_coord
         self.labels = tuple(kept_labels) if labels_in is not None else None
         if degree_scale < 1:
             raise ValueError("degree_scale must be positive")
@@ -74,20 +67,18 @@ class Semigroup:
         return len(self.gens[0])
 
     def degrees(self):
-        return tuple(g[self.degree_coord] for g in self.gens)
+        return tuple(g[0] for g in self.gens)
 
     def value_parts(self):
         """Generators with the degree coordinate removed."""
-        d = self.degree_coord
-        return tuple(tuple(x for i, x in enumerate(g) if i != d) for g in self.gens)
+        return tuple(g[1:] for g in self.gens)
 
     def __eq__(self, other):
         return (isinstance(other, Semigroup) and set(self.gens) == set(other.gens)
-                and self.degree_coord == other.degree_coord
                 and self.degree_scale == other.degree_scale)
 
     def __repr__(self):
-        return f"Semigroup({list(self.gens)}, degree_coord={self.degree_coord})"
+        return f"Semigroup({list(self.gens)})"
 
 
 class PolytopeQ:
@@ -304,8 +295,6 @@ def delta_polytope(S: Semigroup) -> PolytopeQ:
     For finitely generated graded input this is always a polytope; with
     degree-one generators it is the hull of the value vectors themselves.
     """
-    if S.degree_coord is None:
-        raise ValueError("semigroup has no degree coordinate")
     values = S.value_parts()
     degs = S.degrees()
     pts = [tuple(Fraction(x, n * S.degree_scale) for x in a)
@@ -323,11 +312,8 @@ def veronese(S: Semigroup, n: int) -> Semigroup:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if S.degree_coord is None:
-        raise ValueError("semigroup has no degree coordinate")
     if n == 1:
         return S
-    d = S.degree_coord
     sums = set()
 
     def rec(start, total, acc):
@@ -336,29 +322,23 @@ def veronese(S: Semigroup, n: int) -> Semigroup:
             return
         for i in range(start, len(S.gens)):
             g = S.gens[i]
-            if total + g[d] <= n:
-                rec(i, total + g[d], tuple(a + b for a, b in zip(acc, g)))
+            if total + g[0] <= n:
+                rec(i, total + g[0], tuple(a + b for a, b in zip(acc, g)))
 
     rec(0, 0, (0,) * S.ambient_dim)
     if not sums:
         raise ValueError(f"no semigroup elements of degree {n}")
-    out = []
-    for s in sorted(sums):
-        v = list(s)
-        v[d] //= n
-        out.append(tuple(v))
-    return Semigroup(out, degree_coord=d, degree_scale=S.degree_scale * n)
+    out = [(s[0] // n,) + s[1:] for s in sorted(sums)]
+    return Semigroup(out, degree_scale=S.degree_scale * n)
 
 
 def embed_semigroup(S: Semigroup):
-    """(N, image) for the embedding (1, a) -> (N - sum a, a) into the orthant.
+    """(N, images) for the embedding (1, a) -> (N - sum a, a) into the orthant.
 
     Requires degree-one generators with nonnegative value entries.  N is the
-    maximum total value degree (at least 1); images are graded by total
-    degree, each summing to N.
+    maximum total value degree (at least 1); `images` holds one image vector
+    per generator, in generator order, each summing to N.
     """
-    if S.degree_coord is None:
-        raise ValueError("semigroup has no degree coordinate")
     if any(n != 1 for n in S.degrees()):
         raise NotDegreeOneGenerated("apply veronese first")
     values = S.value_parts()
@@ -369,13 +349,7 @@ def embed_semigroup(S: Semigroup):
     N = max((sum(a) for a in values), default=0)
     if N == 0:
         N = 1
-    images = []
-    d = S.degree_coord
-    for g in S.gens:
-        v = (g[d],) + tuple(x for i, x in enumerate(g) if i != d)
-        images.append(embed_degree_one_vector(N, v))
-    image = Semigroup(images, degree_coord=None, labels=S.labels)
-    return N, image
+    return N, tuple(embed_degree_one_vector(N, g) for g in S.gens)
 
 
 def torus_point(A: IntMatrix, t: Sequence[Fraction]):

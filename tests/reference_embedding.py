@@ -59,7 +59,7 @@ def reference_search(J: Ideal, M: IntMatrix, convention: str = MIN) -> dict:
     if any(x != 1 for x in M.entries[0]):
         raise VerificationFailed("degree_one",
                                  "degree row must be all ones; apply veronese first")
-    S = Semigroup(M.columns(), degree_coord=0, labels=J.vars)
+    S = Semigroup(M.columns(), labels=J.vars)
     N, _ = embed_semigroup(S)
     cvecs = [embed_degree_one_vector(N, col) for col in M.columns()]
     r_plus_1 = len(cvecs[0])

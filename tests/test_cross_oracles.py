@@ -31,6 +31,7 @@ from toricdeg import fixtures as fx
 from toricdeg import groebner, toric
 from toricdeg.degeneration import (
     NoIndependentSubset,
+    _columns_independent,
     _finite,
     _vertex_classes,
     embed_value_semigroup,
@@ -355,13 +356,19 @@ def _degree_one_matrices(draw, unique=True):
 @given(M=_degree_one_matrices(unique=False))
 def test_vertex_classes_decide_finiteness_over_every_subset(M):
     # embed reads finiteness of k[x]/I_M over k[x_T] off the value polytope;
-    # the oracle reads it off a reduced basis of I_M + (x_T)
+    # the oracle reads it off a reduced basis of I_M + (x_T).  Over T with
+    # independent columns it is also "one column at each vertex", which is
+    # why embed may try the vertex-column subsets first
     vars = tuple(f"x{i}" for i in range(M.cols))
     init = toric_ideal(M, vars)
     classes = _vertex_classes(M)
+    vertex_cols = set().union(*classes)
     for r in range(M.cols + 1):
         for T in itertools.combinations(range(M.cols), r):
-            assert _finite(classes, T) == _finite_over(init, T)
+            finite = _finite_over(init, T)
+            assert _finite(classes, T) == finite
+            if T and _columns_independent(M, T):
+                assert finite == (len(classes) == len(T) and set(T) <= vertex_cols)
 
 
 def _assert_embedding_matches_reference(J, M, convention=MIN):

@@ -345,10 +345,18 @@ def test_grassmannian_caterpillar_values_are_binomial_prime_under_max():
         assert not valuation_pipeline(J, M, MIN).binomial_prime
 
 
-def test_embed_gr26_caterpillar_hosts():
-    rep = embed_value_semigroup(plucker_ideal(6), caterpillar_matrix(6), MAX,
+# the first admissible host subsets; no value polytope here is a simplex
+_CATERPILLAR_HOSTS = {
+    6: (0, 1, 2, 3, 4, 5, 9, 12, 14),
+    7: (0, 1, 2, 3, 4, 5, 6, 11, 15, 18, 20),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_CATERPILLAR_HOSTS))
+def test_embed_gr2n_caterpillar_hosts(n):
+    rep = embed_value_semigroup(plucker_ideal(n), caterpillar_matrix(n), MAX,
                                 degree_bound=2)
-    assert rep.independent_vars == (0, 1, 2, 3, 4, 5, 9, 12, 14)
+    assert rep.independent_vars == _CATERPILLAR_HOSTS[n]
     assert not rep.finiteness_certified
 
 

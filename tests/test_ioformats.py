@@ -67,11 +67,11 @@ def test_matrix_roundtrip(tmp_path: Path):
 
 
 def test_semigroup_json_roundtrip():
-    S = Semigroup([(1, 0), (1, 1), (1, 3)], degree_coord=0,
+    S = Semigroup([(1, 0), (1, 1), (1, 3)],
                   labels=("y", "x", "z"))
     assert semigroup_to_json(S) == {
         "degree_coord": 0, "gens": [[1, 0], [1, 1], [1, 3]],
         "labels": ["y", "x", "z"]}
-    V = Semigroup([(1, 0), (1, 9)], degree_coord=0, degree_scale=3)
+    V = Semigroup([(1, 0), (1, 9)], degree_scale=3)
     assert semigroup_to_json(V) == {
         "degree_coord": 0, "gens": [[1, 0], [1, 9]], "degree_scale": 3}

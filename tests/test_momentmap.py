@@ -141,7 +141,7 @@ def test_sampling_seed_determinism():
 
 def test_elliptic_image_fills_interval():
     samples = sample_moment_image(ELLIPTIC_A, 2000, seed=42)
-    D = delta_polytope(Semigroup([(1, 0), (1, 1), (1, 3)], degree_coord=0))
+    D = delta_polytope(Semigroup([(1, 0), (1, 1), (1, 3)]))
     res = image_vs_polytope(samples, D, 1e-9)
     assert res["inside_fraction"] == 1.0
     assert res["coverage_gap"] < 0.2
@@ -191,7 +191,7 @@ def test_svg_outline_only(tmp_path: Path):
 
 def test_svg_deterministic_bytes(tmp_path: Path):
     samples = sample_moment_image(ELLIPTIC_A, 50, seed=5)
-    D = delta_polytope(Semigroup([(1, 0), (1, 1), (1, 3)], degree_coord=0))
+    D = delta_polytope(Semigroup([(1, 0), (1, 1), (1, 3)]))
     p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
     emit_svg(samples, D, (0, 0), str(p1))
     emit_svg(samples, D, (0, 0), str(p2))
@@ -203,7 +203,7 @@ def test_svg_planar_projection(tmp_path: Path):
     # project the six translated cluster values to their first two coordinates
     gens = [(1, 2, 1, 1, 1, 1), (1, 1, 2, 1, 1, 1), (1, 1, 1, 2, 1, 1),
             (1, 1, 1, 1, 2, 1), (1, 1, 0, 2, 2, 1), (1, 1, 1, 1, 1, 2)]
-    S = Semigroup(gens, degree_coord=0)
+    S = Semigroup(gens)
     D = delta_polytope(S)
     A = IntMatrix.from_columns([g[1:] for g in gens])
     samples = sample_moment_image(A, 200, seed=3)
