@@ -23,7 +23,6 @@ from .degeneration import (
     valuation_pipeline,
 )
 from .groebner import Ideal, buchberger, initial_ideal
-from .intlat import NoCertificate
 from .ioformats import (
     ideal_to_json,
     ideal_to_text,
@@ -330,7 +329,7 @@ def main(argv=None) -> int:
             UnknownVariable, KeyError, ValueError, DegreeOverflow) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (VerificationFailed, NoIndependentSubset, NoCertificate) as e:
+    except (VerificationFailed, NoIndependentSubset) as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return 2
 

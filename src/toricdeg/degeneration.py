@@ -189,7 +189,6 @@ def valuation_pipeline(J: Ideal, M: IntMatrix, convention: str = MIN) -> Pipelin
     rows_min = to_min(M.rows_list(), convention)
     if M.cols != len(J.vars):
         raise DimensionMismatch("one matrix column per variable required")
-    homogeneous_grading(J)
     w_min, init = weight_from_matrix(J, IntMatrix(rows_min))
     w_min = tuple(w_min)
     (w,) = to_min([w_min], convention)
@@ -236,8 +235,8 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
     degree by degree.  The subsets are generated in that order, none of them
     stored: the vertex-column sets in index order, then the others.
 
-    The kernel of the induced ring map is toric_ideal(cvecs), with no
-    elimination:
+    The kernel of the induced ring map is the pipeline's toric ideal over
+    fresh variable names, with no elimination and no second toric ideal:
     1. The pipeline has verified in_M(J) = I_M; with an all-ones degree row,
        A_hat = M.
     2. The host columns T are independent (_columns_independent), so distinct
@@ -249,7 +248,15 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
        out.  Hence k[x_T] -> k[x]/J is injective.
     4. Every image is a monomial in the hosts, so the kernel is the toric
        ideal of the image exponents, which is toric_ideal(cvecs): the unused
-       coordinates are zero rows.
+       coordinates are zero rows.  Each cvec is (N - sum a, a) = E (1, a)
+       for the square matrix E with first row (N, -1, ..., -1) above the
+       identity, and det E = N is nonzero.  So the matrix of cvecs is E M,
+       whose integer kernel is ker M, the kernel of homogenize_matrix(M)
+       (valuation_pipeline).  A toric ideal is the ideal of its saturated
+       kernel lattice, and its reduced basis depends only on that lattice
+       and the order of the variables, so toric_ideal(cvecs) is pipe.toric
+       with each variable renamed, position for position, to its fresh
+       source name.
 
     finiteness_certified says k[x]/in_M(J) is finite over k[x_T], with no
     Groebner basis:
@@ -316,7 +323,11 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
 
     labels = J.vars
     source_vars = _fresh_source_names(labels, J.vars)
-    K = toric_ideal(IntMatrix.from_columns(cvecs), source_vars)
+    toric_basis = reduced_basis(pipe.toric)
+    G = GroebnerBasis([Polynomial._trusted(source_vars, g.terms)
+                       for g in toric_basis.elements],
+                      toric_basis.order, toric_basis.leads)
+    K = _with_basis(G, source_vars, pipe.toric.grading)
     degrees = range(degree_bound + 1)
     dims = list(zip(degrees, _graded_dimensions(J, degrees),
                     _graded_dimensions(K, degrees)))
@@ -325,7 +336,7 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
             raise VerificationFailed("dims", f"degree {m}: {dR} != {dS}")
     images = {label: e for label, e in zip(labels, images_exp)}
     # reported without a grading, as the kernel of a map into k[x]/J
-    kernel = _with_basis(reduced_basis(K), source_vars, None)
+    kernel = _with_basis(G, source_vars, None)
     return EmbeddingReport(tuple(sorted(T)), tuple(hosts), N, images, kernel,
                            tuple(dims), _finite(vertex_classes, T), cone)
 
@@ -347,7 +358,7 @@ def _finite(vertex_classes, T) -> bool:
 
 
 def _columns_independent(M: IntMatrix, T) -> bool:
-    sub = IntMatrix([list(M.column(i)) for i in T])
+    sub = IntMatrix._trusted([M.column(i) for i in T])
     return sub.rank() == len(T)
 
 

@@ -25,10 +25,6 @@ class NTooSmall(ValueError):
     """Embedding bound N too small: an image entry would be negative."""
 
 
-class NoCertificate(RuntimeError):
-    """No single weight vector certified the matrix refinement within bounds."""
-
-
 class IntMatrix:
     """Immutable rectangular matrix of arbitrary-precision integers."""
 
@@ -50,6 +46,16 @@ class IntMatrix:
         self.cols = w
 
     @classmethod
+    def _trusted(cls, rows) -> "IntMatrix":
+        """Adopt `rows` without checks: the caller guarantees a nonempty
+        iterable of equal-length rows of ints, built from checked entries."""
+        A = cls.__new__(cls)
+        A.entries = tuple(map(tuple, rows))
+        A.rows = len(A.entries)
+        A.cols = len(A.entries[0])
+        return A
+
+    @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]]) -> "IntMatrix":
         cols = [tuple(c) for c in columns]
         return cls([[c[i] for c in cols] for i in range(len(cols[0]))])
@@ -64,16 +70,17 @@ class IntMatrix:
         return [self.column(j) for j in range(self.cols)]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix([[self.entries[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)])
+        if not self.cols:
+            raise ValueError("matrix must have at least one row")
+        return IntMatrix._trusted(zip(*self.entries))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch("inner dimensions do not match")
-        return IntMatrix([[sum(self.entries[i][k] * other.entries[k][j]
-                               for k in range(self.cols))
-                           for j in range(other.cols)]
-                          for i in range(self.rows)])
+        return IntMatrix._trusted([[sum(self.entries[i][k] * other.entries[k][j]
+                                        for k in range(self.cols))
+                                    for j in range(other.cols)]
+                                   for i in range(self.rows)])
 
     def apply(self, v: Sequence[int]):
         if len(v) != self.cols:
@@ -165,7 +172,7 @@ def hermite_normal_form(A: IntMatrix):
             r += 1
             if r == m:
                 break
-    return IntMatrix(H), IntMatrix(U)
+    return IntMatrix._trusted(H), IntMatrix._trusted(U)
 
 
 def kernel_lattice(A: IntMatrix):
@@ -191,7 +198,7 @@ def homogenize_matrix(A: IntMatrix) -> IntMatrix:
     new_row = [c - s for s in sums]
     if any(x < 0 for x in new_row):
         raise NegativeEntryUnresolvable("no nonnegative completion row")
-    return IntMatrix([new_row] + A.rows_list())
+    return IntMatrix._trusted([new_row] + A.rows_list())
 
 
 def embed_degree_one_vector(N: int, v: Sequence[int]):
@@ -206,38 +213,50 @@ def embed_degree_one_vector(N: int, v: Sequence[int]):
     return (c0,) + a
 
 
-def weight_from_matrix(J: "groebner.Ideal", M: IntMatrix, max_doublings: int = 40):
-    """(w, in_M(J)): a single weight vector w with in_w(J) = in_M(J),
-    certified, and that initial ideal in canonical form; M and w are in the
-    min convention.
-
-    w = sum_k B^(d-k) * row_k for the smallest B in {2, 4, 8, ...} whose
-    weight separations match the matrix refinement on the marked reduced
-    basis; the identity of the two initial ideals is then verified outright
-    (reduced-basis equality) before returning.  in_M(J) is read off the
-    initial forms of the one WeightOrder(M) basis.  A one-row M is its own
+def weight_from_matrix(J: "groebner.Ideal", M: IntMatrix):
+    """(w, in_M(J)): a single weight vector w with in_w(J) = in_M(J), and
+    that initial ideal in canonical form, for J homogeneous (NotHomogeneous
+    otherwise); M and w are in the min convention.  A one-row M is its own
     weight.
+
+    w = sum_k B^(d-1-k) * row_k for the first B in 2, 4, 8, ... for which w
+    splits each element g of G, J's reduced basis under WeightOrder(M), the
+    way the rows do: initial_form(g, w) and initial_form_rows(g, M) have the
+    same terms.  Only that one Groebner basis is computed; in_M(J) is read
+    off its initial forms.
+
+    Why the split certifies w (Sturmfels 1996, Groebner Bases and Convex
+    Polytopes, ch. 1).  Let <_M be WeightOrder(M) and <_w the order of w
+    refined by the same tie-break.  The w-initial terms of g are its
+    M-initial terms, which tie under every row and so under w; hence <_w
+    and <_M pick the same lead of g.  J is homogeneous, so both orders can
+    be read degree by degree, where each is a term order, and every initial
+    ideal of J has J's Hilbert function.  The leads of G generate
+    in_<_M(J) and lie in in_<_w(J); with equal Hilbert functions the two
+    ideals are equal, so G is a Groebner basis for <_w as well.  Hence
+    in_w(J) = <in_w(g) : g in G> = <in_M(g) : g in G> = in_M(J).
+
+    Why the loop ends.  Once B exceeds every |row_k . (e - e')| over pairs of
+    terms e, e' of one element of G, w . (e - e') is a base-B expansion
+    whose sign is that of its first nonzero digit row_k . (e - e'), so w
+    compares those terms as the rows do, and the splits agree.
     """
     if M.cols != len(J.vars):
         raise DimensionMismatch("one matrix column per ideal variable required")
+    groebner.homogeneous_grading(J)
     rows = M.rows_list()
     d = len(rows)
     G = groebner.buchberger(J, WeightOrder(rows))
     init_M = groebner._weight_initial(J, G, rows)
     if d == 1:
         return rows[0], init_M
-
     B = 2
-    for _ in range(max_doublings):
+    while True:
         w = [sum(B ** (d - 1 - k) * rows[k][j] for k in range(d))
              for j in range(M.cols)]
         if _splits_agree(G, rows, w):
-            init_w = groebner.initial_ideal(J, w)
-            if groebner.same_ideal(init_w, init_M):
-                return w, init_M
+            return w, init_M
         B *= 2
-    raise NoCertificate(
-        f"no certified weight within {max_doublings} doublings")
 
 
 def _splits_agree(G, rows, w) -> bool:

@@ -4,7 +4,9 @@
 the leads of one reduced basis, and `reference_search` is the host search
 that tries every subset of variables with that test, both as toricdeg
 shipped them.  `embed_value_semigroup` reads finiteness off the value
-polytope instead; the tests compare the two.
+polytope instead; the tests compare the two.  `reference_kernel` is the
+kernel as embed built it before it renamed the pipeline's toric ideal: a
+second toric ideal, of the embedded columns.
 
 Also here: the Gr(2,n) Pluecker ideal with its caterpillar-tree matrix, and
 the graded embedding matrix that `embed_degree_one_vector` applies.
@@ -28,7 +30,7 @@ from toricdeg.degeneration import (
 from toricdeg.groebner import Ideal, initial_ideal, reduced_basis
 from toricdeg.intlat import IntMatrix, embed_degree_one_vector
 from toricdeg.polycore import MIN, Grading, Polynomial, parse_polynomial
-from toricdeg.toric import Semigroup, embed_semigroup, is_vertex
+from toricdeg.toric import Semigroup, embed_semigroup, is_vertex, toric_ideal
 
 
 def _finite_over(init: Ideal, T) -> bool:
@@ -101,6 +103,13 @@ def reference_search(J: Ideal, M: IntMatrix, convention: str = MIN) -> dict:
         "finiteness_certified": finite_ok,
         "cone_initial": cone,
     }
+
+
+def reference_kernel(M: IntMatrix, N: int, names) -> Ideal:
+    """toric_ideal of the columns (N - sum a, a) of the degree-one matrix M,
+    over `names`."""
+    cvecs = [embed_degree_one_vector(N, col) for col in M.columns()]
+    return toric_ideal(IntMatrix.from_columns(cvecs), names)
 
 
 def plucker_ideal(n: int) -> Ideal:

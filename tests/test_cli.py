@@ -404,14 +404,15 @@ def test_fiber_zero_denominator_exit_1(tmp_path, capsys):
     _assert_one_line_error(capsys, "error:")
 
 
-@pytest.mark.parametrize("command", ["pipeline", "embed"])
-def test_no_weight_certificate_exit_2(tmp_path, capsys, command):
-    # entries of 2^50 push the certifying weight past its doubling budget
-    ideal, _ = _write_elliptic(tmp_path)
+def test_pipeline_certifies_weights_with_large_entries(tmp_path, capsys):
+    # the weight's B reaches 2^50, past any fixed budget of forty doublings
+    ideal = tmp_path / "line.ideal"
+    ideal.write_text("vars: x,y\nx - y\n")
     matrix = tmp_path / "huge.json"
-    matrix.write_text("[[1,0,0],[0,1125899906842624,0]]\n")
-    assert cli.main([command, "--in", ideal, "--matrix", str(matrix)]) == 2
-    _assert_one_line_error(capsys, "verification failure:")
+    matrix.write_text("[[0,1],[1000000000000000,0]]\n")
+    assert cli.main(["pipeline", "--in", str(ideal), "--matrix", str(matrix)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["w"] == [10**15, 2**50]
 
 
 def test_weight_order_requires_w(tmp_path, capsys):

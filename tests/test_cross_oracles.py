@@ -3,7 +3,8 @@
 Where an operation has two independent computation paths (variable-wise
 content saturation vs elimination, ring-map kernels vs lattice ideals,
 the embedding's kernel vs ring-map kernels, its host search vs enumeration
-with a Groebner finiteness test, certified weights vs matrix refinements)
+with a Groebner finiteness test, certified weights vs matrix refinements
+and vs the weight selection verified by a second basis)
 the routes are compared on random inputs; sympy supplies an
 outside implementation for Groebner bases and Hermite normal forms.
 """
@@ -24,6 +25,7 @@ from reference_embedding import (
     plucker_ideal,
     reference_search,
 )
+from reference_weight import reference_weight_from_matrix
 from sympy import symbols
 from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
 
@@ -64,6 +66,7 @@ from toricdeg.polycore import (
     Lex,
     Polynomial,
     format_polynomial,
+    to_min,
 )
 from toricdeg.toric import toric_ideal
 
@@ -581,4 +584,27 @@ def test_weight_certificates_on_random_matrices():
         # the contract: certified equality of the two initial ideals
         assert same_ideal(initial_ideal(J, w), initial_ideal(J, M))
         assert same_ideal(init_M, initial_ideal(J, M))
+        _assert_weight_matches_reference(J, M)
         done += 1
+
+
+def _assert_weight_matches_reference(J, M):
+    """The split-only selection returns the w and the canonical initial
+    ideal of the selection that also verified each w by a second basis."""
+    w, init = weight_from_matrix(J, M)
+    w_ref, init_ref = reference_weight_from_matrix(J, M)
+    assert w == w_ref
+    assert init.gens == init_ref.gens and init.grading == init_ref.grading
+
+
+def test_weight_certificates_match_the_verified_selection_on_fixtures():
+    cases = [
+        (fx.elliptic_ideal(), fx.elliptic_matrix(), MIN),
+        (fx.twisted_cubic_ideal(), fx.twisted_cubic_matrix(), MIN),
+        (fx.gr24_ideal(), fx.gr24_gvector_matrix(), MIN),
+        (fx.gr24_ideal(), fx.gr24_plabic_matrix(), MIN),
+        (fx.gr25_ideal(), fx.gr25_matrix(), fx.GR25_CONVENTION),
+    ]
+    for J, M, convention in cases:
+        _assert_weight_matches_reference(
+            J, IntMatrix(to_min(M.rows_list(), convention)))

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_embedding import caterpillar_matrix, plucker_ideal
+from reference_embedding import caterpillar_matrix, plucker_ideal, reference_kernel
 
 from toricdeg import fixtures as fx
 from toricdeg.degeneration import (
@@ -256,11 +256,10 @@ def test_embed_elliptic_full_report():
 
 
 def test_embed_kernel_runs_no_buchberger_of_its_own(monkeypatch):
-    # the reported kernel adopts the reduced basis toric_ideal(cvecs) holds,
-    # so over the kernel's ring embed makes exactly toric_ideal's calls
+    # the reported kernel is the pipeline's toric ideal renamed, so embed
+    # runs no Buchberger over the kernel's ring, and the kernel equals the
+    # toric ideal of the embedded columns
     from toricdeg import degeneration, groebner
-    from toricdeg.intlat import embed_degree_one_vector
-    from toricdeg.toric import toric_ideal
     rings = []
     bb = groebner.buchberger
 
@@ -273,12 +272,27 @@ def test_embed_kernel_runs_no_buchberger_of_its_own(monkeypatch):
     M = fx.elliptic_matrix()
     rep = embed_value_semigroup(fx.elliptic_ideal(), M, MIN, degree_bound=5)
     source = rep.kernel_check.vars
-    in_embed = rings.count(source)
-    rings.clear()
-    cvecs = [embed_degree_one_vector(rep.N, col) for col in M.columns()]
-    K = toric_ideal(IntMatrix.from_columns(cvecs), source)
-    assert in_embed == rings.count(source) >= 1
+    assert source not in rings
+    K = reference_kernel(M, rep.N, source)
     assert rep.kernel_check.gens == K.gens and rep.kernel_check.grading is None
+
+
+def test_embed_builds_one_toric_ideal(monkeypatch):
+    # the pipeline's toric ideal is the only one: embed renames it
+    from toricdeg import degeneration
+    calls = []
+    toric_ideal = degeneration.toric_ideal
+
+    def spy(A, names):
+        calls.append(names)
+        return toric_ideal(A, names)
+
+    monkeypatch.setattr(degeneration, "toric_ideal", spy)
+    for J, M, convention in [(fx.gr24_ideal(), fx.gr24_gvector_matrix(), MIN),
+                             (plucker_ideal(5), caterpillar_matrix(5), MAX)]:
+        calls.clear()
+        embed_value_semigroup(J, M, convention, degree_bound=2)
+        assert calls == [J.vars]
 
 
 def test_embed_identity_map():
@@ -354,10 +368,12 @@ _CATERPILLAR_HOSTS = {
 
 @pytest.mark.parametrize("n", sorted(_CATERPILLAR_HOSTS))
 def test_embed_gr2n_caterpillar_hosts(n):
-    rep = embed_value_semigroup(plucker_ideal(n), caterpillar_matrix(n), MAX,
-                                degree_bound=2)
+    M = caterpillar_matrix(n)
+    rep = embed_value_semigroup(plucker_ideal(n), M, MAX, degree_bound=2)
     assert rep.independent_vars == _CATERPILLAR_HOSTS[n]
     assert not rep.finiteness_certified
+    K = reference_kernel(M, rep.N, rep.kernel_check.vars)
+    assert rep.kernel_check.gens == K.gens
 
 
 def test_embed_caterpillar_with_dependent_rows_has_no_independent_subset(

@@ -8,10 +8,15 @@ import random
 import pytest
 from reference_embedding import graded_embedding_matrix
 
-from toricdeg.groebner import Ideal, canonical, initial_ideal, same_ideal
+from toricdeg.groebner import (
+    Ideal,
+    NotHomogeneous,
+    canonical,
+    initial_ideal,
+    same_ideal,
+)
 from toricdeg.intlat import (
     IntMatrix,
-    NoCertificate,
     NTooSmall,
     embed_degree_one_vector,
     hermite_normal_form,
@@ -41,6 +46,22 @@ def test_hnf_identity():
     A = IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     H, U = hermite_normal_form(A)
     assert H == A and U == A
+
+
+def test_derived_matrices_skip_checks_but_keep_their_shape():
+    # transpose, mul, HNF and homogenization build from checked entries
+    # without re-checking them; a matrix with no columns still has no
+    # transpose, and outside input keeps every check
+    A = IntMatrix([[1, 2, 3], [4, 5, 6]])
+    assert A.transpose() == IntMatrix([[1, 4], [2, 5], [3, 6]])
+    assert A.mul(A.transpose()) == IntMatrix([[14, 32], [32, 77]])
+    assert homogenize_matrix(A) == IntMatrix([[4, 2, 0], [1, 2, 3], [4, 5, 6]])
+    H, U = hermite_normal_form(A)
+    assert U.mul(A) == H and isinstance(H.entries[0], tuple)
+    with pytest.raises(ValueError, match="at least one row"):
+        IntMatrix([[]]).transpose()
+    with pytest.raises(ValueError, match="not an integer"):
+        IntMatrix([[1, 0.5]])
 
 
 def test_hnf_gcd_pivot():
@@ -198,7 +219,9 @@ def test_weight_from_gr24_matrix():
 
 
 def test_weight_from_matrix_one_matrix_order_basis(monkeypatch):
-    # the matrix-order basis gives both the splitting check and in_M(J)
+    # the matrix-order basis gives both the splitting check and in_M(J): the
+    # one Groebner basis of J is under WeightOrder(M), and no second one
+    # under w verifies the split
     from toricdeg import groebner
     from toricdeg.polycore import WeightOrder
     vars = ("p12", "p13", "p14", "p23", "p24", "p34")
@@ -206,25 +229,47 @@ def test_weight_from_matrix_one_matrix_order_basis(monkeypatch):
               grading=Grading.standard(6))
     M = IntMatrix([[1, 1, 1, 1, 1, 1], [0, 1, 0, 1, 2, 3], [1, 0, 2, 0, 1, 1]])
     rows = tuple(tuple(r) for r in M.rows_list())
-    matrix_orders = []
+    orders_on_J = []
     bb = groebner.buchberger
 
     def spy(I, order=None, **kwargs):
-        if isinstance(order, WeightOrder) and order.rows == rows:
-            matrix_orders.append(order)
+        if I is J:
+            orders_on_J.append(order)
         return bb(I, order, **kwargs)
 
     monkeypatch.setattr(groebner, "buchberger", spy)
     w, init_M = weight_from_matrix(J, M)
-    assert len(matrix_orders) == 1
+    assert len(orders_on_J) == 1
+    assert isinstance(orders_on_J[0], WeightOrder) and orders_on_J[0].rows == rows
     monkeypatch.setattr(groebner, "buchberger", bb)
     assert same_ideal(initial_ideal(J, w), initial_ideal(J, M))
     assert same_ideal(init_M, initial_ideal(J, M))
 
 
 def test_weight_certification_bound():
+    # the doubling stops at the latest at the first B above every
+    # |row_k . (e - e')| within a basis element: here 10^15, so B = 2^50,
+    # past the forty doublings the verified selection allowed
     vars = ("x", "y")
     J = Ideal([parse_polynomial("x^2 - y^2", vars)], vars)
-    M = IntMatrix([[1, 1], [0, 1]])
-    with pytest.raises(NoCertificate):
-        weight_from_matrix(J, M, max_doublings=0)
+    assert weight_from_matrix(J, IntMatrix([[1, 1], [0, 1]]))[0] == [2, 3]
+    J = Ideal([parse_polynomial("x - y", vars)], vars)
+    w, init = weight_from_matrix(J, IntMatrix([[0, 1], [10**15, 0]]))
+    assert w == [10**15, 2**50]
+    assert same_ideal(init, canonical(Ideal([parse_polynomial("x", vars)], vars)))
+    assert same_ideal(initial_ideal(J, w), init)
+
+
+def test_weight_from_matrix_requires_homogeneous(monkeypatch):
+    # the split certifies w only for homogeneous J, so no basis is computed
+    # for any other
+    from toricdeg import groebner
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Buchberger ran on non-homogeneous input")
+
+    monkeypatch.setattr(groebner, "buchberger", refuse)
+    vars = ("x", "y")
+    J = Ideal([parse_polynomial("x^2 - y", vars)], vars)
+    with pytest.raises(NotHomogeneous):
+        weight_from_matrix(J, IntMatrix([[1, 1], [0, 1]]))
