@@ -2,8 +2,11 @@
 sampled images against exact polytopes, and SVG scatter output.
 
 This is the only module that leaves exact arithmetic: the map
-mu([z]) = sum |z_j|^2 a_j / |z|^2 is real-analytic, so samples are doubles
-and polytopes are evaluated in floats only at the comparison boundary.
+mu([z]) = sum |z_j|^2 a_j / |z|^2 is real-analytic, so samples are doubles.
+A sample keeps the convex weights it was computed from, and its containment
+in an exact polytope of dimension >= 2 is proved from those weights in exact
+arithmetic; the interval test in dimension 1 and the coverage gap are made
+in floats.
 Sampling uses numpy's PCG64 generator; the contract is bit-for-bit
 determinism for a fixed seed within one build.
 """
@@ -31,6 +34,8 @@ class ZeroVector(ValueError):
 class MomentSample:
     value: tuple      # mu in R^r
     source_t: tuple   # the torus parameter (complex numbers) that produced it
+    weights: tuple = ()   # unnormalized nonnegative weights, one per column
+    columns: tuple = ()   # A's integer columns, shared by a draw's samples
 
 
 def _float_rows(A: IntMatrix) -> list:
@@ -38,6 +43,8 @@ def _float_rows(A: IntMatrix) -> list:
     forms overflows (ValueError otherwise): each exponent 2 <u, a_j> is at
     most 2 * LOG_MODULUS_RANGE * rows * max |entry|, and the weighted sum of
     the columns at most cols * max |entry|."""
+    if not A.cols:
+        raise ValueError("the weight matrix needs at least one column")
     bound = sys.float_info.max / (2 * LOG_MODULUS_RANGE * A.rows * A.cols)
     if any(abs(x) > bound for r in A.entries for x in r):
         raise ValueError(f"matrix entries must be at most {bound:.3g} in "
@@ -49,6 +56,7 @@ def moment(A: IntMatrix, z: Sequence[complex]):
     """mu([z]) = (1/|z|^2) * sum_j |z_j|^2 a_j, columns of A as weights."""
     import numpy as np
 
+    weights = np.array(_float_rows(A))
     if len(z) != A.cols:
         raise DimensionMismatch("one coordinate per weight column required")
     zz = np.asarray(z, dtype=complex)
@@ -56,7 +64,6 @@ def moment(A: IntMatrix, z: Sequence[complex]):
     total = norms.sum()
     if total == 0.0:
         raise ZeroVector("zero projective vector")
-    weights = np.array(_float_rows(A))
     return tuple(float(x) for x in (weights @ norms) / total)
 
 
@@ -69,6 +76,9 @@ def sample_moment_image(A: IntMatrix, n: int, seed: int):
     so mu = A softmax(2 u A) depends on |t| only.  It is evaluated in the
     log domain, shifted by each sample's largest exponent, so no matrix
     entry overflows it; the phases only make up each sample's source_t.
+    Each sample also carries its row of shifted exponentials as `weights`
+    and A's columns as `columns`: mu is their convex combination, which
+    `image_vs_polytope` uses as its containment certificate.
     """
     import numpy as np
 
@@ -86,16 +96,53 @@ def sample_moment_image(A: IntMatrix, n: int, seed: int):
     source_t = [tuple(math.exp(x) * complex(math.cos(p), math.sin(p))
                       for x, p in zip(us, ps))
                 for us, ps in zip(u.tolist(), phase.tolist())]
-    return [MomentSample(tuple(v), t) for v, t in zip(values.tolist(), source_t)]
+    columns = tuple(A.columns())
+    return [MomentSample(tuple(v), t, tuple(w), columns)
+            for v, t, w in zip(values.tolist(), source_t, norms.tolist())]
+
+
+def _certified(s: MomentSample, slack: Fraction) -> bool:
+    """Do the sample's own weights put its value within slack (sup-norm) of
+    conv(s.columns)?  With n_j = Fraction(weights[j]) >= 0 and
+    N = sum n_j > 0 the check is |sum_j n_j c_j - N mu|_inf <= N slack,
+    made exactly in integers: n_j = m_j / D over the weights' least common
+    denominator D, mu_i = p_i / q_i and slack = a / b, so multiplying by
+    D q_i b > 0 gives b |q_i sum_j m_j c_ji - M p_i| <= M q_i a, M = sum m_j.
+    """
+    ratios = [w.as_integer_ratio() for w in s.weights]
+    den = math.lcm(*(d for _, d in ratios))
+    m = [k * (den // d) for k, d in ratios]
+    total = sum(m)
+    if len(m) != len(s.columns) or total <= 0 or min(m) < 0:
+        return False
+    a, b = slack.numerator, slack.denominator
+    for i, x in enumerate(s.value):
+        p, q = x.as_integer_ratio()
+        acc = sum(mj * c[i] for mj, c in zip(m, s.columns))
+        if b * abs(q * acc - total * p) > total * q * a:
+            return False
+    return True
 
 
 def image_vs_polytope(samples: Sequence[MomentSample], P: PolytopeQ, eps: float):
     """Containment and coverage of a sample cloud against an exact polytope.
 
-    inside_fraction: fraction of samples within eps of P (exact feasibility
-    on the rationalized sample).  coverage_gap: the largest distance from a
-    vertex of P to its nearest sample, by `math.dist`, which does not
-    overflow where the squared distance would.
+    inside_fraction: fraction of samples within eps of P, decided exactly on
+    the rationalized sample (in dimension 1, by a float interval test).
+    coverage_gap: the largest distance from a vertex of P to its nearest
+    sample, by `math.dist`, which does not overflow where the squared
+    distance would.
+
+    In dimension >= 2 a sample from `sample_moment_image` carries its own
+    certificate.  Every column c_j of A is decided in P once per call (a
+    vertex lookup, else one exact LP).  When all are, and the sample's
+    weights n_j >= 0 with N = sum n_j > 0 satisfy
+    |sum_j n_j c_j - N mu|_inf <= N slack exactly, then lambda = n / N is
+    >= 0 and sums to 1, so A lambda lies in conv(columns) inside P, and mu
+    lies within slack of A lambda, hence of P.  The LP `point_in_polytope`
+    would accept it, so the certificate changes no answer.  Every other
+    sample (one without weights, eps = 0, a column outside P, or a check
+    that fails) goes to that LP.
     """
     if not samples:
         raise ValueError("no samples")
@@ -114,9 +161,18 @@ def image_vs_polytope(samples: Sequence[MomentSample], P: PolytopeQ, eps: float)
             if flo - eps <= s.value[0] <= fhi + eps:
                 inside += 1
     else:
+        vertices = set(P.vertices)
+        columns_in_P = {}
         for s in samples:
-            pt = [Fraction(x) for x in s.value]
-            if point_in_polytope(pt, P, slack):
+            if slack and s.columns:
+                if s.columns not in columns_in_P:
+                    columns_in_P[s.columns] = all(
+                        len(c) == dim and (c in vertices or point_in_polytope(c, P))
+                        for c in s.columns)
+                if columns_in_P[s.columns] and _certified(s, slack):
+                    inside += 1
+                    continue
+            if point_in_polytope([Fraction(x) for x in s.value], P, slack):
                 inside += 1
     gap = 0.0
     for v in P.vertices:

@@ -169,7 +169,9 @@ def _in_hull(point, points, slack: Fraction = Fraction(0)) -> bool:
 def hull_vertices(points):
     """Irredundant subset: points not in the hull of the others."""
     uniq = list(dict.fromkeys(tuple(Fraction(x) for x in p) for p in points))
-    return [p for p in uniq if is_vertex(p, uniq)]
+    if len(uniq) == 1:
+        return uniq
+    return [p for i, p in enumerate(uniq) if not _in_hull(p, uniq[:i] + uniq[i + 1:])]
 
 
 def is_vertex(point, points) -> bool:

@@ -398,6 +398,13 @@ def test_moment_eps_not_a_distance_exit_1(tmp_path, capsys, eps):
     _assert_one_line_error(capsys, "error:")
 
 
+def test_moment_matrix_without_columns_exit_1(tmp_path, capsys):
+    m = tmp_path / "empty.json"
+    m.write_text("[[]]\n")
+    assert cli.main(["moment", "--matrix", str(m)]) == 1
+    _assert_one_line_error(capsys, "error:")
+
+
 def test_fiber_zero_denominator_exit_1(tmp_path, capsys):
     ideal, _ = _write_elliptic(tmp_path)
     assert cli.main(["fiber", "--in", ideal, "--w", "1,0,3", "--t0", "1/0"]) == 1

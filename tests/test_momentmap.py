@@ -8,7 +8,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_moment
+from toricdeg import momentmap
 from toricdeg.intlat import IntMatrix
 from toricdeg.momentmap import (
     LOG_MODULUS_RANGE,
@@ -19,7 +23,7 @@ from toricdeg.momentmap import (
     moment,
     sample_moment_image,
 )
-from toricdeg.toric import PolytopeQ, Semigroup, delta_polytope
+from toricdeg.toric import PolytopeQ, Semigroup, delta_polytope, hull_vertices
 
 ELLIPTIC_A = IntMatrix([[1, 0, 3]])
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -177,6 +181,105 @@ def test_image_vs_polytope_2d_exact_path():
     outside = MomentSample((3.0, 3.0), (1.0,))
     res = image_vs_polytope([inside, outside], P, 1e-9)
     assert res["inside_fraction"] == 0.5
+
+
+HEPTAGON = IntMatrix([[0, 1, 3, 4, 4, 2, 0], [1, 0, 0, 1, 3, 4, 3]])
+
+
+def _hull(A: IntMatrix, drop=()):
+    """PolytopeQ of the hull of A's columns, without the vertices at the
+    indices in `drop` of the hull's vertex list."""
+    verts = hull_vertices(A.columns())
+    return PolytopeQ([v for k, v in enumerate(verts) if k not in drop], A.rows)
+
+
+@st.composite
+def _certificate_cases(draw):
+    """(A, P, eps, seed): a 2- or 3-row matrix of 3-7 columns with entries of
+    either sign, P its columns' hull or that hull without one vertex, so
+    that a column lies outside P."""
+    rows = draw(st.integers(2, 3))
+    cols = draw(st.integers(3, 7))
+    A = IntMatrix([[draw(st.integers(-3, 4)) for _ in range(cols)]
+                   for _ in range(rows)])
+    verts = hull_vertices(A.columns())
+    drop = (draw(st.integers(0, len(verts) - 1)),) \
+        if len(verts) > 1 and draw(st.booleans()) else ()
+    eps = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-3]))
+    return A, _hull(A, drop), eps, draw(st.integers(0, 2**31 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_certificate_cases())
+def test_certificate_matches_lp_oracle(case):
+    A, P, eps, seed = case
+    samples = sample_moment_image(A, 12, seed)
+    res = image_vs_polytope(samples, P, eps)
+    assert res["inside_fraction"] == reference_moment.inside_fraction_by_lp(samples, P, eps)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-9])
+def test_certificate_matches_lp_oracle_without_a_vertex(eps):
+    # a vertex column outside P: samples near it are outside, and the
+    # certificate must not vouch for them
+    samples = sample_moment_image(HEPTAGON, 300, seed=11)
+    P = _hull(HEPTAGON, drop=(0,))
+    res = image_vs_polytope(samples, P, eps)
+    assert res["inside_fraction"] < 1.0
+    assert res["inside_fraction"] == reference_moment.inside_fraction_by_lp(samples, P, eps)
+
+
+def _spy_slacks(monkeypatch):
+    """The slack of every point_in_polytope call image_vs_polytope makes."""
+    slacks = []
+    real = momentmap.point_in_polytope
+
+    def spy(point, P, slack=Fraction(0)):
+        slacks.append(slack)
+        return real(point, P, slack)
+
+    monkeypatch.setattr(momentmap, "point_in_polytope", spy)
+    return slacks
+
+
+def test_certified_samples_take_no_slacked_lp(monkeypatch):
+    samples = sample_moment_image(HEPTAGON, 200, seed=3)
+    slacks = _spy_slacks(monkeypatch)
+    res = image_vs_polytope(samples, _hull(HEPTAGON), 1e-9)
+    assert res["inside_fraction"] == 1.0
+    assert not any(slacks)
+
+
+def test_eps_zero_takes_one_lp_per_sample(monkeypatch):
+    samples = sample_moment_image(HEPTAGON, 50, seed=3)
+    P = _hull(HEPTAGON)
+    slacks = _spy_slacks(monkeypatch)
+    res = image_vs_polytope(samples, P, 0.0)
+    assert len(slacks) == 50
+    assert res["inside_fraction"] == reference_moment.inside_fraction_by_lp(samples, P, 0.0)
+
+
+@pytest.mark.parametrize("value,weights,columns,vertices", [
+    # one per guard: a negative weight, no weight, more weights than
+    # columns, a column of the wrong dimension; every value lies outside P
+    ((-2.0, 0.0), (2.0, -1.0), ((0, 0), (2, 0)), [(0, 0), (2, 0), (0, 2)]),
+    ((4.0, 4.0), (0.0, 0.0), ((0, 0), (2, 0)), [(0, 0), (2, 0), (0, 2)]),
+    ((2.0, 0.0), (1.0, 1.0), ((4, 0),), [(3, 0), (4, 0), (4, 1)]),
+    ((4.0, 4.0), (1.0,), ((5, 5, 5),), [(0, 0), (2, 0), (0, 2)]),
+])
+def test_malformed_certificate_falls_back_to_lp(value, weights, columns, vertices):
+    s = MomentSample(value, (1.0,), weights, columns)
+    P = PolytopeQ(vertices, 2)
+    assert image_vs_polytope([s], P, 1e-9)["inside_fraction"] == 0.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda A: sample_moment_image(A, 5, seed=1),
+    lambda A: moment(A, []),
+])
+def test_matrix_without_columns_is_rejected(call):
+    with pytest.raises(ValueError, match="at least one column"):
+        call(IntMatrix([[]]))
 
 
 def test_svg_outline_only(tmp_path: Path):
