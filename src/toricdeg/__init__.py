@@ -36,7 +36,6 @@ from .groebner import (
 )
 from .intlat import (
     IntMatrix,
-    NTooSmall,
     hermite_normal_form,
     homogenize_matrix,
     kernel_lattice,

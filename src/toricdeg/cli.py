@@ -34,8 +34,6 @@ from .momentmap import emit_svg, image_vs_polytope, sample_moment_image
 from .polycore import (
     DegreeOverflow,
     Lex,
-    ParseError,
-    UnknownVariable,
     WeightOrder,
     _degrevlex,
     to_min,
@@ -55,16 +53,13 @@ def _print_ideal(I: Ideal, as_json: bool):
 
 
 def _order_from_flags(args, nvars: int):
-    kind = getattr(args, "order", "degrevlex") or "degrevlex"
-    if kind == "degrevlex":
+    if args.order == "degrevlex":
         return _degrevlex(nvars)
-    if kind == "lex":
+    if args.order == "lex":
         return Lex(tuple(range(nvars)))
-    if kind == "weight":
-        if not args.w:
-            raise SystemExit2("--order weight requires --w")
-        return WeightOrder(to_min([_parse_ints(args.w)], args.convention))
-    raise SystemExit2(f"unknown order {kind!r}")
+    if not args.w:
+        raise SystemExit2("--order weight requires --w")
+    return WeightOrder(to_min([_parse_ints(args.w)], args.convention))
 
 
 class SystemExit2(Exception):
@@ -325,8 +320,7 @@ def main(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         print(f"synopsis: toricdeg {args.command} --help", file=sys.stderr)
         return 1
-    except (FileNotFoundError, json.JSONDecodeError, ParseError,
-            UnknownVariable, KeyError, ValueError, DegreeOverflow) as e:
+    except (OSError, KeyError, ValueError, DegreeOverflow) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (VerificationFailed, NoIndependentSubset) as e:

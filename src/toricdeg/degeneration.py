@@ -24,12 +24,7 @@ from .groebner import (
     same_ideal,
     saturate_by_variables,
 )
-from .intlat import (
-    IntMatrix,
-    embed_degree_one_vector,
-    homogenize_matrix,
-    weight_from_matrix,
-)
+from .intlat import IntMatrix, homogenize_matrix, weight_from_matrix
 from .polycore import (
     MIN,
     MAX,
@@ -293,9 +288,10 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
     if any(x != 1 for x in M.entries[0]):
         raise VerificationFailed("degree_one",
                                  "degree row must be all ones; apply veronese first")
-    N, _ = embed_semigroup(Semigroup(M.columns()))
+    N, orthant = embed_semigroup(pipe.semigroup)
     # one image vector per variable (the semigroup deduplicates, columns may not)
-    cvecs = [embed_degree_one_vector(N, col) for col in M.columns()]
+    image_of = dict(zip(pipe.semigroup.gens, orthant))
+    cvecs = [image_of[col] for col in M.columns()]
     r_plus_1 = len(cvecs[0])
     used = tuple(sorted({j for c in cvecs for j in range(r_plus_1) if c[j] > 0}))
 
@@ -327,16 +323,16 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
     G = GroebnerBasis([Polynomial._trusted(source_vars, g.terms)
                        for g in toric_basis.elements],
                       toric_basis.order, toric_basis.leads)
-    K = _with_basis(G, source_vars, pipe.toric.grading)
+    # reported without a grading, as the kernel of a map into k[x]/J; its
+    # dims are read under the standard grading, which is pipe.toric's here
+    kernel = _with_basis(G, source_vars, None)
     degrees = range(degree_bound + 1)
     dims = list(zip(degrees, _graded_dimensions(J, degrees),
-                    _graded_dimensions(K, degrees)))
+                    _graded_dimensions(kernel, degrees)))
     for m, dR, dS in dims:
         if dR != dS:
             raise VerificationFailed("dims", f"degree {m}: {dR} != {dS}")
     images = {label: e for label, e in zip(labels, images_exp)}
-    # reported without a grading, as the kernel of a map into k[x]/J
-    kernel = _with_basis(G, source_vars, None)
     return EmbeddingReport(tuple(sorted(T)), tuple(hosts), N, images, kernel,
                            tuple(dims), _finite(vertex_classes, T), cone)
 

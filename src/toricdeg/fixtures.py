@@ -31,6 +31,7 @@ from .groebner import (
     Ideal,
     canonical,
     graded_dimension,
+    ideal_contains,
     normal_form,
     reduced_basis,
     ring_map_kernel,
@@ -436,7 +437,6 @@ def run_hyperbola() -> FixtureReport:
     prod_in = all(
         normal_form(a * b, G).is_zero()
         for a in pr.cone_part.gens for b in dropped_plane.gens)
-    from .groebner import ideal_contains
     rep.add("set_decomposition",
             prod_in and ideal_contains(pr.cone_part, pr.limit)
             and ideal_contains(dropped_plane, pr.limit),

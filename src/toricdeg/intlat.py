@@ -1,6 +1,6 @@
 """Integer matrix linear algebra: Hermite normal form, kernel lattices,
-matrix homogenization, the orthant image of degree-one values, and certified
-weight vectors that realize a matrix refinement as a single weight.
+matrix homogenization, and certified weight vectors that realize a matrix
+refinement as a single weight.
 """
 
 from __future__ import annotations
@@ -15,14 +15,6 @@ from .polycore import (
     initial_form,
     initial_form_rows,
 )
-
-
-class NegativeEntryUnresolvable(ValueError):
-    """No nonnegative completion row exists for the chosen column sum."""
-
-
-class NTooSmall(ValueError):
-    """Embedding bound N too small: an image entry would be negative."""
 
 
 class IntMatrix:
@@ -73,41 +65,6 @@ class IntMatrix:
         if not self.cols:
             raise ValueError("matrix must have at least one row")
         return IntMatrix._trusted(zip(*self.entries))
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise DimensionMismatch("inner dimensions do not match")
-        return IntMatrix._trusted([[sum(self.entries[i][k] * other.entries[k][j]
-                                        for k in range(self.cols))
-                                    for j in range(other.cols)]
-                                   for i in range(self.rows)])
-
-    def apply(self, v: Sequence[int]):
-        if len(v) != self.cols:
-            raise DimensionMismatch("vector length does not match columns")
-        return tuple(sum(r[k] * v[k] for k in range(self.cols)) for r in self.entries)
-
-    def det(self) -> int:
-        if self.rows != self.cols:
-            raise DimensionMismatch("determinant of a non-square matrix")
-        # fraction-free Gaussian elimination (Bareiss)
-        n = self.rows
-        m = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-                if swap is None:
-                    return 0
-                m[k], m[swap] = m[swap], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
 
     def rank(self) -> int:
         H, _ = hermite_normal_form(self)
@@ -192,25 +149,12 @@ def kernel_lattice(A: IntMatrix):
 
 
 def homogenize_matrix(A: IntMatrix) -> IntMatrix:
-    """Prepend a row making every column sum equal max of the column sums."""
+    """Prepend a row making every column sum equal max of the column sums;
+    its entries are nonnegative because c is the largest sum."""
     sums = [sum(A.column(j)) for j in range(A.cols)]
     c = max(sums)
     new_row = [c - s for s in sums]
-    if any(x < 0 for x in new_row):
-        raise NegativeEntryUnresolvable("no nonnegative completion row")
     return IntMatrix._trusted([new_row] + A.rows_list())
-
-
-def embed_degree_one_vector(N: int, v: Sequence[int]):
-    """Image (N - sum a, a) of a degree-one value (1, a_1, ..., a_r)."""
-    v = tuple(exact_int(x, "value entry") for x in v)
-    if v[0] != 1:
-        raise ValueError("vector must have degree coordinate 1")
-    a = v[1:]
-    c0 = N - sum(a)
-    if c0 < 0 or any(x < 0 for x in a):
-        raise NTooSmall(f"image of {v} has a negative entry with N={N}")
-    return (c0,) + a
 
 
 def weight_from_matrix(J: "groebner.Ideal", M: IntMatrix):

@@ -296,10 +296,6 @@ class Polynomial:
         return p
 
     @classmethod
-    def zero(cls, vars: Sequence[str]) -> "Polynomial":
-        return cls(vars)
-
-    @classmethod
     def constant(cls, vars: Sequence[str], c) -> "Polynomial":
         return cls(vars, {(0,) * len(vars): Fraction(c)})
 
@@ -337,13 +333,6 @@ class Polynomial:
                     used.add(i)
         return used
 
-    def lead(self, order: TermOrder) -> tuple:
-        """(exponent, coeff) of the leading term under `order`."""
-        if not self.terms:
-            raise ZeroPolynomialError("leading term of 0 undefined")
-        e = max(self.terms, key=order.key)
-        return e, self.terms[e]
-
     # -- arithmetic
 
     def _check_same_ring(self, other: "Polynomial"):
@@ -370,26 +359,6 @@ class Polynomial:
         return Polynomial._trusted(self.vars, _add_terms({}, (
             (exp_add(e1, e2), c1 * c2)
             for e1, c1 in self.terms.items() for e2, c2 in other.terms.items())))
-
-    def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
-        if c == 0:
-            return Polynomial.zero(self.vars)
-        return Polynomial._trusted(self.vars, {e: c0 * c for e, c0 in self.terms.items()})
-
-    def term_mul(self, e: Exponent, c) -> "Polynomial":
-        """Multiply by the single term c * x^e."""
-        c = Fraction(c)
-        if c == 0:
-            return Polynomial.zero(self.vars)
-        return Polynomial._trusted(
-            self.vars, {exp_add(e0, e): c0 * c for e0, c0 in self.terms.items()})
-
-    def monic(self, order: TermOrder) -> "Polynomial":
-        e, c = self.lead(order)
-        if c == 1:
-            return self
-        return self.scale(Fraction(1) / c)
 
     # -- ring-change helpers
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .groebner import Ideal, _with_basis, reduced_basis, saturate_by_variables
-from .intlat import IntMatrix, kernel_lattice, embed_degree_one_vector
+from .intlat import IntMatrix, kernel_lattice
 from .polycore import DimensionMismatch, Grading, Polynomial, exact_int
 
 
@@ -351,7 +351,7 @@ def embed_semigroup(S: Semigroup):
     N = max((sum(a) for a in values), default=0)
     if N == 0:
         N = 1
-    return N, tuple(embed_degree_one_vector(N, g) for g in S.gens)
+    return N, tuple((N - sum(a),) + a for a in values)
 
 
 def torus_point(A: IntMatrix, t: Sequence[Fraction]):

@@ -8,8 +8,10 @@ polytope instead; the tests compare the two.  `reference_kernel` is the
 kernel as embed built it before it renamed the pipeline's toric ideal: a
 second toric ideal, of the embedded columns.
 
-Also here: the Gr(2,n) Pluecker ideal with its caterpillar-tree matrix, and
-the graded embedding matrix that `embed_degree_one_vector` applies.
+Also here: the Gr(2,n) Pluecker ideal with its caterpillar-tree matrix, the
+orthant image (N - sum a, a) of a degree-one column (1, a), kept apart from
+`toricdeg.toric.embed_semigroup`, and the graded embedding matrix that
+applies it.
 """
 
 from __future__ import annotations
@@ -28,9 +30,15 @@ from toricdeg.degeneration import (
     valuation_pipeline,
 )
 from toricdeg.groebner import Ideal, initial_ideal, reduced_basis
-from toricdeg.intlat import IntMatrix, embed_degree_one_vector
+from toricdeg.intlat import IntMatrix
 from toricdeg.polycore import MIN, Grading, Polynomial, parse_polynomial
 from toricdeg.toric import Semigroup, embed_semigroup, is_vertex, toric_ideal
+
+
+def _orthant_image(N: int, col) -> tuple:
+    """(N - sum a, a) for the degree-one column (1, a)."""
+    a = tuple(col[1:])
+    return (N - sum(a),) + a
 
 
 def _finite_over(init: Ideal, T) -> bool:
@@ -63,7 +71,7 @@ def reference_search(J: Ideal, M: IntMatrix, convention: str = MIN) -> dict:
                                  "degree row must be all ones; apply veronese first")
     S = Semigroup(M.columns(), labels=J.vars)
     N, _ = embed_semigroup(S)
-    cvecs = [embed_degree_one_vector(N, col) for col in M.columns()]
+    cvecs = [_orthant_image(N, col) for col in M.columns()]
     r_plus_1 = len(cvecs[0])
     used = tuple(sorted({j for c in cvecs for j in range(r_plus_1) if c[j] > 0}))
 
@@ -108,7 +116,7 @@ def reference_search(J: Ideal, M: IntMatrix, convention: str = MIN) -> dict:
 def reference_kernel(M: IntMatrix, N: int, names) -> Ideal:
     """toric_ideal of the columns (N - sum a, a) of the degree-one matrix M,
     over `names`."""
-    cvecs = [embed_degree_one_vector(N, col) for col in M.columns()]
+    cvecs = [_orthant_image(N, col) for col in M.columns()]
     return toric_ideal(IntMatrix.from_columns(cvecs), names)
 
 

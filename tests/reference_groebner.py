@@ -2,6 +2,10 @@
 kept verbatim as a test-only reference: normal selection by total degree of
 the lcm, a two-stage chain check and a `max`-driven normal form.  Tests compare
 its reduced bases with those of `toricdeg.groebner.buchberger`.
+
+Its leading terms, monic scaling and term multiplication are its own, so the
+oracle shares no polynomial arithmetic with the engine beyond `Polynomial`'s
+ring operations; other tests use `lead` and `monic` from here.
 """
 
 from __future__ import annotations
@@ -17,10 +21,28 @@ from toricdeg.polycore import (
     Exponent,
     Polynomial,
     TermOrder,
+    exp_add,
     exp_divides,
     exp_lcm,
     exp_sub,
 )
+
+
+def lead(p: Polynomial, order: TermOrder) -> tuple:
+    """(exponent, coefficient) of the leading term of nonzero p under `order`."""
+    e = max(p.terms, key=order.key)
+    return e, p.terms[e]
+
+
+def monic(p: Polynomial, order: TermOrder) -> Polynomial:
+    """Nonzero p divided by its leading coefficient."""
+    c = lead(p, order)[1]
+    return Polynomial._trusted(p.vars, {e: x / c for e, x in p.terms.items()})
+
+
+def _term_mul(p: Polynomial, e: Exponent, c: Fraction) -> Polynomial:
+    """p times the single term c * x^e, for nonzero c."""
+    return Polynomial._trusted(p.vars, {exp_add(e0, e): c0 * c for e0, c0 in p.terms.items()})
 
 
 def exp_coprime(a: Exponent, b: Exponent) -> bool:
@@ -84,15 +106,15 @@ def _spoly(f: Polynomial, g: Polynomial, ef: Exponent, eg: Exponent) -> Polynomi
     l = exp_lcm(ef, eg)
     cf = f.terms[ef]
     cg = g.terms[eg]
-    return f.term_mul(exp_sub(l, ef), Fraction(1) / cf) - \
-        g.term_mul(exp_sub(l, eg), Fraction(1) / cg)
+    return _term_mul(f, exp_sub(l, ef), Fraction(1) / cf) - \
+        _term_mul(g, exp_sub(l, eg), Fraction(1) / cg)
 
 
 def _interreduce(polys: list, order: TermOrder) -> list:
     """Minimalize and tail-reduce to the unique reduced basis."""
     key = _cached_key(order)
     polys = [p for p in polys if not p.is_zero()]
-    leads = [p.lead(order)[0] for p in polys]
+    leads = [lead(p, order)[0] for p in polys]
     # minimalize: drop any element whose lead is divisible by another lead
     keep = []
     for i, li in enumerate(leads):
@@ -113,8 +135,8 @@ def _interreduce(polys: list, order: TermOrder) -> list:
         other_leads = leads[:i] + leads[i + 1:]
         r = _normal_form(p, others, other_leads, key)
         if not r.is_zero():
-            reduced.append(r.monic(order))
-    reduced.sort(key=lambda q: key(q.lead(order)[0]), reverse=True)
+            reduced.append(monic(r, order))
+    reduced.sort(key=lambda q: key(lead(q, order)[0]), reverse=True)
     return reduced
 
 
@@ -167,9 +189,9 @@ def buchberger(I: Ideal, order: TermOrder | None = None) -> GroebnerBasis:
         r = _normal_form(g, basis, leads, key)
         if r.is_zero():
             continue
-        r = r.monic(order)
+        r = monic(r, order)
         basis.append(r)
-        leads.append(r.lead(order)[0])
+        leads.append(lead(r, order)[0])
         push_pairs(len(basis) - 1)
 
     while pairs:
@@ -192,10 +214,10 @@ def buchberger(I: Ideal, order: TermOrder | None = None) -> GroebnerBasis:
         r = _normal_form(s, basis, leads, key)
         if r.is_zero():
             continue
-        r = r.monic(order)
+        r = monic(r, order)
         basis.append(r)
-        leads.append(r.lead(order)[0])
+        leads.append(lead(r, order)[0])
         push_pairs(len(basis) - 1)
 
     reduced = _interreduce(basis, order)
-    return GroebnerBasis(reduced, order, [g.lead(order)[0] for g in reduced])
+    return GroebnerBasis(reduced, order, [lead(g, order)[0] for g in reduced])

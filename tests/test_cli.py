@@ -193,6 +193,22 @@ def test_missing_file_exit_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["gb", "--in", "{dir}"], id="gb-in"),
+    pytest.param(["pipeline", "--in", "{ideal}", "--matrix", "{dir}"], id="pipeline-matrix"),
+    pytest.param(["moment", "--matrix", "{matrix}", "--samples", "5", "--svg", "{dir}"],
+                 id="moment-svg"),
+])
+def test_directory_path_exit_1(tmp_path, argv):
+    # reading or writing a directory fails like a missing file: one error line
+    ideal, matrix = _write_elliptic(tmp_path)
+    argv = [a.format(dir=tmp_path, ideal=ideal, matrix=matrix) for a in argv]
+    res = _run_cli(argv, timeout=60)
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+
+
 def test_exponent_overflow_exit_1(tmp_path, capsys):
     f = tmp_path / "huge.ideal"
     f.write_text("vars: x,y\nx^99999999999999999999 - y\n")

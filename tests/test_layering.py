@@ -1,6 +1,6 @@
 """Module layering of `src/toricdeg`: every import points to a lower rank,
-`polycore` alone implements term orders, and `groebner` alone installs
-cached reduced bases.
+`polycore` alone implements term orders, `groebner` alone installs cached
+reduced bases, and every public name has a caller.
 
 Imports are read from the source with `ast`, including those inside
 functions.  ROADMAP item 8 plans to move `weight_from_matrix`, which needs
@@ -12,7 +12,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "toricdeg"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "toricdeg"
 
 RANK = {
     "polycore": 0,
@@ -100,3 +101,45 @@ def test_only_groebner_installs_bases():
     writers = [name for name, tree in _trees().items()
                if any(map(_writes_rgb_cache, ast.walk(tree)))]
     assert writers == ["groebner"]
+
+
+# Documented entry points to the paper's objects that the library itself
+# never calls: the Veronese re-grading of a value semigroup and the moment map.
+NO_CALLER_NEEDED = {"veronese", "moment"}
+
+
+def _public_definitions():
+    """(path, qualified name, node) for each public module-level function or
+    class of the package, and each public method of such a class."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            out.append((path, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                out += [(path, f"{node.name}.{sub.name}", sub) for sub in node.body
+                        if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")]
+    return out
+
+
+def _references() -> dict:
+    """name -> [(path, line)] for every Name and Attribute in `src/` and
+    `bench/`; an import alias is not a reference."""
+    refs = {}
+    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                refs.setdefault(node.id, []).append((path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, []).append((path, node.lineno))
+    return refs
+
+
+def test_every_public_name_has_a_caller():
+    refs = _references()
+    uncalled = [qualname for path, qualname, node in _public_definitions()
+                if node.name not in NO_CALLER_NEEDED
+                and not any(p != path or not node.lineno <= line <= node.end_lineno
+                            for p, line in refs.get(node.name, ()))]
+    assert uncalled == []

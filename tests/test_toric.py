@@ -32,6 +32,10 @@ TC_VARS = ("u3", "u2", "u1", "u0")
 TC_MATRIX = IntMatrix([[1, 1, 1, 1], [3, 2, 1, 0]])
 
 
+def _apply(A: IntMatrix, v) -> tuple:
+    return tuple(sum(a * x for a, x in zip(row, v)) for row in A.entries)
+
+
 def _random_rational(rng) -> Fraction:
     num = rng.choice([x for x in range(-7, 8) if x != 0])
     return Fraction(num, rng.randint(1, 7))
@@ -364,6 +368,12 @@ def test_embed_degenerate_single_generator():
     assert images == ((1, 0),)
 
 
+def test_embed_refuses_fractional_values():
+    with pytest.raises(ValueError, match="not an integer"):
+        embed_semigroup(Semigroup([(1, 0.5, 1)]))
+    assert embed_semigroup(Semigroup([(1.0, 1, 2.0)])) == (3, ((0, 1, 2),))
+
+
 def test_embed_requires_degree_one():
     S = Semigroup([(2, 1)])
     with pytest.raises(NotDegreeOneGenerated):
@@ -381,14 +391,15 @@ def test_embed_images_sum_to_N_and_additive():
     for c in images:
         assert all(x >= 0 for x in c)
         assert sum(c) == N
-    # the embedding map is linear: check additivity on 10 random pairs
+    # each image is E (1, a) for the linear map E; check additivity on 10 random pairs
     M = graded_embedding_matrix(N, len(gens[0]) - 1)
+    assert tuple(_apply(M, g) for g in gens) == images
     for _ in range(10):
         a = rng.choice(gens)
         b = rng.choice(gens)
         s = tuple(x + y for x, y in zip(a, b))
-        assert M.apply(s) == tuple(x + y for x, y in
-                                   zip(M.apply(a), M.apply(b)))
+        assert _apply(M, s) == tuple(x + y for x, y in
+                                     zip(_apply(M, a), _apply(M, b)))
 
 
 # ---------------------------------------------------------------------------
