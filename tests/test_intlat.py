@@ -24,6 +24,7 @@ from toricdeg.intlat import (
     weight_from_matrix,
 )
 from toricdeg.polycore import Grading, parse_polynomial
+from toricdeg.toric import Semigroup, embed_semigroup
 
 
 def _mul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
@@ -170,6 +171,11 @@ def test_embedding_matrix_elliptic():
     M = graded_embedding_matrix(3, 1)
     assert M == IntMatrix([[3, -1], [0, 1]])
     assert [_apply(M, (1, a)) for a in (0, 1, 3)] == [(3, 0), (2, 1), (0, 3)]
+
+
+def test_embedding_identity_on_degree_coordinate():
+    assert _apply(graded_embedding_matrix(1, 1), (1, 0)) == (1, 0)
+    assert embed_semigroup(Semigroup([(1, 0)])) == (1, ((1, 0),))
 
 
 def test_embedding_matrix_determinant_and_lattice_index():
