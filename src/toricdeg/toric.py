@@ -4,13 +4,15 @@ points.
 
 Polytopes are kept as vertex lists over exact rationals, and no facet
 enumeration is attempted: vertex and membership queries are answered by
-exact linear feasibility, a phase-one simplex over the rationals with
-Bland's rule.
+exact linear feasibility, a phase-one simplex with Bland's rule, by
+fraction-free integer pivoting over a common denominator, which makes the
+same pivots as the rational tableau.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .groebner import Ideal, _with_basis, reduced_basis, saturate_by_variables
@@ -106,8 +108,8 @@ class PolytopeQ:
 
 
 def _feasible(rows, rhs) -> bool:
-    """Is {y >= 0 : rows . y = rhs} nonempty?  Exact over Fractions, for a
-    system of at least one row.
+    """Is {y >= 0 : rows . y = rhs} nonempty?  Exact, for a system of at
+    least one row with int or Fraction entries.
 
     Phase one of the simplex method: start from an all-artificial basis and
     drive the sum of the artificial variables to zero.  Bland's rule (the
@@ -115,25 +117,67 @@ def _feasible(rows, rhs) -> bool:
     rules out cycling, so the loop always ends (Bland 1977).  An artificial
     variable that leaves the basis never re-enters, so it keeps no column;
     artificial i has index n + i.
+
+    Fraction-free integer pivoting over a common denominator (Edmonds 1967;
+    Bareiss 1968).  Every row is scaled by L, the lcm of all denominators,
+    so the system M = [L rows | L rhs], with unit artificial columns and
+    one more row for the objective (its column sums, with the objective
+    value as basic variable), is over the integers.  With B the current
+    basis columns of M, the tableau is T = D B^-1 M for D = det B, starting
+    at D = 1.  Pivoting on p = T[r][e] > 0 replaces column r of B by column
+    e of M, so the new determinant is D (B^-1 M)[r][e] = p; the pivot row
+    stays T[r], and every other row a becomes (a p - f T[r]) / D with
+    f = a[e], the rational update scaled by the new determinant p.  The new
+    T is p B'^-1 M = adj(B') M, an integer matrix, so every division is
+    exact (Sylvester's identity).
+
+    Same pivots as the rational tableau.  That tableau is B''^-1 [rows | rhs]
+    with unit artificial columns before scaling, so each row of T is a
+    positive multiple of its row: L D for a row whose basic variable is
+    artificial (and for the objective), D otherwise.  The loop reads only
+    the signs of the objective row, whether obj[n] is zero, and ratios
+    within one row, all unchanged by a positive row scale.  So the same
+    variable enters and leaves at each step, and the answer is the same.
+    Ratios are compared by cross-multiplying with the positive entering
+    entries, ties leaving by least basic index.
     """
     n = len(rows[0])
+    L = lcm(*(x.denominator for co in rows for x in co),
+            *(r.denominator for r in rhs))
     # one row per equality, rhs last, signs flipped so that rhs >= 0
-    tab = [[Fraction(c) for c in co] + [Fraction(r)] for co, r in zip(rows, rhs)]
+    tab = [[x.numerator * (L // x.denominator) for x in co]
+           + [r.numerator * (L // r.denominator)] for co, r in zip(rows, rhs)]
     tab = [row if row[n] >= 0 else [-x for x in row] for row in tab]
     basis = [n + i for i in range(len(tab))]
-    # the artificial sum is obj[n] - obj[:n] . y
+    # the artificial sum is (obj[n] - obj[:n] . y) / D
     obj = [sum(col) for col in zip(*tab)]
+    D = 1
     while obj[n] != 0:
         enter = next((j for j in range(n) if obj[j] > 0), None)
         if enter is None:
             return False
-        leave = min((i for i, row in enumerate(tab) if row[enter] > 0),
-                    key=lambda i: (tab[i][n] / tab[i][enter], basis[i]))
-        piv = tab[leave] = [x / tab[leave][enter] for x in tab[leave]]
+        leave = None
+        for i, row in enumerate(tab):
+            a = row[enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                # row[n] / a against best[n] / best[enter], both over positives
+                best = tab[leave]
+                c = row[n] * best[enter] - best[n] * a
+                if c < 0 or c == 0 and basis[i] < basis[leave]:
+                    leave = i
+        piv = tab[leave]
+        p = piv[enter]
         for row in tab + [obj]:
-            f = row[enter]
-            if f and row is not piv:
-                row[:] = [a - f * b for a, b in zip(row, piv)]
+            if row is not piv:
+                f = row[enter]
+                if f:
+                    row[:] = [(a * p - f * b) // D for a, b in zip(row, piv)]
+                elif p != D:
+                    row[:] = [a * p // D for a in row]
+        D = p
         basis[leave] = enter
     return True
 
@@ -145,7 +189,10 @@ def _in_hull(point, points, slack: Fraction = Fraction(0)) -> bool:
     coordinate sum lambda * p = point is an equality; with slack it is boxed
     by two rows, sum lambda * p + u = point + slack and
     sum lambda * p - l = point - slack, with slack variables u, l >= 0.
+    Raises DimensionMismatch when a point's length differs from the query's.
     """
+    if any(len(p) != len(point) for p in points):
+        raise DimensionMismatch("hull points and query differ in length")
     q = len(points)
     rows = [[1] * q]
     rhs = [1]

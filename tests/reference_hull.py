@@ -1,14 +1,54 @@
-"""The exact hull-membership route toricdeg shipped before the phase-one
-simplex: Gaussian elimination on the equalities, then Fourier-Motzkin
-elimination on the free variables.  Kept verbatim as a test-only reference;
-tests compare its answers with `toricdeg.toric._in_hull`.  Fourier-Motzkin
-grows doubly exponentially with the number of free variables, so tests keep
-its inputs small.
+"""Two exact hull-membership routes toricdeg shipped before, kept verbatim
+as test-only references.
+
+`reference_feasible` is the phase-one simplex over `Fraction`, the
+rational tableau whose pivots `toricdeg.toric._feasible` repeats with
+fraction-free integer arithmetic; tests compare the two on drawn systems
+and on hulls too large for the second route.
+
+`_in_hull` is the route before the simplex: Gaussian elimination on the
+equalities, then Fourier-Motzkin elimination on the free variables; tests
+compare its answers with `toricdeg.toric._in_hull`.  Fourier-Motzkin grows
+doubly exponentially with the number of free variables, so tests keep its
+inputs small.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+def reference_feasible(rows, rhs) -> bool:
+    """Is {y >= 0 : rows . y = rhs} nonempty?  Exact over Fractions, for a
+    system of at least one row.
+
+    Phase one of the simplex method: start from an all-artificial basis and
+    drive the sum of the artificial variables to zero.  Bland's rule (the
+    least eligible index enters; ratio-test ties leave by least basic index)
+    rules out cycling, so the loop always ends (Bland 1977).  An artificial
+    variable that leaves the basis never re-enters, so it keeps no column;
+    artificial i has index n + i.
+    """
+    n = len(rows[0])
+    # one row per equality, rhs last, signs flipped so that rhs >= 0
+    tab = [[Fraction(c) for c in co] + [Fraction(r)] for co, r in zip(rows, rhs)]
+    tab = [row if row[n] >= 0 else [-x for x in row] for row in tab]
+    basis = [n + i for i in range(len(tab))]
+    # the artificial sum is obj[n] - obj[:n] . y
+    obj = [sum(col) for col in zip(*tab)]
+    while obj[n] != 0:
+        enter = next((j for j in range(n) if obj[j] > 0), None)
+        if enter is None:
+            return False
+        leave = min((i for i, row in enumerate(tab) if row[enter] > 0),
+                    key=lambda i: (tab[i][n] / tab[i][enter], basis[i]))
+        piv = tab[leave] = [x / tab[leave][enter] for x in tab[leave]]
+        for row in tab + [obj]:
+            f = row[enter]
+            if f and row is not piv:
+                row[:] = [a - f * b for a, b in zip(row, piv)]
+        basis[leave] = enter
+    return True
 
 
 def _gauss_solve(eqs, nvars):

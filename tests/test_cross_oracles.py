@@ -26,6 +26,7 @@ from reference_embedding import (
     reference_search,
 )
 from reference_groebner import monic
+from reference_hull import reference_feasible
 from reference_weight import reference_weight_from_matrix
 from sympy import symbols
 from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
@@ -373,6 +374,16 @@ def test_vertex_classes_decide_finiteness_over_every_subset(M):
             assert _finite(classes, T) == finite
             if T and _columns_independent(M, T):
                 assert finite == (len(classes) == len(T) and set(T) <= vertex_cols)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_vertex_classes_match_rational_tableau_on_caterpillars(n, monkeypatch):
+    # the value polytope's vertex classes from fraction-free pivots against
+    # the same queries pivoted over Fractions
+    M = caterpillar_matrix(n)
+    got = _vertex_classes(M)
+    monkeypatch.setattr(toric, "_feasible", reference_feasible)
+    assert got == _vertex_classes(M)
 
 
 def _assert_embedding_matches_reference(J, M, convention=MIN):

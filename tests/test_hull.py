@@ -1,19 +1,25 @@
-"""Exact hull membership from the phase-one simplex against the Gaussian
-elimination + Fourier-Motzkin route it replaced.
+"""Exact hull membership from the fraction-free phase-one simplex against
+the two routes before it: the same simplex over `Fraction`
+(`reference_hull.reference_feasible`) and Gaussian elimination +
+Fourier-Motzkin (`reference_hull._in_hull`).
 
 `reference_hull._in_hull` grows doubly exponentially with the number of
-points, so the drawn clouds stay small: at most 4 points in dimensions 3 and
-4, where one query already takes up to 0.1 s, and 5 or 6 below.
+points, so its drawn clouds stay small: at most 4 points in dimensions 3 and
+4, where one query already takes up to 0.1 s, and 5 or 6 below.  The
+rational simplex takes the larger clouds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_hull
+from reference_hull import reference_feasible
+from toricdeg import toric
 from toricdeg.toric import _feasible, _in_hull, hull_vertices
 
 SLACKS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1))
@@ -79,6 +85,66 @@ def test_in_hull_exactly_at_slack():
                         ((Fraction(5, 4) + Fraction(1, 10**15), 0), False)]:
         assert _in_hull(point, square, s) is want
         assert reference_hull._in_hull(point, square, s) is want
+
+
+@st.composite
+def _systems(draw):
+    """(rows, rhs): 1-6 rows over 1-8 columns of ints and Fractions with
+    denominators up to 7, small or up to 10^30 in size, with zero and
+    duplicated rows, and a right-hand side drawn freely (negative entries
+    included) or planted as rows . y for a drawn y >= 0."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    big = 10**30
+    entry = st.one_of(st.integers(-3, 3), st.integers(-big, big),
+                      st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)),
+                      st.builds(Fraction, st.integers(-big, big), st.integers(1, 7)))
+    rows, rhs = [], []
+    for _ in range(m):
+        kind = draw(st.sampled_from(("drawn", "drawn", "zero", "duplicate")))
+        if kind == "duplicate" and rows:
+            k = draw(st.integers(0, len(rows) - 1))
+            rows.append(list(rows[k]))
+            rhs.append(rhs[k])
+        elif kind == "zero":
+            rows.append([0] * n)
+            rhs.append(draw(st.sampled_from((0, 0, 1, -1))))
+        else:
+            rows.append(draw(st.lists(entry, min_size=n, max_size=n)))
+            rhs.append(draw(entry))
+    if draw(st.booleans()):
+        y = draw(st.lists(st.one_of(st.just(0), entry.map(abs)),
+                          min_size=n, max_size=n))
+        rhs = [sum(c * x for c, x in zip(row, y)) for row in rows]
+    return rows, rhs
+
+
+@settings(max_examples=400, deadline=None)
+@given(_systems())
+def test_feasible_matches_rational_tableau(system):
+    rows, rhs = system
+    assert _feasible(rows, rhs) == reference_feasible(rows, rhs)
+
+
+@st.composite
+def _large_clouds(draw):
+    """Up to 12 rational points in dimension 2-5, some of them convex
+    combinations of others, so that some points are not vertices."""
+    d = draw(st.integers(2, 5))
+    vec = st.lists(_rationals(4), min_size=d, max_size=d)
+    pts = draw(st.lists(vec, min_size=1, max_size=12))
+    for _ in range(draw(st.integers(0, 12 - len(pts)))):
+        a, b = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+        t = draw(st.sampled_from((Fraction(1, 2), Fraction(1, 3))))
+        pts.append([t * x + (1 - t) * y for x, y in zip(a, b)])
+    return pts
+
+
+@settings(max_examples=60, deadline=None)
+@given(_large_clouds())
+def test_hull_vertices_matches_rational_tableau(points):
+    with mock.patch.object(toric, "_feasible", reference_feasible):
+        want = hull_vertices(points)
+    assert hull_vertices(points) == want
 
 
 def test_feasible_edge_cases():

@@ -11,7 +11,14 @@ from reference_embedding import graded_embedding_matrix
 
 from toricdeg.groebner import Ideal, canonical, normal_form, reduced_basis, same_ideal
 from toricdeg.intlat import IntMatrix, kernel_lattice
-from toricdeg.polycore import Grading, Polynomial, dot, format_polynomial, parse_polynomial
+from toricdeg.polycore import (
+    DimensionMismatch,
+    Grading,
+    Polynomial,
+    dot,
+    format_polynomial,
+    parse_polynomial,
+)
 from toricdeg.toric import (
     NotDegreeOneGenerated,
     PolytopeQ,
@@ -250,6 +257,41 @@ def test_delta_mixed_degrees_normalizes():
     S = Semigroup([(1, 1), (2, 6)])
     D = delta_polytope(S)
     assert set(D.vertices) == {(Fraction(1),), (Fraction(3),)}
+
+
+def test_delta_non_integer_vertices_and_veronese_scale():
+    # degrees 2, 3 and 6 normalize to denominators 2, 3 and 6; (1/6, 1/6)
+    # is interior.  Veronese degree-6 re-grading keeps the polytope, now with
+    # degree-one generators and degree_scale 6
+    S = Semigroup([(1, 0, 0), (2, 1, 0), (3, 0, 2), (2, 1, 1), (6, 1, 1)])
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    want = {(0, 0), (half, 0), (0, 2 * third), (half, half)}
+    assert set(delta_polytope(S).vertices) == want
+    V = veronese(S, 6)
+    assert V.degree_scale == 6 and all(g[0] == 1 for g in V.gens)
+    assert set(delta_polytope(V).vertices) == want
+
+
+def test_hull_queries_of_the_wrong_length_raise():
+    triangle = PolytopeQ([(0, 0), (1, 0), (0, 1)], 2)
+    with pytest.raises(DimensionMismatch):
+        point_in_polytope((1,), triangle)
+    with pytest.raises(DimensionMismatch):
+        point_in_polytope((0, 0, 0), triangle)
+
+
+def test_is_vertex_of_the_wrong_length_raises():
+    with pytest.raises(DimensionMismatch):
+        is_vertex((0,), [(0, 0), (1, 1)])
+    with pytest.raises(DimensionMismatch):
+        is_vertex((0, 0, 0), [(0, 0), (1, 1)])
+
+
+def test_hull_vertices_of_a_ragged_cloud_raise():
+    with pytest.raises(DimensionMismatch):
+        hull_vertices([(0, 0), (1,), (2, 2)])
+    with pytest.raises(DimensionMismatch):
+        hull_vertices([(0, 0), (1, 1, 1)])
 
 
 def test_hull_vertices_drops_interior():
