@@ -4,7 +4,6 @@ and degeneration-by-projection decompositions."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -35,7 +34,6 @@ from .polycore import (
     WeightOrder,
     dot,
     exact_int,
-    exp_divides,
     to_min,
 )
 from .toric import (
@@ -222,13 +220,13 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
     """Realize the value semigroup algebra as a monomial subalgebra of k[x]/J.
 
     Steps: embed the column semigroup into the positive orthant; pick host
-    variables T with independent value columns whose images are standard
-    monomials for the tie-broken cone, taking the first such T in the order
-    (not all of T vertex columns, T), so a T over which the quotient is
-    finite wins when one exists (step 8); map each generator to the
-    monomial with its embedded exponent; verify that graded dimensions match
-    degree by degree.  The subsets are generated in that order, none of them
-    stored: the vertex-column sets in index order, then the others.
+    variables T with independent value columns, taking the first such T in
+    the order (not all of T vertex columns, T), so a T over which the
+    quotient is finite wins when one exists (step 8); map each generator to
+    the monomial with its embedded exponent, which is standard for the
+    tie-broken cone of any such T (step 9); verify that graded dimensions
+    match degree by degree.  T is found greedily, with one rank check per
+    column scanned and no subset search (step 10).
 
     The kernel of the induced ring map is the pipeline's toric ideal over
     fresh variable names, with no elimination and no second toric ideal:
@@ -266,7 +264,7 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
        every vertex of conv(p), an extreme point, is some p_j with j in T: T
        meets every vertex class, the columns sharing one vertex point.
     7. No T of size |used| has independent columns when rank(M) < |used|,
-       so then no subset is tried.
+       so then NoIndependentSubset is raised before any column is checked.
     8. Let T have independent columns.  Columns in one vertex class are
        equal, so T holds at most one column of each class.  With the
        all-ones degree row, rank(M) is one more than the dimension d of the
@@ -278,6 +276,25 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
        otherwise no such T is finite: the order (not finite(T), not all of
        T vertex columns, T) ranks these T as (not all of T vertex columns,
        T) does, and the first admissible T is the same.
+
+    Every T with independent columns gives standard images, and the first
+    such T is a greedy choice:
+    9. _cone_order(T) is lex with every non-host variable above every host,
+       so it eliminates the non-hosts.  pipe.init is I_M (step 1), so an
+       element of its reduced basis whose lead uses only hosts would lie in
+       k[x_T] and in I_M, which meet only in 0 (step 2).  So every lead of
+       that basis, a generator of cone_initial, holds a non-host variable,
+       and none divides an image, a monomial in the hosts.
+    10. Independent column sets form a matroid.  Scan a list of columns in
+       index order and keep each one independent of those kept before it,
+       up to |used| of them: the kept set, ascending, is componentwise no
+       larger than any independent set of that size drawn from the list
+       (Gale 1968, Optimal assignments in an ordered set), so it is the
+       first such set in lexicographic order.  If the vertex columns reach
+       |used| this way, their kept set is the first admissible T.
+       Otherwise no independent T holds vertex columns only, and the first
+       T is the kept set over all columns, which reaches |used| because
+       rank(M) >= |used| (step 7).
     """
     if degree_bound < 0:
         raise ValueError("degree_bound must be nonnegative")
@@ -298,24 +315,15 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
     vertex_classes = _vertex_classes(M)
     vertex_cols = set().union(*vertex_classes)
     nvars, k = len(J.vars), len(used)
-    subsets = ()
-    if M.rank() >= k:
-        subsets = itertools.chain(
-            itertools.combinations(sorted(vertex_cols), k),
-            (T for T in itertools.combinations(range(nvars), k)
-             if not vertex_cols.issuperset(T)))
-    for T in subsets:
-        if not _columns_independent(M, T):
-            continue
-        hosts = _assign_hosts(T, used, cvecs, J.vars)
-        images_exp = _image_exponents(cvecs, hosts, used, nvars)
-        cone = initial_ideal(pipe.init, _cone_order(T, nvars))
-        if _all_standard(images_exp, cone):
-            break
-    else:
+    if M.rank() < k:
         raise NoIndependentSubset(
             "no host subset with independent columns and standard images; "
             "a linear change of coordinates would be required")
+    T = (_first_independent(M, sorted(vertex_cols), k)
+         or _first_independent(M, range(nvars), k))
+    hosts = _assign_hosts(T, used, cvecs, J.vars)
+    images_exp = _image_exponents(cvecs, hosts, used, nvars)
+    cone = initial_ideal(pipe.init, _cone_order(T, nvars))
 
     labels = J.vars
     source_vars = _fresh_source_names(labels, J.vars)
@@ -333,7 +341,7 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
         if dR != dS:
             raise VerificationFailed("dims", f"degree {m}: {dR} != {dS}")
     images = {label: e for label, e in zip(labels, images_exp)}
-    return EmbeddingReport(tuple(sorted(T)), tuple(hosts), N, images, kernel,
+    return EmbeddingReport(T, tuple(hosts), N, images, kernel,
                            tuple(dims), _finite(vertex_classes, T), cone)
 
 
@@ -356,6 +364,19 @@ def _finite(vertex_classes, T) -> bool:
 def _columns_independent(M: IntMatrix, T) -> bool:
     sub = IntMatrix._trusted([M.column(i) for i in T])
     return sub.rank() == len(T)
+
+
+def _first_independent(M: IntMatrix, cols, k):
+    """The greedy k columns of `cols`, ascending: each column in turn is kept
+    when it is independent of those kept before it (step 10 of
+    embed_value_semigroup).  None when fewer than k are kept."""
+    T = ()
+    for i in cols:
+        if _columns_independent(M, T + (i,)):
+            T += (i,)
+            if len(T) == k:
+                return T
+    return None
 
 
 def _assign_hosts(T, used, cvecs, vars):
@@ -386,11 +407,6 @@ def _cone_order(T, nvars) -> Lex:
     non_sel = [i for i in range(nvars - 1, -1, -1) if i not in T]
     sel = [i for i in range(nvars - 1, -1, -1) if i in T]
     return Lex(tuple(non_sel + sel))
-
-
-def _all_standard(images_exp, cone: Ideal) -> bool:
-    leads = [next(iter(g.terms)) for g in cone.gens]
-    return all(not any(exp_divides(l, e) for l in leads) for e in images_exp)
 
 
 def _fresh_source_names(labels, taken):

@@ -161,7 +161,7 @@ def weight_from_matrix(J: "groebner.Ideal", M: IntMatrix):
     """(w, in_M(J)): a single weight vector w with in_w(J) = in_M(J), and
     that initial ideal in canonical form, for J homogeneous (NotHomogeneous
     otherwise); M and w are in the min convention.  A one-row M is its own
-    weight.
+    weight: at B = 2, w is that row, whose split is the row's.
 
     w = sum_k B^(d-1-k) * row_k for the first B in 2, 4, 8, ... for which w
     splits each element g of G, J's reduced basis under WeightOrder(M), the
@@ -192,8 +192,6 @@ def weight_from_matrix(J: "groebner.Ideal", M: IntMatrix):
     d = len(rows)
     G = groebner.buchberger(J, WeightOrder(rows))
     init_M = groebner._weight_initial(J, G, rows)
-    if d == 1:
-        return rows[0], init_M
     B = 2
     while True:
         w = [sum(B ** (d - 1 - k) * rows[k][j] for k in range(d))

@@ -73,11 +73,6 @@ def exp_lcm(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x if x > y else y for x, y in zip(a, b))
 
 
-def exp_divides(a: Exponent, b: Exponent) -> bool:
-    """True if x^a divides x^b."""
-    return all(map(operator.le, a, b))
-
-
 def exact_int(x, what: str) -> int:
     """`x` as an int; ValueError unless it is a real number of integral value.
 

@@ -41,25 +41,23 @@ class Semigroup:
 
     def __init__(self, gens: Sequence[Sequence[int]],
                  labels: Sequence[str] | None = None, degree_scale: int = 1):
-        seen = []
-        kept_labels = []
-        labels_in = list(labels) if labels is not None else None
+        first = {}  # generator -> index of its first occurrence
         for k, g in enumerate(gens):
-            t = tuple(exact_int(x, "generator entry") for x in g)
-            if t not in seen:
-                seen.append(t)
-                if labels_in is not None:
-                    kept_labels.append(labels_in[k])
-        if not seen:
+            first.setdefault(tuple(exact_int(x, "generator entry") for x in g), k)
+        kept = list(first)
+        if not kept:
             raise ValueError("semigroup needs at least one generator")
-        n = len(seen[0])
-        if any(len(g) != n for g in seen):
+        n = len(kept[0])
+        if any(len(g) != n for g in kept):
             raise DimensionMismatch("generators of unequal length")
-        for g in seen:
+        for g in kept:
             if g[0] <= 0:
                 raise ValueError(f"generator {g} has nonpositive degree entry")
-        self.gens = tuple(seen)
-        self.labels = tuple(kept_labels) if labels_in is not None else None
+        self.gens = tuple(kept)
+        self.labels = None
+        if labels is not None:
+            labels = list(labels)
+            self.labels = tuple(labels[k] for k in first.values())
         if degree_scale < 1:
             raise ValueError("degree_scale must be positive")
         self.degree_scale = exact_int(degree_scale, "degree_scale")
@@ -363,18 +361,14 @@ def veronese(S: Semigroup, n: int) -> Semigroup:
         raise ValueError("n must be at least 1")
     if n == 1:
         return S
-    sums = set()
-
-    def rec(start, total, acc):
-        if total == n:
-            sums.add(tuple(acc))
-            return
-        for i in range(start, len(S.gens)):
-            g = S.gens[i]
-            if total + g[0] <= n:
-                rec(i, total + g[0], tuple(a + b for a, b in zip(acc, g)))
-
-    rec(0, 0, (0,) * S.ambient_dim)
+    # by_degree[d]: the sums of generators of total degree d, each grown from
+    # a sum of lower degree by one generator
+    by_degree = [{(0,) * S.ambient_dim}]
+    for d in range(1, n + 1):
+        by_degree.append({tuple(a + b for a, b in zip(s, g))
+                          for g in S.gens if g[0] <= d
+                          for s in by_degree[d - g[0]]})
+    sums = by_degree[n]
     if not sums:
         raise ValueError(f"no semigroup elements of degree {n}")
     out = [(s[0] // n,) + s[1:] for s in sorted(sums)]

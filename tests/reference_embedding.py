@@ -1,12 +1,14 @@
 """Reference routes for the value-semigroup embedding, kept as test oracles.
 
 `_finite_over` decides finiteness of k[x]/init over the host variables from
-the leads of one reduced basis, and `reference_search` is the host search
-that tries every subset of variables with that test, both as toricdeg
+the leads of one reduced basis, `_all_standard` tests that the images are
+standard monomials for a host set's cone, and `reference_search` is the host
+search that tries every subset of variables with both tests, all as toricdeg
 shipped them.  `embed_value_semigroup` reads finiteness off the value
-polytope instead; the tests compare the two.  `reference_kernel` is the
-kernel as embed built it before it renamed the pipeline's toric ideal: a
-second toric ideal, of the embedded columns.
+polytope, proves standardness and picks its hosts greedily instead; the
+tests compare the two.  `reference_kernel` is the kernel as embed built it
+before it renamed the pipeline's toric ideal: a second toric ideal, of the
+embedded columns.
 
 Also here: the Gr(2,n) Pluecker ideal with its caterpillar-tree matrix, the
 orthant image (N - sum a, a) of a degree-one column (1, a), kept apart from
@@ -19,10 +21,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from reference_groebner import exp_divides
+
 from toricdeg.degeneration import (
     NoIndependentSubset,
     VerificationFailed,
-    _all_standard,
     _assign_hosts,
     _columns_independent,
     _cone_order,
@@ -56,6 +59,12 @@ def _finite_over(init: Ideal, T) -> bool:
         if len(support) == 1:
             powers.add(support[0])
     return all(i in powers for i in range(len(vars)) if i not in T)
+
+
+def _all_standard(images_exp, cone: Ideal) -> bool:
+    """No generator of the monomial ideal `cone` divides any image."""
+    leads = [next(iter(g.terms)) for g in cone.gens]
+    return all(not any(exp_divides(l, e) for l in leads) for e in images_exp)
 
 
 def reference_search(J: Ideal, M: IntMatrix, convention: str = MIN) -> dict:

@@ -3,9 +3,10 @@ kept verbatim as a test-only reference: normal selection by total degree of
 the lcm, a two-stage chain check and a `max`-driven normal form.  Tests compare
 its reduced bases with those of `toricdeg.groebner.buchberger`.
 
-Its leading terms, monic scaling and term multiplication are its own, so the
-oracle shares no polynomial arithmetic with the engine beyond `Polynomial`'s
-ring operations; other tests use `lead` and `monic` from here.
+Its leading terms, monic scaling, term multiplication and divisibility test
+are its own, so the oracle shares no polynomial arithmetic with the engine
+beyond `Polynomial`'s ring operations; other tests use `lead`, `monic` and
+`exp_divides` from here.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from toricdeg.polycore import (
     Polynomial,
     TermOrder,
     exp_add,
-    exp_divides,
     exp_lcm,
     exp_sub,
 )
@@ -43,6 +43,11 @@ def monic(p: Polynomial, order: TermOrder) -> Polynomial:
 def _term_mul(p: Polynomial, e: Exponent, c: Fraction) -> Polynomial:
     """p times the single term c * x^e, for nonzero c."""
     return Polynomial._trusted(p.vars, {exp_add(e0, e): c0 * c for e0, c0 in p.terms.items()})
+
+
+def exp_divides(a: Exponent, b: Exponent) -> bool:
+    """True if x^a divides x^b."""
+    return all(x <= y for x, y in zip(a, b))
 
 
 def exp_coprime(a: Exponent, b: Exponent) -> bool:

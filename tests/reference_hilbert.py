@@ -14,7 +14,9 @@ from toricdeg.groebner import (
     NotHomogeneous,
     reduced_basis,
 )
-from toricdeg.polycore import Grading, exp_divides
+from reference_groebner import exp_divides
+
+from toricdeg.polycore import Grading
 
 DEFAULT_DEGREE_CAP = 8
 

@@ -20,7 +20,9 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_embedding import (
+    _all_standard,
     _finite_over,
+    _orthant_image,
     caterpillar_matrix,
     plucker_ideal,
     reference_search,
@@ -35,8 +37,12 @@ from toricdeg import fixtures as fx
 from toricdeg import groebner, toric
 from toricdeg.degeneration import (
     NoIndependentSubset,
+    _assign_hosts,
     _columns_independent,
+    _cone_order,
     _finite,
+    _first_independent,
+    _image_exponents,
     _vertex_classes,
     embed_value_semigroup,
     projection_limit,
@@ -70,7 +76,7 @@ from toricdeg.polycore import (
     format_polynomial,
     to_min,
 )
-from toricdeg.toric import toric_ideal
+from toricdeg.toric import embed_semigroup, toric_ideal
 
 
 def _random_binomial_ideal(rng, nvars, count):
@@ -430,6 +436,40 @@ def test_embed_matches_reference_search_on_fixtures_and_grassmannians():
             cases.append((plucker_ideal(n), caterpillar_matrix(n, independent), MAX))
     for J, M, convention in cases:
         _assert_embedding_matches_reference(J, M, convention)
+
+
+def test_every_independent_host_set_gives_standard_images():
+    # embed drops the standard-monomial test: no host set with independent
+    # columns fails it (step 9 of embed_value_semigroup)
+    cases = [(J, M, MIN) for J, M in _embedding_fixtures()[:3]]
+    cases.append((plucker_ideal(5), caterpillar_matrix(5), MAX))
+    counts = []
+    for J, M, convention in cases:
+        init = valuation_pipeline(J, M, convention).init
+        N, _ = embed_semigroup(toric.Semigroup(M.columns()))
+        cvecs = [_orthant_image(N, col) for col in M.columns()]
+        used = tuple(sorted({j for c in cvecs for j, x in enumerate(c) if x > 0}))
+        nvars = M.cols
+        independent = [T for T in itertools.combinations(range(nvars), len(used))
+                       if _columns_independent(M, T)]
+        for T in independent:
+            hosts = _assign_hosts(T, used, cvecs, J.vars)
+            images = _image_exponents(cvecs, hosts, used, nvars)
+            assert _all_standard(images, initial_ideal(init, _cone_order(T, nvars)))
+        counts.append(len(independent))
+    assert counts == [3, 4, 4, 36]
+
+
+@settings(max_examples=50, deadline=None)
+@given(M=_embedding_matrices(), cols=st.sets(st.integers(0, 5)), k=st.integers(1, 4))
+@example(M=IntMatrix([[1, 1, 1], [0, 0, 1]]), cols={0, 1, 2}, k=2)
+def test_greedy_columns_are_the_first_independent_subset(M, cols, k):
+    # step 10 of embed_value_semigroup: the greedy scan keeps the first
+    # independent k-subset of the scanned columns in combinations order
+    cols = sorted(c for c in cols if c < M.cols)
+    first = next((T for T in itertools.combinations(cols, k)
+                  if _columns_independent(M, T)), None)
+    assert _first_independent(M, cols, k) == first
 
 
 @settings(max_examples=25, deadline=None)

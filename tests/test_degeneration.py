@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_embedding import caterpillar_matrix, plucker_ideal, reference_kernel
+from reference_groebner import exp_divides
 
 from toricdeg import fixtures as fx
 from toricdeg.degeneration import (
@@ -363,6 +364,7 @@ def test_grassmannian_caterpillar_values_are_binomial_prime_under_max():
 _CATERPILLAR_HOSTS = {
     6: (0, 1, 2, 3, 4, 5, 9, 12, 14),
     7: (0, 1, 2, 3, 4, 5, 6, 11, 15, 18, 20),
+    8: (0, 1, 2, 3, 4, 5, 6, 7, 13, 18, 22, 25, 27),
 }
 
 
@@ -374,6 +376,23 @@ def test_embed_gr2n_caterpillar_hosts(n):
     assert not rep.finiteness_certified
     K = reference_kernel(M, rep.N, rep.kernel_check.vars)
     assert rep.kernel_check.gens == K.gens
+
+
+def test_embed_gr28_checks_each_column_at_most_twice(monkeypatch):
+    # two greedy scans over the 28 columns, not a walk over 13-subsets
+    from toricdeg import degeneration
+    tried = []
+    independent = degeneration._columns_independent
+
+    def spy(M, T):
+        tried.append(T)
+        return independent(M, T)
+
+    monkeypatch.setattr(degeneration, "_columns_independent", spy)
+    rep = embed_value_semigroup(plucker_ideal(8), caterpillar_matrix(8), MAX,
+                                degree_bound=0)
+    assert rep.independent_vars == _CATERPILLAR_HOSTS[8]
+    assert len(tried) <= 2 * 28
 
 
 def test_embed_caterpillar_with_dependent_rows_has_no_independent_subset(
@@ -433,7 +452,6 @@ def test_embed_images_multiply_into_standard_monomials():
     G = buchberger(canonical(J))
     r = normal_form(prod, G)
     leads = [next(iter(g.terms)) for g in rep.cone_initial.gens]
-    from toricdeg.polycore import exp_divides
     for e in r.terms:
         assert not any(exp_divides(l, e) for l in leads)
 

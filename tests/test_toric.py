@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_embedding import graded_embedding_matrix
 
 from toricdeg.groebner import Ideal, canonical, normal_form, reduced_basis, same_ideal
@@ -396,6 +398,46 @@ def test_veronese_delta_invariant():
         assert set(Dn.vertices) == set(D1.vertices)
 
 
+def _reference_veronese_sums(S: Semigroup, n: int) -> list:
+    """The sorted degree-n sums of generators as veronese built them, by one
+    recursive call per generator added."""
+    sums = set()
+
+    def rec(start, total, acc):
+        if total == n:
+            sums.add(tuple(acc))
+            return
+        for i in range(start, len(S.gens)):
+            g = S.gens[i]
+            if total + g[0] <= n:
+                rec(i, total + g[0], tuple(a + b for a, b in zip(acc, g)))
+
+    rec(0, 0, (0,) * S.ambient_dim)
+    return sorted(sums)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gens=st.integers(1, 2).flatmap(lambda r: st.lists(
+           st.tuples(st.integers(1, 3), *[st.integers(-2, 3)] * r),
+           min_size=1, max_size=4)),
+       n=st.integers(2, 7))
+def test_veronese_matches_recursive_sums(gens, n):
+    S = Semigroup(gens, degree_scale=2)
+    want = _reference_veronese_sums(S, n)
+    if not want:
+        with pytest.raises(ValueError, match="no semigroup elements"):
+            veronese(S, n)
+        return
+    V = veronese(S, n)
+    assert V.gens == tuple((s[0] // n,) + s[1:] for s in want)
+    assert V.degree_scale == 2 * n
+
+
+def test_veronese_of_high_degree_does_not_recurse():
+    V = veronese(Semigroup([(1, 0)]), 1200)
+    assert V.gens == ((1, 0),) and V.degree_scale == 1200
+
+
 def test_embed_elliptic():
     S = Semigroup([(1, 0), (1, 1), (1, 3)])
     N, images = embed_semigroup(S)
@@ -479,6 +521,8 @@ def test_torus_point_zero_parameter_rejected():
 def test_semigroup_dedupes_and_validates():
     S = Semigroup([(1, 2), (1, 2), (1, 3)])
     assert S.gens == ((1, 2), (1, 3))
+    S = Semigroup([(1, 3), (1, 2), (1, 3), (1, 0), (1, 2)], labels="abcde")
+    assert S.gens == ((1, 3), (1, 2), (1, 0)) and S.labels == ("a", "b", "d")
     with pytest.raises(ValueError):
         Semigroup([(0, 1)])
 
