@@ -18,7 +18,6 @@ from .groebner import (
     buchberger,
     canonical,
     homogeneous_grading,
-    initial_ideal,
     reduced_basis,
     same_ideal,
     saturate_by_variables,
@@ -29,7 +28,6 @@ from .polycore import (
     MAX,
     DimensionMismatch,
     Grading,
-    Lex,
     Polynomial,
     WeightOrder,
     dot,
@@ -212,7 +210,7 @@ class EmbeddingReport:
     kernel_check: Ideal              # kernel of the induced ring map, over fresh vars
     dims_checked: tuple              # (m, dim R_m, dim of image algebra in degree N*m)
     finiteness_certified: bool
-    cone_initial: Ideal              # monomial initial ideal of the chosen cone
+    pipeline: PipelineReport         # the verified valuation pipeline it ran on
 
 
 def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
@@ -226,7 +224,8 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
     the monomial with its embedded exponent, which is standard for the
     tie-broken cone of any such T (step 9); verify that graded dimensions
     match degree by degree.  T is found greedily, with one rank check per
-    column scanned and no subset search (step 10).
+    column scanned and no subset search (step 10).  The report carries the
+    pipeline report it ran and verified, so a caller needs no second run.
 
     The kernel of the induced ring map is the pipeline's toric ideal over
     fresh variable names, with no elimination and no second toric ideal:
@@ -279,12 +278,13 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
 
     Every T with independent columns gives standard images, and the first
     such T is a greedy choice:
-    9. _cone_order(T) is lex with every non-host variable above every host,
-       so it eliminates the non-hosts.  pipe.init is I_M (step 1), so an
-       element of its reduced basis whose lead uses only hosts would lie in
-       k[x_T] and in I_M, which meet only in 0 (step 2).  So every lead of
-       that basis, a generator of cone_initial, holds a non-host variable,
-       and none divides an image, a monomial in the hosts.
+    9. Take the lex order with every non-host variable above every host,
+       which eliminates the non-hosts; the cone's initial ideal is
+       initial_ideal(report.pipeline.init, that order).  pipe.init is I_M
+       (step 1), so an element of its reduced basis whose lead uses only
+       hosts would lie in k[x_T] and in I_M, which meet only in 0 (step 2).
+       So every lead of that basis holds a non-host variable, and none
+       divides an image, a monomial in the hosts.
     10. Independent column sets form a matroid.  Scan a list of columns in
        index order and keep each one independent of those kept before it,
        up to |used| of them: the kept set, ascending, is componentwise no
@@ -321,12 +321,10 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
             "a linear change of coordinates would be required")
     T = (_first_independent(M, sorted(vertex_cols), k)
          or _first_independent(M, range(nvars), k))
-    hosts = _assign_hosts(T, used, cvecs, J.vars)
+    hosts = _assign_hosts(T, used, cvecs)
     images_exp = _image_exponents(cvecs, hosts, used, nvars)
-    cone = initial_ideal(pipe.init, _cone_order(T, nvars))
 
-    labels = J.vars
-    source_vars = _fresh_source_names(labels, J.vars)
+    source_vars = _fresh_source_names(J.vars)
     toric_basis = reduced_basis(pipe.toric)
     G = GroebnerBasis([Polynomial._trusted(source_vars, g.terms)
                        for g in toric_basis.elements],
@@ -340,9 +338,9 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
     for m, dR, dS in dims:
         if dR != dS:
             raise VerificationFailed("dims", f"degree {m}: {dR} != {dS}")
-    images = {label: e for label, e in zip(labels, images_exp)}
+    images = dict(zip(J.vars, images_exp))
     return EmbeddingReport(T, tuple(hosts), N, images, kernel,
-                           tuple(dims), _finite(vertex_classes, T), cone)
+                           tuple(dims), _finite(vertex_classes, T), pipe)
 
 
 def _vertex_classes(M: IntMatrix) -> list:
@@ -379,7 +377,7 @@ def _first_independent(M: IntMatrix, cols, k):
     return None
 
 
-def _assign_hosts(T, used, cvecs, vars):
+def _assign_hosts(T, used, cvecs):
     """hosts[j] for j in `used`: the subset variable with the largest own
     image exponent in coordinate j; ties to the smaller variable index."""
     remaining = list(T)
@@ -401,19 +399,13 @@ def _image_exponents(cvecs, hosts, used, nvars):
     return out
 
 
-def _cone_order(T, nvars) -> Lex:
-    """Lex order of the tie-broken cone: non-host variables most significant,
-    each block from the last variable to the first."""
-    non_sel = [i for i in range(nvars - 1, -1, -1) if i not in T]
-    sel = [i for i in range(nvars - 1, -1, -1) if i in T]
-    return Lex(tuple(non_sel + sel))
-
-
-def _fresh_source_names(labels, taken):
+def _fresh_source_names(vars):
+    """One new name v_<var> per variable, lengthened by leading v's until it
+    clashes with no variable and no name made before it."""
     out = []
-    for lab in labels:
-        name = f"v_{lab}"
-        while name in taken or name in out:
+    for var in vars:
+        name = f"v_{var}"
+        while name in vars or name in out:
             name = "v" + name
         out.append(name)
     return tuple(out)

@@ -269,14 +269,14 @@ def run_elliptic() -> FixtureReport:
     f1 = fiber(F, 1)
     rep.add("fiber.t1", same_ideal(f1, J), DEFINITION, "base ideal", _ideal_str(f1))
 
-    pipe = valuation_pipeline(J, elliptic_matrix(), MIN)
+    emb = embed_value_semigroup(J, elliptic_matrix(), MIN,
+                                degree_bound=ELLIPTIC_DEGREE_BOUND)
+    pipe = emb.pipeline
     rep.add("pipeline.binomial_prime", pipe.binomial_prime, WORKED,
             "True", pipe.binomial_prime)
     rep.add("pipeline.init", same_ideal(pipe.init, want0), WORKED,
             "(y^2*z - x^3)", _ideal_str(pipe.init))
 
-    emb = embed_value_semigroup(J, elliptic_matrix(), MIN,
-                                degree_bound=ELLIPTIC_DEGREE_BOUND)
     got_images = {lab: format_polynomial(Polynomial.monomial(vars, e))
                   for lab, e in emb.images.items()}
     want_images = {"y": "y^3", "x": "y^2*z", "z": "z^3"}
@@ -313,13 +313,13 @@ def run_gr24_gvector() -> FixtureReport:
     M = gr24_gvector_matrix()
     want = canonical(Ideal([parse_polynomial("p13*p24 - p14*p23", J.vars)], J.vars))
 
-    pipe = valuation_pipeline(J, M, MIN)
+    emb = embed_value_semigroup(J, M, MIN, degree_bound=3)
+    pipe = emb.pipeline
     rep.add("pipeline.init", same_ideal(pipe.init, want), WORKED,
             "(p13*p24 - p14*p23)", _ideal_str(pipe.init))
     rep.add("pipeline.binomial_prime", pipe.binomial_prime, WORKED,
             "True", pipe.binomial_prime)
 
-    emb = embed_value_semigroup(J, M, MIN, degree_bound=3)
     want_images = {
         "p12": "p12^2*p13*p14*p23*p34",
         "p13": "p12*p13^2*p14*p23*p34",

@@ -32,8 +32,10 @@ class ZeroVector(ValueError):
 
 @dataclass(frozen=True)
 class MomentSample:
+    """One moment value.  It keeps no torus parameter: mu depends on |t|
+    only, and the weights and columns certify the value's containment."""
+
     value: tuple      # mu in R^r
-    source_t: tuple   # the torus parameter (complex numbers) that produced it
     weights: tuple = ()   # unnormalized nonnegative weights, one per column
     columns: tuple = ()   # A's integer columns, shared by a draw's samples
 
@@ -75,8 +77,9 @@ def sample_moment_image(A: IntMatrix, n: int, seed: int):
     The orbit point z_j = prod_i t_i^A[i][j] has |z_j|^2 = exp(2 <u, a_j>),
     so mu = A softmax(2 u A) depends on |t| only.  It is evaluated in the
     log domain, shifted by each sample's largest exponent, so no matrix
-    entry overflows it; the phases only make up each sample's source_t.
-    Each sample also carries its row of shifted exponentials as `weights`
+    entry overflows it.  The phases are drawn only to keep the draw order,
+    so a seed gives the log-moduli, and the values, it always gave; no
+    sample keeps t.  Each sample carries its row of shifted exponentials as `weights`
     and A's columns as `columns`: mu is their convex combination, which
     `image_vs_polytope` uses as its containment certificate.
     """
@@ -84,21 +87,17 @@ def sample_moment_image(A: IntMatrix, n: int, seed: int):
 
     if n < 1:
         raise ValueError("need at least one sample")
-    # per sample: A.rows log-moduli, then A.rows phases, as Generator.uniform
-    # would draw and scale them
+    # per sample: A.rows log-moduli, then A.rows unread phases, as
+    # Generator.uniform would draw them
     draws = np.random.default_rng(seed).random((n, 2, A.rows))
     u = -LOG_MODULUS_RANGE + 2.0 * LOG_MODULUS_RANGE * draws[:, 0]
-    phase = 2.0 * math.pi * draws[:, 1]
     weights = np.array(_float_rows(A))
     log_norms = 2.0 * (u @ weights)
     norms = np.exp(log_norms - log_norms.max(axis=1, keepdims=True))
     values = (norms @ weights.T) / norms.sum(axis=1, keepdims=True)
-    source_t = [tuple(math.exp(x) * complex(math.cos(p), math.sin(p))
-                      for x, p in zip(us, ps))
-                for us, ps in zip(u.tolist(), phase.tolist())]
     columns = tuple(A.columns())
-    return [MomentSample(tuple(v), t, tuple(w), columns)
-            for v, t, w in zip(values.tolist(), source_t, norms.tolist())]
+    return [MomentSample(tuple(v), tuple(w), columns)
+            for v, w in zip(values.tolist(), norms.tolist())]
 
 
 def _certified(s: MomentSample, slack: Fraction) -> bool:

@@ -2,13 +2,13 @@
 
 `_finite_over` decides finiteness of k[x]/init over the host variables from
 the leads of one reduced basis, `_all_standard` tests that the images are
-standard monomials for a host set's cone, and `reference_search` is the host
-search that tries every subset of variables with both tests, all as toricdeg
-shipped them.  `embed_value_semigroup` reads finiteness off the value
-polytope, proves standardness and picks its hosts greedily instead; the
-tests compare the two.  `reference_kernel` is the kernel as embed built it
-before it renamed the pipeline's toric ideal: a second toric ideal, of the
-embedded columns.
+standard monomials for a host set's cone, the initial ideal under
+`_cone_order`, and `reference_search` is the host search that tries every
+subset of variables with both tests, all as toricdeg shipped them.
+`embed_value_semigroup` reads finiteness off the value polytope, proves
+standardness and picks its hosts greedily instead; the tests compare the
+two.  `reference_kernel` is the kernel as embed built it before it renamed
+the pipeline's toric ideal: a second toric ideal, of the embedded columns.
 
 Also here: the Gr(2,n) Pluecker ideal with its caterpillar-tree matrix, the
 orthant image (N - sum a, a) of a degree-one column (1, a), kept apart from
@@ -28,13 +28,12 @@ from toricdeg.degeneration import (
     VerificationFailed,
     _assign_hosts,
     _columns_independent,
-    _cone_order,
     _image_exponents,
     valuation_pipeline,
 )
 from toricdeg.groebner import Ideal, initial_ideal, reduced_basis
 from toricdeg.intlat import IntMatrix
-from toricdeg.polycore import MIN, Grading, Polynomial, parse_polynomial
+from toricdeg.polycore import MIN, Grading, Lex, Polynomial, parse_polynomial
 from toricdeg.toric import Semigroup, embed_semigroup, is_vertex, toric_ideal
 
 
@@ -59,6 +58,14 @@ def _finite_over(init: Ideal, T) -> bool:
         if len(support) == 1:
             powers.add(support[0])
     return all(i in powers for i in range(len(vars)) if i not in T)
+
+
+def _cone_order(T, nvars) -> Lex:
+    """Lex order of the tie-broken cone: non-host variables most significant,
+    each block from the last variable to the first."""
+    non_sel = [i for i in range(nvars - 1, -1, -1) if i not in T]
+    sel = [i for i in range(nvars - 1, -1, -1) if i in T]
+    return Lex(tuple(non_sel + sel))
 
 
 def _all_standard(images_exp, cone: Ideal) -> bool:
@@ -96,29 +103,28 @@ def reference_search(J: Ideal, M: IntMatrix, convention: str = MIN) -> dict:
     for T in subsets:
         if not _columns_independent(M, T):
             continue
-        hosts = _assign_hosts(T, used, cvecs, J.vars)
+        hosts = _assign_hosts(T, used, cvecs)
         images_exp = _image_exponents(cvecs, hosts, used, nvars)
         cone = initial_ideal(init, _cone_order(T, nvars))
         if not _all_standard(images_exp, cone):
             continue
         if _finite_over(init, T):
-            chosen = (T, hosts, images_exp, cone, True)
+            chosen = (T, hosts, images_exp, True)
             break
         if fallback is None:
-            fallback = (T, hosts, images_exp, cone, False)
+            fallback = (T, hosts, images_exp, False)
     if chosen is None:
         chosen = fallback
     if chosen is None:
         raise NoIndependentSubset(
             "no host subset with independent columns and standard images; "
             "a linear change of coordinates would be required")
-    T, hosts, images_exp, cone, finite_ok = chosen
+    T, hosts, images_exp, finite_ok = chosen
     return {
         "independent_vars": tuple(sorted(T)),
         "hosts": tuple(hosts),
         "images": dict(zip(J.vars, images_exp)),
         "finiteness_certified": finite_ok,
-        "cone_initial": cone,
     }
 
 

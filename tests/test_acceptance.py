@@ -250,6 +250,24 @@ def test_fixture_registry_all_green():
     _ok("fixtures", f"all {len(fx.FIXTURE_NAMES)} fixtures green")
 
 
+def test_embedding_fixtures_run_the_pipeline_once(monkeypatch):
+    # their pipeline checks read the report embed_value_semigroup verified
+    from toricdeg import degeneration
+    calls = []
+    pipeline = degeneration.valuation_pipeline
+
+    def spy(*args):
+        calls.append(args)
+        return pipeline(*args)
+
+    monkeypatch.setattr(degeneration, "valuation_pipeline", spy)
+    monkeypatch.setattr(fx, "valuation_pipeline", spy)
+    for run in (fx.run_elliptic, fx.run_gr24_gvector):
+        calls.clear()
+        assert run().passed
+        assert len(calls) == 1
+
+
 def test_gr25_fixture_solves_each_vertex_lp_once(monkeypatch):
     calls = []
     vertex = fx.is_vertex

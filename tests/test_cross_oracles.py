@@ -21,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_embedding import (
     _all_standard,
+    _cone_order,
     _finite_over,
     _orthant_image,
     caterpillar_matrix,
@@ -39,7 +40,6 @@ from toricdeg.degeneration import (
     NoIndependentSubset,
     _assign_hosts,
     _columns_independent,
-    _cone_order,
     _finite,
     _first_independent,
     _image_exponents,
@@ -406,7 +406,6 @@ def _assert_embedding_matches_reference(J, M, convention=MIN):
     assert rep.hosts == want["hosts"]
     assert rep.images == want["images"]
     assert rep.finiteness_certified == want["finiteness_certified"]
-    assert rep.cone_initial.gens == want["cone_initial"].gens
 
 
 @st.composite
@@ -453,7 +452,7 @@ def test_every_independent_host_set_gives_standard_images():
         independent = [T for T in itertools.combinations(range(nvars), len(used))
                        if _columns_independent(M, T)]
         for T in independent:
-            hosts = _assign_hosts(T, used, cvecs, J.vars)
+            hosts = _assign_hosts(T, used, cvecs)
             images = _image_exponents(cvecs, hosts, used, nvars)
             assert _all_standard(images, initial_ideal(init, _cone_order(T, nvars)))
         counts.append(len(independent))

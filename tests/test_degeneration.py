@@ -8,7 +8,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_embedding import caterpillar_matrix, plucker_ideal, reference_kernel
+from reference_embedding import (
+    _cone_order,
+    caterpillar_matrix,
+    plucker_ideal,
+    reference_kernel,
+)
 from reference_groebner import exp_divides
 
 from toricdeg import fixtures as fx
@@ -412,8 +417,8 @@ def test_embed_caterpillar_with_dependent_rows_has_no_independent_subset(
 
 
 def test_embed_decides_finiteness_without_a_groebner_basis(monkeypatch):
-    # one cone basis for the one subset tried, and no basis of an ideal
-    # holding host variables, which a Groebner finiteness test would need
+    # no basis of an ideal holding host variables, which a Groebner
+    # finiteness test would need
     from toricdeg import degeneration, groebner
     inputs = []
     bb = groebner.buchberger
@@ -426,10 +431,36 @@ def test_embed_decides_finiteness_without_a_groebner_basis(monkeypatch):
     monkeypatch.setattr(degeneration, "buchberger", spy)
     J = plucker_ideal(5)
     embed_value_semigroup(J, caterpillar_matrix(5), MAX, degree_bound=2)
-    assert sum(isinstance(order, Lex) for _, order in inputs) == 1
     for I, _ in inputs:
         assert not any(len(g.terms) == 1 and sum(next(iter(g.terms))) == 1
                        for g in I.gens)
+
+
+def test_embed_runs_one_pipeline_and_no_lex_basis(monkeypatch):
+    # the report carries the pipeline embed verified, and the images are
+    # standard by proof (step 9), so no cone basis is computed
+    from toricdeg import degeneration, groebner
+    pipelines, orders = [], []
+    bb, vp = groebner.buchberger, degeneration.valuation_pipeline
+
+    def bb_spy(I, order=None, hilbert=None):
+        orders.append(order)
+        return bb(I, order, hilbert)
+
+    def vp_spy(*args):
+        pipelines.append(vp(*args))
+        return pipelines[-1]
+
+    monkeypatch.setattr(groebner, "buchberger", bb_spy)
+    monkeypatch.setattr(degeneration, "buchberger", bb_spy)
+    monkeypatch.setattr(degeneration, "valuation_pipeline", vp_spy)
+    for J, M, convention in [(fx.elliptic_ideal(), fx.elliptic_matrix(), MIN),
+                             (plucker_ideal(5), caterpillar_matrix(5), MAX)]:
+        pipelines.clear()
+        rep = embed_value_semigroup(J, M, convention, degree_bound=2)
+        assert len(pipelines) == 1 and rep.pipeline is pipelines[0]
+        assert rep.pipeline.binomial_prime
+    assert orders and not any(isinstance(order, Lex) for order in orders)
 
 
 def test_embed_rejects_non_binomial_prime():
@@ -443,6 +474,8 @@ def test_embed_rejects_non_binomial_prime():
 def test_embed_images_multiply_into_standard_monomials():
     # products of images reduce to the image of the sum: dimension equalities
     # make the embedded algebra multiplicatively closed on standard monomials
+    # of the hosts' cone, the initial ideal of the pipeline's in_M(J) under
+    # the lex order with the non-hosts first
     J = fx.elliptic_ideal()
     rep = embed_value_semigroup(J, fx.elliptic_matrix(), MIN, degree_bound=4)
     from toricdeg.groebner import buchberger, normal_form
@@ -451,8 +484,11 @@ def test_embed_images_multiply_into_standard_monomials():
     prod = imgs["x"] * imgs["z"]
     G = buchberger(canonical(J))
     r = normal_form(prod, G)
-    leads = [next(iter(g.terms)) for g in rep.cone_initial.gens]
-    for e in r.terms:
+    cone = initial_ideal(rep.pipeline.init,
+                         _cone_order(rep.independent_vars, len(J.vars)))
+    leads = [next(iter(g.terms)) for g in cone.gens]
+    assert leads
+    for e in list(r.terms) + list(rep.images.values()):
         assert not any(exp_divides(l, e) for l in leads)
 
 

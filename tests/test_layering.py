@@ -1,6 +1,7 @@
 """Module layering of `src/toricdeg`: every import points to a lower rank,
 `polycore` alone implements term orders, `groebner` alone installs cached
-reduced bases, and every public name has a caller.
+reduced bases, every public name has a caller, and every dataclass field
+has a reader.
 
 Imports are read from the source with `ast`, including those inside
 functions.  ROADMAP item 8 plans to move `weight_from_matrix`, which needs
@@ -143,3 +144,40 @@ def test_every_public_name_has_a_caller():
                 and not any(p != path or not node.lineno <= line <= node.end_lineno
                             for p, line in refs.get(node.name, ()))]
     assert uncalled == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any((isinstance(d, ast.Name) and d.id == "dataclass")
+               or (isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+                   and d.func.id == "dataclass")
+               for d in node.decorator_list)
+
+
+def _attribute_reads() -> dict:
+    """attribute name -> [(path, line)] for every `x.name` load in `src/` and
+    `bench/`."""
+    reads = {}
+    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append((path, node.lineno))
+    return reads
+
+
+def test_every_report_field_has_a_reader():
+    # a field that nothing reads is work done for no caller
+    reads = _attribute_reads()
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(cls, ast.ClassDef) or not _is_dataclass(cls):
+                continue
+            for field in cls.body:
+                if not (isinstance(field, ast.AnnAssign)
+                        and isinstance(field.target, ast.Name)):
+                    continue
+                name = field.target.id
+                if not any(p != path or not cls.lineno <= line <= cls.end_lineno
+                           for p, line in reads.get(name, ())):
+                    unread.append(f"{cls.name}.{name}")
+    assert unread == []
