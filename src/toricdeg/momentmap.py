@@ -7,16 +7,20 @@ A sample keeps the convex weights it was computed from, and its containment
 in an exact polytope of dimension >= 2 is proved from those weights in exact
 arithmetic; the interval test in dimension 1 and the coverage gap are made
 in floats.
-Sampling uses numpy's PCG64 generator; the contract is bit-for-bit
-determinism for a fixed seed within one build.
+Sampling uses only the standard library: `random.Random(seed).random()`,
+whose sequence Python keeps the same for an integer seed across versions,
+so a seed draws the same log-moduli everywhere and gives the same samples
+in every process.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .intlat import IntMatrix
@@ -55,49 +59,60 @@ def _float_rows(A: IntMatrix) -> list:
 
 
 def moment(A: IntMatrix, z: Sequence[complex]):
-    """mu([z]) = (1/|z|^2) * sum_j |z_j|^2 a_j, columns of A as weights."""
-    import numpy as np
+    """mu([z]) = (1/|z|^2) * sum_j |z_j|^2 a_j, columns of A as weights.
 
-    weights = np.array(_float_rows(A))
+    Every |z_j| is divided by the largest before squaring, so neither tiny
+    nor huge coordinates underflow or overflow the squares."""
+    rows = _float_rows(A)
     if len(z) != A.cols:
         raise DimensionMismatch("one coordinate per weight column required")
-    zz = np.asarray(z, dtype=complex)
-    norms = np.abs(zz) ** 2
-    total = norms.sum()
-    if total == 0.0:
+    moduli = [abs(x) for x in z]
+    top = max(moduli)
+    if top == 0.0:
         raise ZeroVector("zero projective vector")
-    return tuple(float(x) for x in (weights @ norms) / total)
+    norms = [(m / top) ** 2 for m in moduli]
+    return _convex_value(rows, norms)
+
+
+def _convex_value(rows: list, norms: list) -> tuple:
+    """sum_j norms_j a_j / sum_j norms_j for float rows of A."""
+    total = sum(norms)
+    return tuple([sum(map(mul, r, norms)) / total for r in rows])
 
 
 def sample_moment_image(A: IntMatrix, n: int, seed: int):
-    """n moment values of torus points t = exp(u + i*phase): log-moduli u
-    uniform in [-LOG_MODULUS_RANGE, LOG_MODULUS_RANGE] and phases uniform in
-    [0, 2*pi), deterministic for a fixed seed (PCG64).
+    """n moment values of torus points t with log-moduli u uniform in
+    [-LOG_MODULUS_RANGE, LOG_MODULUS_RANGE), deterministic for a fixed seed.
+
+    Sample k takes the next A.rows values of `random.Random(seed).random()`,
+    each scaled to a log-modulus; Python keeps that sequence for an integer
+    seed across versions.  A negative seed is rejected, since
+    `random.Random` would draw the same numbers as its absolute value.
 
     The orbit point z_j = prod_i t_i^A[i][j] has |z_j|^2 = exp(2 <u, a_j>),
-    so mu = A softmax(2 u A) depends on |t| only.  It is evaluated in the
-    log domain, shifted by each sample's largest exponent, so no matrix
-    entry overflows it.  The phases are drawn only to keep the draw order,
-    so a seed gives the log-moduli, and the values, it always gave; no
-    sample keeps t.  Each sample carries its row of shifted exponentials as `weights`
-    and A's columns as `columns`: mu is their convex combination, which
-    `image_vs_polytope` uses as its containment certificate.
+    so mu = A softmax(2 u A) depends on |t| only, and no phase is drawn.  It
+    is evaluated in the log domain, shifted by each sample's largest
+    exponent, so no matrix entry overflows it.  Each sample carries its
+    shifted exponentials as `weights` and A's columns as `columns`: mu is
+    their convex combination, which `image_vs_polytope` uses as its
+    containment certificate.
     """
-    import numpy as np
-
     if n < 1:
         raise ValueError("need at least one sample")
-    # per sample: A.rows log-moduli, then A.rows unread phases, as
-    # Generator.uniform would draw them
-    draws = np.random.default_rng(seed).random((n, 2, A.rows))
-    u = -LOG_MODULUS_RANGE + 2.0 * LOG_MODULUS_RANGE * draws[:, 0]
-    weights = np.array(_float_rows(A))
-    log_norms = 2.0 * (u @ weights)
-    norms = np.exp(log_norms - log_norms.max(axis=1, keepdims=True))
-    values = (norms @ weights.T) / norms.sum(axis=1, keepdims=True)
+    if seed < 0:
+        raise ValueError(f"the seed must be nonnegative, not {seed}")
+    rows = _float_rows(A)
+    float_columns = list(zip(*rows))
     columns = tuple(A.columns())
-    return [MomentSample(tuple(v), tuple(w), columns)
-            for v, w in zip(values.tolist(), norms.tolist())]
+    rng = random.Random(seed)
+    samples = []
+    for _ in range(n):
+        u = [rng.uniform(-LOG_MODULUS_RANGE, LOG_MODULUS_RANGE) for _ in rows]
+        log_norms = [2.0 * sum(map(mul, u, c)) for c in float_columns]
+        top = max(log_norms)
+        norms = [math.exp(x - top) for x in log_norms]
+        samples.append(MomentSample(_convex_value(rows, norms), tuple(norms), columns))
+    return samples
 
 
 def _certified(s: MomentSample, slack: Fraction) -> bool:

@@ -414,6 +414,15 @@ def test_moment_eps_not_a_distance_exit_1(tmp_path, capsys, eps):
     _assert_one_line_error(capsys, "error:")
 
 
+def test_moment_negative_seed_exit_1(tmp_path, capsys):
+    # random.Random(-1) would draw what seed 1 draws
+    m = tmp_path / "w.json"
+    m.write_text("[[1,0,3]]\n")
+    assert cli.main(["moment", "--matrix", str(m), "--samples", "5",
+                     "--seed", "-1"]) == 1
+    _assert_one_line_error(capsys, "error:")
+
+
 def test_moment_matrix_without_columns_exit_1(tmp_path, capsys):
     m = tmp_path / "empty.json"
     m.write_text("[[]]\n")

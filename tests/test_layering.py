@@ -1,4 +1,5 @@
-"""Module layering of `src/toricdeg`: every import points to a lower rank,
+"""Module layering of `src/toricdeg`: the library imports nothing outside
+the standard library, every import points to a lower rank,
 `polycore` alone implements term orders, `groebner` alone installs cached
 reduced bases, every public name has a caller, and every dataclass field
 has a reader.
@@ -11,6 +12,7 @@ Groebner bases, out of `intlat`; `intlat` then no longer needs `groebner`.
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,6 +55,25 @@ def _imported_modules(tree: ast.AST) -> set:
                 if parts[0] == "toricdeg" and len(parts) > 1:
                     out.add(parts[1])
     return out
+
+
+def _absolute_imports(node: ast.AST) -> list:
+    """The top-level package names an absolute import statement names."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module.split(".")[0]]
+    return []
+
+
+def test_library_imports_only_the_standard_library():
+    # toricdeg runs on a bare interpreter; numpy and the test extras stay
+    # in tests/ and bench/
+    outside = sorted({(path.stem, name) for path in PACKAGE.glob("*.py")
+                      for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                      for name in _absolute_imports(node)
+                      if name != "toricdeg" and name not in sys.stdlib_module_names})
+    assert outside == []
 
 
 def test_every_module_has_a_rank():

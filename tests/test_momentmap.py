@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -75,6 +78,10 @@ def test_moment_scaling_invariance():
         a = moment(A, z)
         b = moment(A, [lam * x for x in z])
         assert max(abs(p - q) for p, q in zip(a, b)) < 1e-12
+    # the moduli are divided by the largest before squaring, so squares
+    # that would underflow to 0 or overflow to inf do neither
+    for scale in (1e-200, 1e200):
+        assert moment(ELLIPTIC_A, [scale] * 3) == moment(ELLIPTIC_A, [1, 1, 1])
 
 
 def _orbit_point(A: IntMatrix, t):
@@ -92,14 +99,14 @@ def _orbit_point(A: IntMatrix, t):
 
 def _reference_parameters(A: IntMatrix, n: int, seed: int):
     """The per-sample draws of the orbit route: each torus parameter t drawn
-    separately, log-moduli then phases, as complex numbers."""
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
+    separately as a complex number, its log-moduli from the sampler's stream
+    and its phases from a stream of their own, which mu must ignore."""
+    moduli = random.Random(seed)
+    phases = random.Random(f"phases {seed}")
     out = []
     for _ in range(n):
-        u = rng.uniform(-LOG_MODULUS_RANGE, LOG_MODULUS_RANGE, size=A.rows)
-        phase = rng.uniform(0.0, 2.0 * math.pi, size=A.rows)
+        u = [moduli.uniform(-LOG_MODULUS_RANGE, LOG_MODULUS_RANGE) for _ in range(A.rows)]
+        phase = [phases.uniform(0.0, 2.0 * math.pi) for _ in range(A.rows)]
         out.append(tuple(math.exp(ui) * complex(math.cos(pi), math.sin(pi))
                          for ui, pi in zip(u, phase)))
     return out
@@ -139,6 +146,23 @@ def test_sampling_seed_determinism():
     assert s1 == s2
     s3 = sample_moment_image(ELLIPTIC_A, 64, seed=124)
     assert s1 != s3
+
+
+def test_sampling_seed_determinism_across_processes():
+    code = ("import sys; from toricdeg.intlat import IntMatrix; "
+            "from toricdeg.momentmap import sample_moment_image; "
+            "print([s.value for s in sample_moment_image(IntMatrix([[1, 0, 3]]), 64, 123)])")
+    env = dict(os.environ, PYTHONPATH=str(Path(momentmap.__file__).resolve().parents[1]))
+    runs = [subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True).stdout for _ in range(2)]
+    here = [s.value for s in sample_moment_image(ELLIPTIC_A, 64, seed=123)]
+    assert runs[0] == runs[1] == f"{here}\n"
+
+
+def test_negative_seed_is_rejected():
+    # random.Random(-1) would draw the same numbers as seed 1
+    with pytest.raises(ValueError, match="nonnegative"):
+        sample_moment_image(ELLIPTIC_A, 5, seed=-1)
 
 
 def test_elliptic_image_fills_interval():
