@@ -53,6 +53,8 @@ def _print_ideal(I: Ideal, as_json: bool):
 
 
 def _order_from_flags(args, nvars: int):
+    if args.w is not None and args.order != "weight":
+        raise SystemExit2("--w requires --order weight")
     if args.order == "degrevlex":
         return _degrevlex(nvars)
     if args.order == "lex":
@@ -78,12 +80,10 @@ def cmd_gb(args) -> int:
 
 def cmd_initial(args) -> int:
     I = read_ideal(args.infile)
-    if args.matrix:
+    if args.matrix is not None:
         rows = read_matrix(args.matrix).rows_list()
-    elif args.w:
-        rows = [_parse_ints(args.w)]
     else:
-        raise SystemExit2("initial requires --w or --matrix")
+        rows = [_parse_ints(args.w)]
     _print_ideal(initial_ideal(I, to_min(rows, args.convention)), args.json)
     return 0
 
@@ -98,8 +98,6 @@ def cmd_toric(args) -> int:
 
 def cmd_family(args) -> int:
     I = read_ideal(args.infile)
-    if not args.w:
-        raise SystemExit2("family requires --w")
     F = family_ideal(I, _parse_ints(args.w), args.convention)
     out = Ideal(F.gens, F.vars)
     _print_ideal(out, args.json)
@@ -108,8 +106,6 @@ def cmd_family(args) -> int:
 
 def cmd_fiber(args) -> int:
     I = read_ideal(args.infile)
-    if not args.w:
-        raise SystemExit2("fiber requires --w")
     F = family_ideal(I, _parse_ints(args.w), args.convention)
     try:
         t0 = Fraction(args.t0)
@@ -186,9 +182,7 @@ def cmd_moment(args) -> int:
     if len(proj) != 2 or not all(0 <= k < M.rows for k in proj):
         raise ValueError(f"--project needs two coordinate indices in 0..{M.rows - 1}")
     samples = sample_moment_image(M, args.samples, args.seed)
-    verts = hull_vertices([tuple(Fraction(x) for x in M.column(j))
-                           for j in range(M.cols)])
-    P = PolytopeQ(verts, M.rows)
+    P = PolytopeQ(hull_vertices(M.columns()), M.rows)
     stats = image_vs_polytope(samples, P, args.eps)
     if args.svg:
         emit_svg(samples, P, proj, args.svg)
@@ -234,31 +228,33 @@ def build_parser() -> argparse.ArgumentParser:
                     "toric ideals, embeddings, projections, moment images")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, matrix=False, w=False, order=False):
+    w_help = "comma-separated weight vector"
+
+    def common(name, help):
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("--in", dest="infile", required=True, help="ideal file")
-        if matrix:
-            sp.add_argument("--matrix", help="matrix JSON file")
-        if w:
-            sp.add_argument("--w", help="comma-separated weight vector")
-        if order:
-            sp.add_argument("--order", choices=["lex", "degrevlex", "weight"],
-                            default="degrevlex")
         sp.add_argument("--convention", choices=["min", "max"], default="min")
         sp.add_argument("--json", action="store_true")
         return sp
 
-    common(sub.add_parser("gb", help="reduced Groebner basis"), w=True, order=True)
-    common(sub.add_parser("initial", help="initial ideal for a weight or matrix"),
-           matrix=True, w=True)
+    sp = common("gb", "reduced Groebner basis")
+    sp.add_argument("--w", help=w_help + "; requires --order weight")
+    sp.add_argument("--order", choices=["lex", "degrevlex", "weight"], default="degrevlex")
+    group = common("initial", "initial ideal for a weight or matrix") \
+        .add_mutually_exclusive_group(required=True)
+    group.add_argument("--w", help=w_help)
+    group.add_argument("--matrix", help="matrix JSON file")
 
     sp = sub.add_parser("toric", help="toric ideal of an integer matrix")
     sp.add_argument("--matrix", required=True)
     sp.add_argument("--names", required=True, help="comma-separated variable names")
     sp.add_argument("--json", action="store_true")
 
-    common(sub.add_parser("family", help="one-parameter degeneration family"), w=True)
-    fp = common(sub.add_parser("fiber", help="fiber of the family at t0"), w=True)
-    fp.add_argument("--t0", default="0")
+    common("family", "one-parameter degeneration family").add_argument(
+        "--w", required=True, help=w_help)
+    sp = common("fiber", "fiber of the family at t0")
+    sp.add_argument("--w", required=True, help=w_help)
+    sp.add_argument("--t0", default="0")
 
     def ideal_and_matrix(name, help):
         sp = sub.add_parser(name, help=help)

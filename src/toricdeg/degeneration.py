@@ -71,10 +71,6 @@ class FamilyIdeal:
     w: tuple
     convention: str = MIN
 
-    @property
-    def parameter(self) -> str:
-        return self.vars[-1]
-
 
 def family_ideal(J: Ideal, w: Sequence[int], convention: str = MIN) -> FamilyIdeal:
     """t-interpolating family: each term of a weight-adapted reduced basis is
@@ -112,11 +108,12 @@ def family_ideal(J: Ideal, w: Sequence[int], convention: str = MIN) -> FamilyIde
 def fiber(F: FamilyIdeal, t0) -> Ideal:
     """The fiber of the family at t = t0, in canonical form.
 
-    At t0 = 0 the parameter is substituted into the family generators, which
-    leaves the initial forms of the weight basis, and the result is
-    canonicalized: one Buchberger call.  It takes no Hilbert target, though
-    J's leads would be one: on the `families` catalogue the per-degree
-    Hilbert counts cost more there than the zero reductions they save.
+    At t0 = 0 each family generator is restricted to J's variables, the ring
+    map that sends t to 0.  That leaves the initial forms of the weight
+    basis, and the result is canonicalized: one Buchberger call.  It takes
+    no Hilbert target, though J's leads would be one: on the `families`
+    catalogue the per-degree Hilbert counts cost more there than the zero
+    reductions they save.
 
     At t0 != 0 no Groebner basis is computed.  With the min weight w, the
     family generator made from g in the weight basis is, at t0,
@@ -133,12 +130,8 @@ def fiber(F: FamilyIdeal, t0) -> Ideal:
     t0 = Fraction(t0)
     J = F.base_ideal
     if t0 == 0:
-        gens = []
-        for g in F.gens:
-            h = g.substitute({F.parameter: t0})
-            if not h.is_zero():
-                gens.append(h.restrict(J.vars))
-        return canonical(Ideal(gens, J.vars, grading=J.grading))
+        return canonical(Ideal([g.restrict(J.vars) for g in F.gens], J.vars,
+                               grading=J.grading))
     (w,) = to_min([F.w], F.convention)
     G = reduced_basis(J)
     if t0 != 1:  # phi is the identity at t0 = 1
@@ -227,6 +220,14 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
     column scanned and no subset search (step 10).  The report carries the
     pipeline report it ran and verified, so a caller needs no second run.
 
+    The dims table is hilbert_witness(pipe.init, pipe.toric, 0..degree_bound),
+    with no Groebner basis of J: in_M(J) has J's Hilbert function in J's
+    grading (Sturmfels 1996, Groebner Bases and Convex Polytopes, ch. 1),
+    and the kernel below is pipe.toric renamed, read in the standard
+    grading.  The pipeline has verified in_M(J) = pipe.toric, so the dims
+    clause fails only when J's grading is not the standard one, as for
+    the elliptic cubic graded 2,2,2 (degree 1: 0 != 3).
+
     The kernel of the induced ring map is the pipeline's toric ideal over
     fresh variable names, with no elimination and no second toric ideal:
     1. The pipeline has verified in_M(J) = I_M; with an all-ones degree row,
@@ -234,10 +235,10 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
     2. The host columns T are independent (_columns_independent), so distinct
        monomials of k[x_T] have distinct M-degrees.  I_M is M-graded and
        contains no monomial, so I_M meets k[x_T] only in 0.
-    3. J is homogeneous, which the dims check requires before any report is
-       returned.  So a nonzero f in J with all its terms in k[x_T] would have
-       a nonzero initial form in I_M, again in k[x_T], which step 2 rules
-       out.  Hence k[x_T] -> k[x]/J is injective.
+    3. J is homogeneous, which the pipeline checks (weight_from_matrix
+       raises NotHomogeneous otherwise).  So a nonzero f in J with all its
+       terms in k[x_T] would have a nonzero initial form in I_M, again in
+       k[x_T], which step 2 rules out.  Hence k[x_T] -> k[x]/J is injective.
     4. Every image is a monomial in the hosts, so the kernel is the toric
        ideal of the image exponents, which is toric_ideal(cvecs): the unused
        coordinates are zero rows.  Each cvec is (N - sum a, a) = E (1, a)
@@ -329,12 +330,9 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
     G = GroebnerBasis([Polynomial._trusted(source_vars, g.terms)
                        for g in toric_basis.elements],
                       toric_basis.order, toric_basis.leads)
-    # reported without a grading, as the kernel of a map into k[x]/J; its
-    # dims are read under the standard grading, which is pipe.toric's here
+    # reported without a grading, as the kernel of a map into k[x]/J
     kernel = _with_basis(G, source_vars, None)
-    degrees = range(degree_bound + 1)
-    dims = list(zip(degrees, _graded_dimensions(J, degrees),
-                    _graded_dimensions(kernel, degrees)))
+    dims = hilbert_witness(pipe.init, pipe.toric, range(degree_bound + 1))
     for m, dR, dS in dims:
         if dR != dS:
             raise VerificationFailed("dims", f"degree {m}: {dR} != {dS}")
@@ -431,8 +429,10 @@ def projection_limit(I: Ideal, kept: Sequence[str]) -> ProjectionReport:
 
     The limit is the initial ideal for weights w = 0 on kept and -1 on
     dropped variables (min convention); the closure of the projected image
-    is the elimination ideal I intersected with k[kept]; their agreement on
-    the kept coordinate plane is the scheme-level check.
+    is the elimination ideal I intersected with k[kept].  The scheme-level
+    check compares the closure with the limit on the kept coordinate plane:
+    each element of the limit's reduced basis is restricted to the kept
+    variables, the ring map that sends the dropped ones to 0.
 
     One Groebner basis G of I, under WeightOrder([w]), gives both.  Its
     initial forms generate the limit.  The first entry of that order's key
@@ -463,13 +463,7 @@ def projection_limit(I: Ideal, kept: Sequence[str]) -> ProjectionReport:
     limit = _weight_initial(I, G, [w])
     cone_part = saturate_by_variables(limit, dropped)
     closure = _eliminated(I, G, kept)
-    zeroed = []
-    subs = {v: Fraction(0) for v in dropped}
-    for g in reduced_basis(limit).elements:
-        h = g.substitute(subs)
-        if not h.is_zero():
-            zeroed.append(h.restrict(kept))
-    restricted = canonical(Ideal(zeroed, kept))
+    restricted = Ideal([g.restrict(kept) for g in reduced_basis(limit).elements], kept)
     check = same_ideal(restricted, closure)
     return ProjectionReport(limit, cone_part, closure, check, kept, dropped, w)
 

@@ -376,36 +376,20 @@ class Polynomial:
         return Polynomial._trusted(new_vars, res)
 
     def restrict(self, new_vars: Sequence[str]) -> "Polynomial":
-        """Project onto a subring; requires support within `new_vars`."""
+        """The image under the ring map k[vars] -> k[new_vars] that keeps the
+        variables of `new_vars` and sends every other variable to 0: the
+        terms free of the other variables."""
         new_vars = tuple(new_vars)
         keep = []
         for v in new_vars:
-            keep.append(self.vars.index(v))
-        keep_set = set(keep)
-        for e in self.terms:
-            for i, x in enumerate(e):
-                if x and i not in keep_set:
-                    raise ValueError(
-                        f"variable {self.vars[i]!r} occurs; cannot restrict")
-        res = {tuple(e[i] for i in keep): c for e, c in self.terms.items()}
-        return Polynomial._trusted(new_vars, res)
-
-    def substitute(self, values: Mapping[str, object]) -> "Polynomial":
-        """Substitute Fractions for some variables, keep the ring unchanged."""
-        idx = {}
-        for name, val in values.items():
-            if name not in self.vars:
-                raise UnknownVariable(name)
-            idx[self.vars.index(name)] = Fraction(val)
-        pairs = []
-        for e, c in self.terms.items():
-            ne = list(e)
-            for i, val in idx.items():
-                if e[i]:
-                    c = c * val ** e[i]
-                ne[i] = 0
-            pairs.append((tuple(ne), c))
-        return Polynomial._trusted(self.vars, _add_terms({}, pairs))
+            try:
+                keep.append(self.vars.index(v))
+            except ValueError:
+                raise UnknownVariable(v) from None
+        drop = [i for i in range(len(self.vars)) if i not in keep]
+        return Polynomial._trusted(new_vars, {
+            tuple(e[i] for i in keep): c for e, c in self.terms.items()
+            if not any(e[i] for i in drop)})
 
     def evaluate(self, point: Sequence[object]) -> Fraction:
         """Exact evaluation at a full rational point."""

@@ -216,12 +216,6 @@ def test_exponent_overflow_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_import_does_not_load_numpy():
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    code = "import sys, toricdeg.cli; sys.exit('numpy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
-
-
 def _run_cli(argv, timeout):
     """The CLI in a fresh interpreter, so that a hang fails after `timeout`
     seconds instead of stalling the suite."""
@@ -452,3 +446,42 @@ def test_weight_order_requires_w(tmp_path, capsys):
     assert cli.main(["gb", "--in", ideal, "--order", "weight"]) == 1
     err = capsys.readouterr().err
     assert "synopsis" in err
+
+
+@pytest.mark.parametrize("order", [[], ["--order", "lex"]])
+def test_gb_rejects_w_without_weight_order(tmp_path, capsys, order):
+    # the weight would be dropped: the basis printed is the order's own
+    ideal, _ = _write_elliptic(tmp_path)
+    assert cli.main(["gb", "--in", ideal, "--w", "0,0,1", *order]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: --w requires --order weight")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["initial", "--w", "0,0,1", "--matrix", "{matrix}"], id="initial-both"),
+    pytest.param(["initial"], id="initial-neither"),
+    pytest.param(["family"], id="family-no-w"),
+    pytest.param(["fiber", "--t0", "1"], id="fiber-no-w"),
+])
+def test_weight_flags_checked_by_the_parser(tmp_path, capsys, argv):
+    ideal, matrix = _write_elliptic(tmp_path)
+    argv = [argv[0], "--in", ideal, *(a.format(matrix=matrix) for a in argv[1:])]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: toricdeg " + argv[0])
+    assert "error:" in captured.err.splitlines()[-1]
+
+
+def test_embed_dims_fail_for_a_non_standard_grading(tmp_path, capsys):
+    # in_M(J) is read in J's grading, where it has no linear forms, and the
+    # toric ideal in the standard grading
+    ideal = tmp_path / "elliptic222.ideal"
+    ideal.write_text("vars: x,y,z\ngrading: 2,2,2\ny^2*z - x^3 + x*z^2\n")
+    _, matrix = _write_elliptic(tmp_path)
+    assert cli.main(["embed", "--in", str(ideal), "--matrix", matrix]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("verification failure: verification failed: "
+                            "dims (degree 1: 0 != 3)\n")

@@ -102,13 +102,17 @@ def test_family_and_fibers_run_three_buchbergers(monkeypatch):
 
 
 def _substituted_fiber(F, t0):
-    """The fiber by substituting t0 into the family generators and
-    canonicalizing: the route `fiber` took at every t0 before it used the
-    torus action, kept here as its oracle."""
-    base = F.vars[:-1]
-    gens = [g.substitute({F.parameter: Fraction(t0)}).restrict(base) for g in F.gens]
-    return canonical(Ideal([g for g in gens if not g.is_zero()], base,
-                           grading=F.base_ideal.grading))
+    """The fiber by substituting t0 for the parameter, the last variable, in
+    the family generators and canonicalizing: the route `fiber` took at every
+    t0 before it used the torus action, kept here as its oracle."""
+    base, t0 = F.vars[:-1], Fraction(t0)
+    gens = []
+    for g in F.gens:
+        terms = {}
+        for e, c in g.terms.items():
+            terms[e[:-1]] = terms.get(e[:-1], 0) + c * t0 ** e[-1]
+        gens.append(Polynomial(base, terms))
+    return canonical(Ideal(gens, base, grading=F.base_ideal.grading))
 
 
 @st.composite
@@ -546,12 +550,12 @@ def test_projection_closure_contained_in_restricted_limit():
         I = Ideal(gens, vars, grading=Grading.standard(4))
         pr = projection_limit(I, ("x", "y"))
         from toricdeg.groebner import ideal_contains, reduced_basis
-        sub = {v: Fraction(0) for v in pr.dropped}
-        restricted = []
-        for g in reduced_basis(pr.limit).elements:
-            h = g.substitute(sub)
-            if not h.is_zero():
-                restricted.append(h.restrict(pr.kept))
+        # each limit element with the dropped variables set to 0
+        kept = [vars.index(v) for v in pr.kept]
+        restricted = [Polynomial(pr.kept, {tuple(e[i] for i in kept): c
+                                           for e, c in g.terms.items()
+                                           if sum(e) == sum(e[i] for i in kept)})
+                      for g in reduced_basis(pr.limit).elements]
         R = canonical(Ideal(restricted, pr.kept))
         assert ideal_contains(R, pr.closure)
 
@@ -660,6 +664,29 @@ def test_embed_dims_one_numerator_per_ideal(numerator_tops):
     assert numerator_tops == [5, 5]
     assert rep.dims_checked == tuple((m, 3 * m if m else 1, 3 * m if m else 1)
                                      for m in range(6))
+
+
+def test_embed_runs_no_degrevlex_basis_of_J(monkeypatch):
+    # the dims table reads J's Hilbert function off in_M(J), which the
+    # pipeline has verified, so the only basis of J is the pipeline's
+    # WeightOrder(M) basis
+    from toricdeg import degeneration, groebner
+    orders = []
+    bb = groebner.buchberger
+
+    def spy(I, order=None, hilbert=None):
+        if I.gens == J.gens:
+            orders.append(order)
+        return bb(I, order, hilbert)
+
+    monkeypatch.setattr(groebner, "buchberger", spy)
+    monkeypatch.setattr(degeneration, "buchberger", spy)
+    for J, M, convention in [(fx.elliptic_ideal(), fx.elliptic_matrix(), MIN),
+                             (fx.gr24_ideal(), fx.gr24_gvector_matrix(), MIN),
+                             (plucker_ideal(5), caterpillar_matrix(5), MAX)]:
+        orders.clear()
+        embed_value_semigroup(J, M, convention, degree_bound=3)
+        assert len(orders) == 1 and isinstance(orders[0], WeightOrder)
 
 
 def test_pipeline_one_matrix_order_basis(monkeypatch):

@@ -151,7 +151,21 @@ def test_like_terms_merge_in_place():
     p = Polynomial(vars, {(1, 0, 0): 0, (0, 1, 0): 2, (0, 0, 1): Fraction(1, 2)})
     assert list(p.terms) == [(0, 1, 0), (0, 0, 1)]
     assert (p * p).terms == {(0, 2, 0): 4, (0, 1, 1): 2, (0, 0, 2): Fraction(1, 4)}
-    assert p.substitute({"y": 1, "z": -4}).is_zero()
+
+
+def test_restrict_sends_other_variables_to_zero():
+    vars = ("x", "y", "z")
+    p = parse_polynomial("x^2*z - 3*y*z + 2*x*y - z^3 + 5", vars)
+    assert p.restrict(("y", "x")) == parse_polynomial("2*x*y + 5", ("y", "x"))
+    assert p.restrict(("z",)) == parse_polynomial("-z^3 + 5", ("z",))
+    assert parse_polynomial("x*y", vars).restrict(("x", "z")).is_zero()
+    assert p.restrict(vars) == p
+
+
+def test_restrict_unknown_variable():
+    p = parse_polynomial("x + y", ("x", "y"))
+    with pytest.raises(ValueError, match="'w'"):
+        p.restrict(("x", "w"))
 
 
 def test_polynomial_refuses_fractional_exponents():
