@@ -12,12 +12,13 @@ from .groebner import (
     GroebnerBasis,
     Ideal,
     _eliminated,
+    _from_degrevlex_basis,
     _graded_dimensions,
-    _weight_initial,
     _with_basis,
     buchberger,
     canonical,
     homogeneous_grading,
+    ideal_contains,
     reduced_basis,
     same_ideal,
     saturate_by_variables,
@@ -26,12 +27,15 @@ from .intlat import IntMatrix, homogenize_matrix, weight_from_matrix
 from .polycore import (
     MIN,
     MAX,
+    DegRevLex,
     DimensionMismatch,
     Grading,
     Polynomial,
+    TermOrder,
     WeightOrder,
     dot,
     exact_int,
+    initial_form,
     to_min,
 )
 from .toric import (
@@ -434,17 +438,28 @@ def projection_limit(I: Ideal, kept: Sequence[str]) -> ProjectionReport:
     each element of the limit's reduced basis is restricted to the kept
     variables, the ring map that sends the dropped ones to 0.
 
-    One Groebner basis G of I, under WeightOrder([w]), gives both.  Its
-    initial forms generate the limit.  The first entry of that order's key
-    is the total degree in the dropped variables, so a monomial with a
-    dropped variable beats every monomial without one: the order eliminates
-    the dropped block (and is a well-order, as no entry of w is positive).
-    For f in I free of dropped variables, some lead of G divides f's lead,
-    so that lead has dropped degree 0; it is its element's largest term, so
-    every term of that element has dropped degree 0.  Hence G's elements
-    free of dropped variables, restricted to the kept ones, are a Groebner
-    basis of I intersected with k[kept]; `eliminate` would compute a second
-    basis for it.
+    One Groebner basis G of I, under the order that compares the weight w
+    first, the smaller weight being the bigger monomial, and breaks ties by
+    degrevlex, gives both, with no second pair loop:
+    - The initial forms in_w(G) are a degrevlex Groebner basis of the limit,
+      with G's leads (Sturmfels 1996, Groebner Bases and Convex Polytopes,
+      Cor. 1.9).
+    - The order's first key entry is the total degree in the dropped
+      variables, so a monomial with a dropped variable beats every monomial
+      without one: the order eliminates the dropped block (and is a
+      well-order, as no entry of w is positive).  For f in I free of
+      dropped variables, some lead of G divides f's lead, so that lead has
+      dropped degree 0; it is its element's largest term, so every term of
+      that element has dropped degree 0.  Hence G's elements free of dropped
+      variables, restricted to the kept ones, are a Groebner basis of the
+      closure, under degrevlex on the kept variables (`_eliminated`).
+    Each of the two is made canonical by interreduction alone
+    (`_from_degrevlex_basis`); G itself is not returned.
+
+    The closure always lies in the restricted limit: f in I free of dropped
+    variables has w-weight 0 on every term, so in_w(f) = f is in the limit,
+    and restricting f gives f back.  The scheme check therefore tests the
+    other containment only, with normal forms against the closure's basis.
 
     The weight basis takes no Hilbert target, though I's leads would be one
     when I is standard-homogeneous: on the `lattices` catalogue the
@@ -459,12 +474,14 @@ def projection_limit(I: Ideal, kept: Sequence[str]) -> ProjectionReport:
             raise ValueError(f"variable {v!r} not in the ring")
     dropped = tuple(v for v in I.vars if v not in kept)
     w = tuple(0 if v in kept else -1 for v in I.vars)
-    G = buchberger(I, WeightOrder([w]))
-    limit = _weight_initial(I, G, [w])
+    n = len(I.vars)
+    G = buchberger(I, TermOrder(n, [(tuple(-x for x in w), ()), *DegRevLex(n).blocks]))
+    limit = _from_degrevlex_basis([initial_form(g, w) for g in G.elements], G.leads,
+                                  I.vars, I.grading)
     cone_part = saturate_by_variables(limit, dropped)
     closure = _eliminated(I, G, kept)
     restricted = Ideal([g.restrict(kept) for g in reduced_basis(limit).elements], kept)
-    check = same_ideal(restricted, closure)
+    check = ideal_contains(closure, restricted)
     return ProjectionReport(limit, cone_part, closure, check, kept, dropped, w)
 
 

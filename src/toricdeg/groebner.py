@@ -11,13 +11,17 @@ from __future__ import annotations
 
 import heapq
 import operator
+import sys
+from array import array
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .polycore import (
+    MAX_EXPONENT,
     BlockOrder,
+    DegreeOverflow,
     DimensionMismatch,
     Exponent,
     Grading,
@@ -26,9 +30,6 @@ from .polycore import (
     WeightOrder,
     _degrevlex,
     exact_int,
-    exp_add,
-    exp_lcm,
-    exp_sub,
     format_polynomial,
     initial_form_rows,
 )
@@ -113,6 +114,104 @@ class GroebnerBasis:
 
 
 # ---------------------------------------------------------------------------
+# packed exponents
+
+# array and memoryview item codes by item width in bits: the field widths
+_CODES = {8 * array(code).itemsize: code for code in "BHIQ"}
+_WIDTHS = sorted(_CODES)
+# the first width tried holds this many times the largest input exponent
+_HEADROOM = 4
+
+
+class _FieldOverflow(Exception):
+    """A product's exponent outgrew its packed field."""
+
+
+class _Packing:
+    """Exponents of n entries packed into one int, entry i in bits
+    [width*i, width*(i+1)), for the engine's inner loops (Monagan & Pearce
+    2011, Sparse polynomial division using a heap).
+
+    The top bit of each field is a guard bit, clear in every exponent the
+    engine keeps, so a field holds 0..cap with cap = 2^(width-1) - 1, or
+    MAX_EXPONENT at 64 bits.  For packed a and b:
+    - x^a * x^b is a + b, and x^a / x^b is a - b when x^b divides x^a: no
+      field carries into or borrows from the next;
+    - x^b divides x^a exactly when ((a | guard) - b) & guard == guard: each
+      field of a | guard is a_i + 2^(width-1), from which b_i subtracts
+      without a borrow, and its guard bit stays set exactly when b_i <= a_i;
+    - the lcm takes a's field where that guard bit is set, b's elsewhere.
+    A sum of two kept exponents holds each field's sum exactly, so its field
+    has outgrown cap exactly when (sum + bias) & guard is nonzero; `bias` is
+    0 except at 64 bits, where it lowers the guard's threshold from 2^63 to
+    MAX_EXPONENT + 1.
+
+    The order's `key` and `reversed_key` and the total degree `degree` are
+    cached functions of the packed exponent, each unpacking it on its first
+    call; `unpack` itself is not cached, as its tuples would outlive their
+    use.
+    """
+
+    __slots__ = ("width", "cap", "guard", "bias", "_code", "unpack", "key",
+                 "reversed_key", "degree")
+
+    def __init__(self, n: int, width: int, order: TermOrder):
+        self.width = width
+        self._code = code = _CODES[width]
+        ones = int.from_bytes(array(code, [1] * n).tobytes(), sys.byteorder)
+        top = 1 << (width - 1)
+        self.cap = min(top - 1, MAX_EXPONENT)  # the largest entry a field holds
+        self.guard = ones * top
+        self.bias = ones * (top - 1 - self.cap)
+        size = n * width // 8
+        byteorder = sys.byteorder
+
+        def unpack(p: int) -> Exponent:
+            return tuple(memoryview(p.to_bytes(size, byteorder)).cast(code))
+
+        self.unpack = unpack
+        self.key = cache(lambda p: order.key(unpack(p)))
+        self.reversed_key = cache(lambda p: order.reversed_key(unpack(p)))
+        self.degree = cache(lambda p: sum(memoryview(p.to_bytes(size, byteorder)).cast(code)))
+
+    def pack(self, e: Exponent) -> int:
+        return int.from_bytes(array(self._code, e).tobytes(), sys.byteorder)
+
+    def packed(self, terms: dict) -> dict:
+        """`terms` with packed exponents."""
+        return {self.pack(e): c for e, c in terms.items()}
+
+    def divides(self, b: int, a: int) -> bool:
+        """Whether x^b divides x^a."""
+        return ((a | self.guard) - b) & self.guard == self.guard
+
+    def lcm(self, a: int, b: int) -> int:
+        d = ((a | self.guard) - b) & self.guard  # guard bits where a_i >= b_i
+        return b ^ ((a ^ b) & (d - (d >> (self.width - 1))))
+
+
+def _widening(n: int, top: int, order: TermOrder, run):
+    """run(packing) for exponents of n entries under `order`: first at the
+    narrowest width whose fields hold _HEADROOM times `top`, the largest
+    input exponent entry, then at each wider width while a field overflows.
+    A 64-bit field overflows only past MAX_EXPONENT, so the widest width's
+    overflow raises DegreeOverflow, as `exp_add` does."""
+    for width in _WIDTHS:
+        if width != _WIDTHS[-1] and (1 << (width - 1)) <= _HEADROOM * top:
+            continue
+        try:
+            return run(_Packing(n, width, order))
+        except _FieldOverflow:
+            pass
+    raise DegreeOverflow(f"exponent exceeds {MAX_EXPONENT}")
+
+
+def _top(polys: Iterable[Polynomial]) -> int:
+    """The largest exponent entry of the polynomials, 0 if none."""
+    return max((x for p in polys for e in p.terms for x in e), default=0)
+
+
+# ---------------------------------------------------------------------------
 # core algorithms
 
 
@@ -134,43 +233,45 @@ def _primitive(terms: dict) -> dict:
     return {e: c // k for e, c in terms.items()}
 
 
-def _normal_form(terms: dict, divisors: list, rkey) -> tuple:
+def _normal_form(terms: dict, divisors: list, packing: _Packing) -> tuple:
     """Fraction-free full normal form of the integer polynomial `terms`.
 
     `divisors` are (lead, integer polynomial) pairs whose lead coefficients
-    are positive.  Returns (r, m): the integer polynomial r = m*terms - (a
-    combination of divisors), with no term divisible by any lead, and the
-    positive multiplier m, so r/m is the normal form of `terms`.  r lists its
-    terms largest first.
+    are positive; every exponent is packed by `packing`.  Returns (r, m): the
+    integer polynomial r = m*terms - (a combination of divisors), with no
+    term divisible by any lead, and the positive multiplier m, so r/m is the
+    normal form of `terms`.  r lists its terms largest first.
 
     A term c*x^e with lead l of g dividing e is removed by terms := (a/k)*terms
     - (c/k)*x^(e-l)*g, where a is g's lead coefficient and k = gcd(a, c): the
     factor a/k scales both the terms still to be reduced and those already in
     r, and multiplies m.  Terms are taken largest first from a heap keyed by
-    `rkey`, the order's reversed key, whose smallest entry is the largest
-    term.  A term that cancels stays in the heap and is skipped when popped:
-    every term a reduction step adds is smaller than the one it removes, so a
-    popped exponent never comes back.
+    the order's reversed key, whose smallest entry is the largest term.  A
+    term that cancels stays in the heap and is skipped when popped: every
+    term a reduction step adds is smaller than the one it removes, so a
+    popped exponent never comes back.  A new term whose exponent outgrows
+    its field raises _FieldOverflow.
     """
+    rkey, guard, bias = packing.reversed_key, packing.guard, packing.bias
     work = dict(terms)
     heap = [(rkey(e), e) for e in work]
     heapq.heapify(heap)
     out: dict = {}
     mult = 1
-    le, add, sub = operator.le, operator.add, operator.sub
     pop, push = heapq.heappop, heapq.heappush
     while heap:
         e = pop(heap)[1]
         c = work.pop(e, None)
         if c is None:
             continue
+        eg = e | guard
         for l, g in divisors:
-            if all(map(le, l, e)):
+            if (eg - l) & guard == guard:  # `divides(l, e)`, inlined
                 break
         else:
             out[e] = c
             continue
-        shift = tuple(map(sub, e, l))
+        shift = e - l
         a = g[l]
         k = gcd(a, c)
         a //= k
@@ -179,12 +280,14 @@ def _normal_form(terms: dict, divisors: list, rkey) -> tuple:
             mult *= a
             work = {x: y * a for x, y in work.items()}
             out = {x: y * a for x, y in out.items()}
-        for eg, cg in g.items():
-            if eg == l:
+        for x, cg in g.items():
+            if x == l:
                 continue
-            et = tuple(map(add, eg, shift))
+            et = x + shift
             c0 = work.get(et)
             if c0 is None:
+                if (et + bias) & guard:
+                    raise _FieldOverflow
                 work[et] = -c * cg
                 push(heap, (rkey(et), et))
             else:
@@ -201,54 +304,66 @@ def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
     of G: exact, and unique because G is a Groebner basis.
 
     Computed fraction-free (see `_normal_form`): p and each element of G are
-    cleared of denominators, and the remainder is divided by p's common
-    denominator and the multiplier the reduction tracked.
+    cleared of denominators and packed, and the remainder is divided by p's
+    common denominator and the multiplier the reduction tracked.
     """
     if p.vars and G.elements and p.vars != G.elements[0].vars:
         raise DimensionMismatch("polynomial and basis in different rings")
     if not p.terms or not G.elements:
         return p
     terms, d = _cleared(p)
-    divisors = [(l, _cleared(g)[0]) for l, g in zip(G.leads, G.elements)]
-    r, m = _normal_form(terms, divisors, cache(G.order.reversed_key))
+
+    def run(packing):
+        divisors = [(packing.pack(l), packing.packed(_cleared(g)[0]))
+                    for l, g in zip(G.leads, G.elements)]
+        r, m = _normal_form(packing.packed(terms), divisors, packing)
+        return {packing.unpack(e): c for e, c in r.items()}, m
+
+    r, m = _widening(len(p.vars), _top([p, *G.elements]), G.order, run)
     d *= m
     return Polynomial._trusted(p.vars, {e: Fraction(c, d) for e, c in r.items()})
 
 
-def _spoly(f: dict, g: dict, ef: Exponent, eg: Exponent) -> dict:
+def _spoly(f: dict, g: dict, ef: int, eg: int, packing: _Packing) -> dict:
     """Integer S-polynomial (b/k)*x^sf*f - (a/k)*x^sg*g of f and g with leads
     ef and eg, lead coefficients a and b, k = gcd(a, b), and x^sf*ef =
-    x^sg*eg the lcm of the leads, which cancels."""
+    x^sg*eg the lcm of the leads, which cancels; exponents are packed, and
+    one that outgrows its field raises _FieldOverflow."""
     a, b = f[ef], g[eg]
     k = gcd(a, b)
     a //= k
     b //= k
-    l = exp_lcm(ef, eg)
-    sf, sg = exp_sub(l, ef), exp_sub(l, eg)
-    terms = {exp_add(e, sf): b * c for e, c in f.items() if e != ef}
+    l = packing.lcm(ef, eg)
+    sf, sg = l - ef, l - eg
+    terms = {e + sf: b * c for e, c in f.items() if e != ef}
     for e, c in g.items():
         if e != eg:
-            e = exp_add(e, sg)
+            e += sg
             c = terms.pop(e, 0) - a * c
             if c:
                 terms[e] = c
+    guard, bias = packing.guard, packing.bias
+    if any((e + bias) & guard for e in terms):
+        raise _FieldOverflow
     return terms
 
 
-def _interreduce(divisors: list, vars: tuple, rkey) -> tuple:
+def _interreduce(divisors: list, vars: tuple, packing: _Packing) -> tuple:
     """(elements, leads) of the unique reduced basis: monic Fraction
-    polynomials sorted by lead, and their leads.
+    polynomials sorted by lead, and their leads, with unpacked exponents.
 
-    `divisors` are the active (lead, element) pairs of `buchberger`: no lead
-    divides another, so each element keeps its lead when its tail is reduced
-    by the others.
+    `divisors` are packed (lead, integer polynomial) pairs with positive lead
+    coefficients, such as the active pairs of `buchberger`: no lead divides
+    another, so each element keeps its lead when its tail is reduced by the
+    others.  The exponents are unpacked here, once per output term.
     """
+    rkey, unpack = packing.reversed_key, packing.unpack
     reduced = []
     for i, (l, g) in enumerate(divisors):
-        r, _ = _normal_form(g, divisors[:i] + divisors[i + 1:], rkey)
+        r, _ = _normal_form(g, divisors[:i] + divisors[i + 1:], packing)
         lc = r[l]
-        reduced.append((rkey(l), l, Polynomial._trusted(
-            vars, {e: Fraction(c, lc) for e, c in r.items()})))
+        reduced.append((rkey(l), unpack(l), Polynomial._trusted(
+            vars, {unpack(e): Fraction(c, lc) for e, c in r.items()})))
     reduced.sort(key=operator.itemgetter(0))
     return [p for _, _, p in reduced], [l for _, l, _ in reduced]
 
@@ -279,6 +394,14 @@ def buchberger(I: Ideal, order: TermOrder | None = None,
     divided out.  `Fraction` appears only in the final interreduction, which
     makes each element monic.
 
+    Inside, each exponent is one int with a fixed-width field per variable
+    (`_Packing`): the generators are packed on entry, products, quotients,
+    divisibility tests and lcms are a few int operations, and the final
+    interreduction unpacks.  The width is the narrowest that holds
+    _HEADROOM times the largest input exponent; when a product outgrows a
+    field, the whole computation reruns at the next width, and past
+    MAX_EXPONENT it raises DegreeOverflow.
+
     An order that is not a well-order needs I homogeneous for its grading
     (NotHomogeneous otherwise): then every reduction stays in one degree,
     among finitely many monomials, and the algorithm ends.
@@ -306,16 +429,21 @@ def buchberger(I: Ideal, order: TermOrder | None = None,
             raise NotHomogeneous("a Hilbert target needs input homogeneous "
                                  "in the standard grading")
         hilbert = _minimal(hilbert)
-        ones = standard.weights
-        target = []  # the Hilbert function of `hilbert`, extended on demand
     elif not order.well_ordered:
         homogeneous_grading(I)
-    key = cache(order.key)  # each exponent's keys are computed once
-    rkey = cache(order.reversed_key)
-    le = operator.le
+    return _widening(len(I.vars), _top(I.gens), order,
+                     lambda packing: _pair_loop(I, order, hilbert, packing))
+
+
+def _pair_loop(I: Ideal, order: TermOrder, hilbert, packing: _Packing) -> GroebnerBasis:
+    """`buchberger` on exponents packed by `packing`; `hilbert` is minimal."""
+    key, degree = packing.key, packing.degree
+    divides, lcm = packing.divides, packing.lcm
+    ones = (1,) * len(I.vars)
+    target: list = []  # the Hilbert function of `hilbert`, extended on demand
 
     basis: list[dict] = []  # primitive integer polynomials, lead first
-    leads: list[Exponent] = []
+    leads: list[int] = []
     degrees: list[int] = []  # total degree of each lead
     excess: list[int] = []  # sugar minus the total degree of the lead
     active: list[int] = []  # elements whose lead no later lead divides
@@ -327,51 +455,42 @@ def buchberger(I: Ideal, order: TermOrder | None = None,
         r = _primitive(r)
         j = len(basis)
         ej = next(iter(r))
-        dj = sum(ej)
+        dj = degree(ej)
         basis.append(r)
         leads.append(ej)
         degrees.append(dj)
-        excess.append(max(sugar, max(map(sum, r))) - dj)
-        # new pairs, by degree of the lcm: a proper divisor of an lcm has
-        # lower degree, so criterion M looks only at kept lower-degree lcms
-        fresh = []
-        for i in active:
-            l = tuple(map(max, leads[i], ej))
-            fresh.append((sum(l), l, i))
-        fresh.sort()
-        kept: list = []  # [lcm, i, coprime], by degree of the lcm
-        lower = 0  # kept[:lower] have lcms of lower degree than the current
-        deg = -1
-        for d, l, i in fresh:
-            if d != deg:
-                deg, lower = d, len(kept)
-            coprime = d == degrees[i] + dj  # the lcm is the product
+        excess.append(max(sugar, max(map(degree, r))) - dj)
+        # new pairs, by packed lcm: a proper divisor of an lcm is a smaller
+        # int, so criterion M looks only at the lcms kept before it
+        kept: list = []  # [lcm, i, coprime]
+        for l, i in sorted([(lcm(leads[i], ej), i) for i in active]):
+            coprime = l == leads[i] + ej  # the lcm is the product
             if kept and kept[-1][0] == l:
                 kept[-1][2] = kept[-1][2] or coprime
                 continue
-            for k in range(lower):
-                if all(map(le, kept[k][0], l)):
+            for k in kept:
+                if divides(k[0], l):
                     break
             else:
                 kept.append([l, i, coprime])
         for p, l in list(pairs.items()):
-            if (all(map(le, ej, l))
-                    and tuple(map(max, leads[p[0]], ej)) != l
-                    and tuple(map(max, leads[p[1]], ej)) != l):
+            if (divides(ej, l)
+                    and lcm(leads[p[0]], ej) != l
+                    and lcm(leads[p[1]], ej) != l):
                 del pairs[p]
         for l, i, coprime in kept:
             if not coprime:
                 pairs[i, j] = l
-                heapq.heappush(heap, (sum(l) + max(excess[i], excess[j]),
+                heapq.heappush(heap, (degree(l) + max(excess[i], excess[j]),
                                       key(l), i, j))
-        active[:] = [i for i in active if not all(map(le, ej, leads[i]))]
+        active[:] = [i for i in active if not divides(ej, leads[i])]
         active.append(j)
         reducers[:] = [(leads[i], basis[i]) for i in active]
 
     # seed with successive normal forms of the generators; unlike the final
     # interreduction this never drops ideal content
     for g in I.gens:
-        r = _normal_form(_cleared(g)[0], reducers, rkey)[0]
+        r = _normal_form(packing.packed(_cleared(g)[0]), reducers, packing)[0]
         if r:
             add(r, max(map(sum, g.terms)))
 
@@ -385,20 +504,20 @@ def buchberger(I: Ideal, order: TermOrder | None = None,
                 deg = sugar
                 if deg >= len(target):
                     target = _hilbert_function(hilbert, ones, 2 * deg)
-                low = [leads[k] for k in active if degrees[k] <= deg]
+                low = [packing.unpack(leads[k]) for k in active if degrees[k] <= deg]
                 gap = _hilbert_function(low, ones, deg)[deg] - target[deg]
                 if gap < 0:
                     raise ValueError("the Hilbert target exceeds the ideal's "
                                      f"Hilbert function in degree {deg}")
             if not gap:
                 continue
-        s = _spoly(basis[i], basis[j], leads[i], leads[j])
-        r = _normal_form(s, reducers, rkey)[0]
+        s = _spoly(basis[i], basis[j], leads[i], leads[j], packing)
+        r = _normal_form(s, reducers, packing)[0]
         if r:
             add(r, sugar)
             gap -= 1
 
-    elements, leads = _interreduce(reducers, I.vars, rkey)
+    elements, leads = _interreduce(reducers, I.vars, packing)
     return GroebnerBasis(elements, order, leads)
 
 
@@ -423,6 +542,23 @@ def _with_basis(G: GroebnerBasis, vars: Sequence[str],
     I = Ideal(G.elements, vars, grading=grading)
     I._rgb_cache = G
     return I
+
+
+def _from_degrevlex_basis(elements: Sequence[Polynomial], leads: Sequence[Exponent],
+                          vars: Sequence[str], grading: Grading | None) -> Ideal:
+    """The ideal generated by `elements`, a degrevlex Groebner basis over
+    `vars` of monic polynomials whose leads `leads` do not divide one
+    another, as in a reduced basis, in canonical form with no pair loop:
+    `buchberger`'s final interreduction turns them into the reduced basis."""
+    vars = tuple(vars)
+    order = _degrevlex(len(vars))
+
+    def run(packing):
+        return _interreduce([(packing.pack(l), packing.packed(_cleared(g)[0]))
+                             for l, g in zip(leads, elements)], vars, packing)
+
+    basis, leads = _widening(len(vars), _top(elements), order, run)
+    return _with_basis(GroebnerBasis(basis, order, leads), vars, grading)
 
 
 def same_ideal(I: Ideal, J: Ideal) -> bool:
@@ -489,7 +625,8 @@ def _weight_rows(spec, nvars: int) -> tuple:
 
 def eliminate(I: Ideal, keep: Sequence[str]) -> Ideal:
     """I intersected with k[keep], over `keep` in its given order, via a
-    two-block order."""
+    two-block order, whose second block is degrevlex on `keep` in ring
+    order."""
     keep = tuple(keep)
     for v in keep:
         if v not in I.vars:
@@ -502,14 +639,21 @@ def eliminate(I: Ideal, keep: Sequence[str]) -> Ideal:
 def _eliminated(I: Ideal, G: GroebnerBasis, keep: tuple) -> Ideal:
     """I intersected with k[keep], in canonical form and with the grading of
     I restricted to `keep`, from a Groebner basis G of I under an order that
-    eliminates the other variables: G's elements free of them, restricted to
-    `keep`, are a Groebner basis of the intersection."""
-    drop = {i for i, v in enumerate(I.vars) if v not in keep}
-    restricted = [g.restrict(keep) for g in G.elements
-                  if not (g.support_vars() & drop)]
+    eliminates the other variables and is degrevlex on the monomials free of
+    them: G's elements free of them, restricted to `keep`, are a Groebner
+    basis of the intersection, under degrevlex when `keep` is in ring order.
+    Then `_from_degrevlex_basis` makes it canonical; otherwise Buchberger
+    does."""
+    idx = [I.vars.index(v) for v in keep]
+    drop = set(range(len(I.vars))).difference(idx)
+    found = [(g.restrict(keep), tuple(l[i] for i in idx))
+             for g, l in zip(G.elements, G.leads) if not (g.support_vars() & drop)]
+    restricted = [g for g, _ in found]
     grading = None
     if I.grading is not None:
-        grading = Grading([I.grading.weights[I.vars.index(v)] for v in keep])
+        grading = Grading([I.grading.weights[i] for i in idx])
+    if idx == sorted(idx):
+        return _from_degrevlex_basis(restricted, [l for _, l in found], keep, grading)
     return canonical(Ideal(restricted, keep, grading=grading))
 
 

@@ -65,14 +65,6 @@ def exp_add(a: Exponent, b: Exponent) -> Exponent:
     return c
 
 
-def exp_sub(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def exp_lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x if x > y else y for x, y in zip(a, b))
-
-
 def exact_int(x, what: str) -> int:
     """`x` as an int; ValueError unless it is a real number of integral value.
 

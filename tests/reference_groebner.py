@@ -4,9 +4,10 @@ the lcm, a two-stage chain check and a `max`-driven normal form.  Tests compare
 its reduced bases with those of `toricdeg.groebner.buchberger`.
 
 Its leading terms, monic scaling, term multiplication and divisibility test
-are its own, so the oracle shares no polynomial arithmetic with the engine
-beyond `Polynomial`'s ring operations; other tests use `lead`, `monic` and
-`exp_divides` from here.
+are its own, and so are its exponent quotients and lcms, so the oracle
+shares no polynomial arithmetic with the engine beyond `Polynomial`'s ring
+operations; other tests use `lead`, `monic`, `exp_divides` and `exp_lcm`
+from here.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from toricdeg.polycore import (
     Polynomial,
     TermOrder,
     exp_add,
-    exp_lcm,
-    exp_sub,
 )
 
 
@@ -43,6 +42,14 @@ def monic(p: Polynomial, order: TermOrder) -> Polynomial:
 def _term_mul(p: Polynomial, e: Exponent, c: Fraction) -> Polynomial:
     """p times the single term c * x^e, for nonzero c."""
     return Polynomial._trusted(p.vars, {exp_add(e0, e): c0 * c for e0, c0 in p.terms.items()})
+
+
+def exp_sub(a: Exponent, b: Exponent) -> Exponent:
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def exp_lcm(a: Exponent, b: Exponent) -> Exponent:
+    return tuple(x if x > y else y for x, y in zip(a, b))
 
 
 def exp_divides(a: Exponent, b: Exponent) -> bool:

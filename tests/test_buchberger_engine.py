@@ -2,13 +2,16 @@
 work.
 
 `reference_groebner.buchberger` is the engine toricdeg used before the
-Gebauer-Moller rewrite, reducing over `Fraction`.  Reduced bases are unique,
-so on every ideal and order the two engines must return identical bases, and
-`normal_form` must return the reference's exact remainder.
+Gebauer-Moller rewrite, reducing over `Fraction` on tuple exponents.
+Reduced bases are unique, so on every ideal and order the two engines must
+return identical bases, and `normal_form` must return the reference's exact
+remainder.  The engine's packed exponents are checked against the tuple
+definitions, at every field width and across a field's largest entry.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -28,12 +31,16 @@ from toricdeg.groebner import (
 )
 from toricdeg.polycore import (
     MAX,
+    MAX_EXPONENT,
     MIN,
     BlockOrder,
+    DegreeOverflow,
     DegRevLex,
     Grading,
+    Lex,
     Polynomial,
     WeightOrder,
+    exp_add,
     to_min,
 )
 
@@ -245,3 +252,90 @@ def test_gr24_elimination_zero_reductions(monkeypatch):
     zeros, size = calls[0]
     assert size == 173
     assert zeros <= 1300
+
+
+# ---------------------------------------------------------------------------
+# packed exponents
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_packed_divisibility_and_lcm_match_tuples(data):
+    # drawn at every field width, with 0 and the largest entry a field holds
+    # drawn often
+    n = data.draw(st.integers(1, 6))
+    packing = groebner._Packing(n, data.draw(st.sampled_from(groebner._WIDTHS)), DegRevLex(n))
+    entry = st.one_of(st.just(0), st.just(packing.cap), st.integers(0, packing.cap))
+    a, b = (tuple(data.draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(2))
+    pa, pb = packing.pack(a), packing.pack(b)
+    assert packing.unpack(pa) == a
+    assert packing.divides(pb, pa) == reference_groebner.exp_divides(b, a)
+    assert packing.unpack(packing.lcm(pa, pb)) == reference_groebner.exp_lcm(a, b)
+    assert packing.degree(pa) == sum(a)
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_engine_matches_reference_past_the_first_field_width(kind, data):
+    # x_i -> x_i^s_i turns a small ideal into one whose exponents pass the
+    # narrowest field's largest entry, 127, as do those of its S-pairs
+    I, _ = data.draw(_ideals(homogeneous=False))
+    n = len(I.vars)
+    scale = data.draw(st.lists(st.sampled_from([1, 100, 2**20]), min_size=n, max_size=n))
+    gens = [Polynomial(I.vars, {tuple(map(operator.mul, scale, e)): c
+                                for e, c in g.terms.items()}) for g in I.gens]
+    I = Ideal(gens, I.vars)
+    order = _order(data.draw, kind, n, False)
+    new = buchberger(I, order)
+    old = reference_groebner.buchberger(I, order)
+    assert new.elements == old.elements
+    assert new.leads == old.leads
+
+
+def _widths_used(monkeypatch) -> list:
+    """The field widths of every packing made from now on, in turn."""
+    widths, packing = [], groebner._Packing
+
+    def spy(n, width, order):
+        widths.append(width)
+        return packing(n, width, order)
+
+    monkeypatch.setattr(groebner, "_Packing", spy)
+    return widths
+
+
+def test_overflowing_field_reruns_wider(monkeypatch):
+    # y - x^31 and y^5 - 1 under lex with y first: the input fits 8-bit
+    # fields, and reducing y^5 gives x^155, which does not
+    vars = ("x", "y")
+    I = Ideal([Polynomial(vars, {(0, 1): 1, (31, 0): -1}),
+               Polynomial(vars, {(0, 5): 1, (0, 0): -1})], vars)
+    widths = _widths_used(monkeypatch)
+    G = buchberger(I, Lex([1, 0]))
+    assert widths == [8, 16]
+    assert G.leads == ((0, 1), (155, 0))
+    assert G.elements == reference_groebner.buchberger(I, Lex([1, 0])).elements
+
+
+def _lex_basis(k: int) -> groebner.GroebnerBasis:
+    """The basis y - x^k under lex with y first."""
+    vars = ("x", "y")
+    return buchberger(Ideal([Polynomial(vars, {(0, 1): 1, (k, 0): -1})], vars), Lex([1, 0]))
+
+
+def test_products_past_max_exponent_raise_degree_overflow():
+    # y^2 reduces to x^(2k) by y - x^k: 2k = MAX_EXPONENT is kept, one past
+    # it raises, as exp_add does
+    vars = ("x", "y")
+    y2 = Polynomial(vars, {(0, 2): 1})
+    half = MAX_EXPONENT // 2
+    assert normal_form(y2, _lex_basis(half)) == Polynomial(vars, {(MAX_EXPONENT, 0): 1})
+    G = buchberger(Ideal([*_lex_basis(half).elements, y2], vars), Lex([1, 0]))
+    assert G.leads == ((0, 1), (MAX_EXPONENT, 0))
+    with pytest.raises(DegreeOverflow):
+        exp_add((half + 1, 0), (half, 0))
+    with pytest.raises(DegreeOverflow):
+        normal_form(y2, _lex_basis(half + 1))
+    with pytest.raises(DegreeOverflow):
+        buchberger(Ideal([*_lex_basis(half + 1).elements, y2], vars), Lex([1, 0]))

@@ -42,6 +42,7 @@ from toricdeg.polycore import (
     MAX,
     MIN,
     BlockOrder,
+    DegRevLex,
     Grading,
     Lex,
     Polynomial,
@@ -49,6 +50,7 @@ from toricdeg.polycore import (
     format_polynomial,
     parse_polynomial,
 )
+from toricdeg.toric import toric_ideal
 
 
 def _ideal(vars, *texts, grading=None):
@@ -569,23 +571,68 @@ def test_projection_validates_kept():
 
 
 def test_projection_makes_no_block_order_call(monkeypatch):
-    # the closure is read off the limit's weight basis, not computed from a
-    # second basis under an elimination order
+    # the limit and the closure are read off one basis under the order led
+    # by w: no second basis under an elimination order, and no degrevlex
+    # basis outside the cone part's saturations, except the closure's when
+    # the kept variables are out of ring order
     from toricdeg import degeneration, groebner
     I = fx.elliptic_p9_ideal()
-    orders = []
-    bb = groebner.buchberger
+    calls = []  # (order, inside a saturation) of each Buchberger call
+    saturating = []
+    bb, sat = groebner.buchberger, degeneration.saturate_by_variables
 
     def spy(I, order=None, hilbert=None):
-        orders.append(order)
+        calls.append((order, bool(saturating)))
         return bb(I, order, hilbert)
+
+    def sat_spy(*args):
+        saturating.append(True)
+        try:
+            return sat(*args)
+        finally:
+            saturating.pop()
 
     monkeypatch.setattr(groebner, "buchberger", spy)
     monkeypatch.setattr(degeneration, "buchberger", spy)
-    pr = projection_limit(I, fx.ELLIPTIC_P9_KEPT)
-    assert pr.scheme_check
-    assert not any(isinstance(order, BlockOrder) for order in orders)
-    assert sum(isinstance(order, WeightOrder) for order in orders) == 1
+    monkeypatch.setattr(degeneration, "saturate_by_variables", sat_spy)
+    in_ring_order = tuple(v for v in I.vars if v in fx.ELLIPTIC_P9_KEPT)
+    assert in_ring_order != fx.ELLIPTIC_P9_KEPT
+    for kept, closure_calls in [(in_ring_order, 0), (fx.ELLIPTIC_P9_KEPT, 1)]:
+        calls.clear()
+        pr = projection_limit(I, kept)
+        assert pr.scheme_check
+        assert not any(isinstance(order, BlockOrder) for order, _ in calls)
+        led_by_w = (tuple(-x for x in pr.w), ())
+        assert sum(order is not None and order.blocks[0] == led_by_w
+                   for order, _ in calls) == 1
+        assert sum(order is None or isinstance(order, DegRevLex)
+                   for order, saturating in calls if not saturating) == closure_calls
+
+
+@st.composite
+def _toric_ideals(draw):
+    """Toric ideals of an all-ones row over 4-6 distinct columns of a second
+    row with entries 0-7, standard-graded, and a kept set of variables in any
+    order."""
+    n = draw(st.integers(4, 6))
+    row = draw(st.lists(st.integers(0, 7), min_size=n, max_size=n, unique=True))
+    names = tuple(f"x{i}" for i in range(n))
+    T = toric_ideal(IntMatrix([[1] * n, row]), names)
+    kept = draw(st.lists(st.sampled_from(names), min_size=1, max_size=n - 1, unique=True))
+    return T, tuple(kept)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_toric_ideals())
+def test_projection_scheme_check_matches_same_ideal(case):
+    # the scheme check tests one containment, as the closure lies in the
+    # restricted limit; the equality oracle compares both reduced bases
+    T, kept = case
+    pr = projection_limit(T, kept)
+    restricted = Ideal([g.restrict(kept) for g in reduced_basis(pr.limit).elements], kept)
+    assert pr.scheme_check == same_ideal(restricted, pr.closure)
+    assert same_ideal(pr.limit, initial_ideal(T, pr.w))
+    assert same_ideal(pr.closure, eliminate(T, kept))
 
 
 @st.composite
