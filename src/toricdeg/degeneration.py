@@ -11,9 +11,11 @@ from typing import Sequence
 from .groebner import (
     GroebnerBasis,
     Ideal,
+    _distinct,
     _eliminated,
-    _from_degrevlex_basis,
     _graded_dimensions,
+    _known,
+    _weight_basis,
     _with_basis,
     buchberger,
     canonical,
@@ -27,15 +29,12 @@ from .intlat import IntMatrix, homogenize_matrix, weight_from_matrix
 from .polycore import (
     MIN,
     MAX,
-    DegRevLex,
     DimensionMismatch,
     Grading,
     Polynomial,
-    TermOrder,
     WeightOrder,
     dot,
     exact_int,
-    initial_form,
     to_min,
 )
 from .toric import (
@@ -438,23 +437,14 @@ def projection_limit(I: Ideal, kept: Sequence[str]) -> ProjectionReport:
     each element of the limit's reduced basis is restricted to the kept
     variables, the ring map that sends the dropped ones to 0.
 
-    One Groebner basis G of I, under the order that compares the weight w
-    first, the smaller weight being the bigger monomial, and breaks ties by
-    degrevlex, gives both, with no second pair loop:
-    - The initial forms in_w(G) are a degrevlex Groebner basis of the limit,
-      with G's leads (Sturmfels 1996, Groebner Bases and Convex Polytopes,
-      Cor. 1.9).
-    - The order's first key entry is the total degree in the dropped
-      variables, so a monomial with a dropped variable beats every monomial
-      without one: the order eliminates the dropped block (and is a
-      well-order, as no entry of w is positive).  For f in I free of
-      dropped variables, some lead of G divides f's lead, so that lead has
-      dropped degree 0; it is its element's largest term, so every term of
-      that element has dropped degree 0.  Hence G's elements free of dropped
-      variables, restricted to the kept ones, are a Groebner basis of the
-      closure, under degrevlex on the kept variables (`_eliminated`).
-    Each of the two is made canonical by interreduction alone
-    (`_from_degrevlex_basis`); G itself is not returned.
+    One Groebner basis G of I, under w refined by degrevlex, gives both:
+    its initial forms are a degrevlex Groebner basis of the limit
+    (`groebner._weight_basis`), and the order eliminates the dropped
+    variables, so its elements free of them are a Groebner basis of the
+    closure (`groebner._eliminated`), under degrevlex when `kept` is in
+    ring order.  Each such degrevlex basis is made canonical by
+    interreduction alone, with no second pair loop.  The names are checked
+    before any Groebner work.
 
     The closure always lies in the restricted limit: f in I free of dropped
     variables has w-weight 0 on every term, so in_w(f) = f is in the limit,
@@ -466,18 +456,12 @@ def projection_limit(I: Ideal, kept: Sequence[str]) -> ProjectionReport:
     per-degree Hilbert counts cost more than the few zero reductions of
     binomial bases.
     """
-    kept = tuple(kept)
-    if not kept or set(kept) == set(I.vars):
+    kept = _distinct(_known(I.vars, kept))
+    if not kept or len(kept) == len(I.vars):
         raise ValueError("kept variables must be a nonempty proper subset")
-    for v in kept:
-        if v not in I.vars:
-            raise ValueError(f"variable {v!r} not in the ring")
     dropped = tuple(v for v in I.vars if v not in kept)
     w = tuple(0 if v in kept else -1 for v in I.vars)
-    n = len(I.vars)
-    G = buchberger(I, TermOrder(n, [(tuple(-x for x in w), ()), *DegRevLex(n).blocks]))
-    limit = _from_degrevlex_basis([initial_form(g, w) for g in G.elements], G.leads,
-                                  I.vars, I.grading)
+    G, limit = _weight_basis(I, [w])
     cone_part = saturate_by_variables(limit, dropped)
     closure = _eliminated(I, G, kept)
     restricted = Ideal([g.restrict(kept) for g in reduced_basis(limit).elements], kept)

@@ -20,14 +20,13 @@ from typing import Iterable, Sequence
 
 from .polycore import (
     MAX_EXPONENT,
-    BlockOrder,
     DegreeOverflow,
     DimensionMismatch,
     Exponent,
     Grading,
     Polynomial,
     TermOrder,
-    WeightOrder,
+    UnknownVariable,
     _degrevlex,
     exact_int,
     format_polynomial,
@@ -50,10 +49,7 @@ class Ideal:
 
     def __init__(self, gens: Iterable[Polynomial], vars: Sequence[str],
                  grading: Grading | None = None):
-        self.vars = tuple(vars)
-        if len(set(self.vars)) != len(self.vars):
-            dup = next(v for i, v in enumerate(self.vars) if v in self.vars[:i])
-            raise ValueError(f"variable {dup!r} named twice")
+        self.vars = _distinct(vars)
         cleaned = []
         for g in gens:
             if g.vars != self.vars:
@@ -78,6 +74,25 @@ class Ideal:
     def __repr__(self):
         gs = ", ".join(format_polynomial(g) for g in self.gens)
         return f"Ideal([{gs}] in k[{', '.join(self.vars)}])"
+
+
+def _distinct(names: Iterable[str]) -> tuple:
+    """`names` as a tuple, none of them repeated (ValueError otherwise)."""
+    names = tuple(names)
+    if len(set(names)) != len(names):
+        dup = next(v for i, v in enumerate(names) if v in names[:i])
+        raise ValueError(f"variable {dup!r} named twice")
+    return names
+
+
+def _known(vars: Sequence[str], names: Iterable[str]) -> tuple:
+    """`names` as a tuple, each of them one of `vars` (UnknownVariable
+    otherwise)."""
+    names = tuple(names)
+    for v in names:
+        if v not in vars:
+            raise UnknownVariable(v)
+    return names
 
 
 def homogeneous_grading(I: Ideal) -> Grading:
@@ -583,23 +598,55 @@ def initial_ideal(I: Ideal, spec) -> Ideal:
     `spec` is either a TermOrder (result: the monomial ideal of leading
     terms), a single weight vector, or a sequence of weight rows applied
     lexicographically, in the min convention.  For weights the result is
-    generated by the initial forms of a reduced basis computed under the
-    weight-refined order, and is returned in canonical form.
+    generated by the initial forms of I's reduced basis under the rows
+    refined by degrevlex, and is made canonical by interreduction alone
+    (`_weight_basis`).
     """
     if isinstance(spec, TermOrder):
         G = buchberger(I, spec)
         gens = [Polynomial.monomial(I.vars, e) for e in G.leads]
         return canonical(Ideal(gens, I.vars, grading=I.grading))
-    rows = _weight_rows(spec, len(I.vars))
-    return _weight_initial(I, buchberger(I, WeightOrder(rows)), rows)
+    return _weight_basis(I, _weight_rows(spec, len(I.vars)))[1]
 
 
-def _weight_initial(I: Ideal, G: GroebnerBasis, rows) -> Ideal:
-    """The initial ideal of I for the weight rows, in canonical form, from
-    I's reduced basis G under WeightOrder(rows): G's initial forms generate
-    it."""
-    gens = [initial_form_rows(g, rows) for g in G.elements]
-    return canonical(Ideal(gens, I.vars, grading=I.grading))
+def _weight_order(rows, nvars: int) -> TermOrder:
+    """The weight rows in the min convention, the smaller weight being the
+    bigger monomial row by row, with the remaining ties broken by degrevlex.
+    A well-order exactly when the first nonzero entry of every column is
+    negative, or the column is zero."""
+    return TermOrder(nvars, [*[(tuple(-x for x in r), ()) for r in rows],
+                             *_degrevlex(nvars).blocks])
+
+
+def _weight_basis(I: Ideal, rows) -> tuple:
+    """(G, in_rows(I)): I's reduced basis G under `_weight_order(rows)`, and
+    the initial ideal of I for the rows, in canonical form, read off G's
+    initial forms with no pair loop.
+
+    Why the initial forms are a degrevlex Groebner basis of in_rows(I), with
+    G's leads (Sturmfels 1996, Groebner Bases and Convex Polytopes, Cor.
+    1.9).  Write in(f) for the initial form of f under the rows: its terms
+    are those of f whose vector of row weights is lexicographically least.
+    - For any f, the lead of f under the order is the degrevlex lead of
+      in(f), as the order compares the row weights first.
+    - Let h be in in_rows(I), the ideal of the in(f) for f in I:
+      h = sum c_i m_i in(f_i) with monomials m_i.  Group the sum by the
+      row-weight vector D of m_i in(f_i).  The part at D is h_D, h's terms
+      of row weight D.  F = sum over that group of c_i m_i f_i lies in I,
+      its terms of weight D sum to h_D and all others are of larger
+      weight, so in(F) = h_D when h_D is nonzero.
+    - The degrevlex lead of h is that of some h_D, which is the lead of F
+      under the order, and so divisible by a lead of G.
+    So the degrevlex leads of in(g), g in G, generate the degrevlex initial
+    ideal of in_rows(I), which the in(g) lie in.  They are monic with G's
+    leads, none dividing another, so `_from_degrevlex_basis` interreduces
+    them into the reduced basis.  Nothing here needs I homogeneous; only
+    `buchberger` does, when the order is not a well-order.
+    """
+    G = buchberger(I, _weight_order(rows, len(I.vars)))
+    init = _from_degrevlex_basis([initial_form_rows(g, rows) for g in G.elements],
+                                 G.leads, I.vars, I.grading)
+    return G, init
 
 
 def _weight_rows(spec, nvars: int) -> tuple:
@@ -624,26 +671,30 @@ def _weight_rows(spec, nvars: int) -> tuple:
 
 
 def eliminate(I: Ideal, keep: Sequence[str]) -> Ideal:
-    """I intersected with k[keep], over `keep` in its given order, via a
-    two-block order, whose second block is degrevlex on `keep` in ring
-    order."""
-    keep = tuple(keep)
-    for v in keep:
-        if v not in I.vars:
-            raise ValueError(f"variable {v!r} not in the ring")
-    drop_idx = [i for i, v in enumerate(I.vars) if v not in keep]
-    keep_idx = [i for i, v in enumerate(I.vars) if v in keep]
-    return _eliminated(I, buchberger(I, BlockOrder(drop_idx, keep_idx)), keep)
+    """I intersected with k[keep], over `keep` in its given order, from I's
+    basis under the weight -1 on the other variables and 0 on `keep`, then
+    degrevlex (`_weight_order`), which eliminates the other variables.
+    The names are checked before any Groebner work."""
+    keep = _distinct(_known(I.vars, keep))
+    w = [0 if v in keep else -1 for v in I.vars]
+    return _eliminated(I, buchberger(I, _weight_order([w], len(I.vars))), keep)
 
 
 def _eliminated(I: Ideal, G: GroebnerBasis, keep: tuple) -> Ideal:
     """I intersected with k[keep], in canonical form and with the grading of
-    I restricted to `keep`, from a Groebner basis G of I under an order that
-    eliminates the other variables and is degrevlex on the monomials free of
-    them: G's elements free of them, restricted to `keep`, are a Groebner
-    basis of the intersection, under degrevlex when `keep` is in ring order.
-    Then `_from_degrevlex_basis` makes it canonical; otherwise Buchberger
-    does."""
+    I restricted to `keep`, from I's basis G under `_weight_order` for the
+    weight -1 on the other variables and 0 on `keep`.
+
+    The order's first key entry is the total degree in the other
+    variables, so a monomial holding one of them beats every monomial free
+    of them: the order eliminates them, and is a well-order.  For f in I
+    free of them, some lead of G divides f's lead, so that lead is free of
+    them; it is its element's largest term, so the whole element is.
+    Hence G's elements free of the other variables, restricted to `keep`,
+    are a Groebner basis of the intersection, under degrevlex when `keep`
+    is in ring order.  Then `_from_degrevlex_basis` makes it canonical;
+    otherwise Buchberger does.
+    """
     idx = [I.vars.index(v) for v in keep]
     drop = set(range(len(I.vars))).difference(idx)
     found = [(g.restrict(keep), tuple(l[i] for i in idx))
@@ -693,6 +744,7 @@ def saturate_by_variables(I: Ideal, var_names: Sequence[str]) -> Ideal:
     Groebner basis of it (Sturmfels, Groebner Bases and Convex Polytopes,
     Lemma 12.1).  Falls back to `saturate` otherwise.
     """
+    var_names = _known(I.vars, var_names)
     J = I
     try:
         pos = homogeneous_grading(I).weights

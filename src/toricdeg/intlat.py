@@ -10,7 +10,6 @@ from typing import Sequence
 from . import groebner
 from .polycore import (
     DimensionMismatch,
-    WeightOrder,
     exact_int,
     initial_form,
     initial_form_rows,
@@ -164,14 +163,15 @@ def weight_from_matrix(J: "groebner.Ideal", M: IntMatrix):
     weight: at B = 2, w is that row, whose split is the row's.
 
     w = sum_k B^(d-1-k) * row_k for the first B in 2, 4, 8, ... for which w
-    splits each element g of G, J's reduced basis under WeightOrder(M), the
-    way the rows do: initial_form(g, w) and initial_form_rows(g, M) have the
-    same terms.  Only that one Groebner basis is computed; in_M(J) is read
-    off its initial forms.
+    splits each element g of G, J's reduced basis under M's rows refined by
+    degrevlex (`groebner._weight_basis`), the way the rows do:
+    initial_form(g, w) and initial_form_rows(g, M) have the same terms.
+    Only that one Groebner basis is computed; in_M(J) is read off its
+    initial forms.
 
     Why the split certifies w (Sturmfels 1996, Groebner Bases and Convex
-    Polytopes, ch. 1).  Let <_M be WeightOrder(M) and <_w the order of w
-    refined by the same tie-break.  The w-initial terms of g are its
+    Polytopes, ch. 1).  Let <_M be G's order and <_w the order of w refined
+    by the same degrevlex tie-break.  The w-initial terms of g are its
     M-initial terms, which tie under every row and so under w; hence <_w
     and <_M pick the same lead of g.  J is homogeneous, so both orders can
     be read degree by degree, where each is a term order, and every initial
@@ -190,8 +190,7 @@ def weight_from_matrix(J: "groebner.Ideal", M: IntMatrix):
     groebner.homogeneous_grading(J)
     rows = M.rows_list()
     d = len(rows)
-    G = groebner.buchberger(J, WeightOrder(rows))
-    init_M = groebner._weight_initial(J, G, rows)
+    G, init_M = groebner._weight_basis(J, rows)
     B = 2
     while True:
         w = [sum(B ** (d - 1 - k) * rows[k][j] for k in range(d))

@@ -218,16 +218,18 @@ def test_normal_form_divides_out_the_multiplier(monkeypatch):
 
 
 def test_gr24_elimination_zero_reductions(monkeypatch):
-    """The 12-variable BlockOrder elimination that computes the ring-map
-    kernel of the gr24 g-vector embedding: the old engine reduced 3111 of its
-    S-polynomials to zero."""
+    """The 12-variable elimination that computes the ring-map kernel of the
+    gr24 g-vector embedding, under the weight -1 on the six target variables
+    refined by degrevlex: the old engine reduced 3111 of its S-polynomials
+    to zero under BlockOrder, with 173 basis elements."""
     J = fixtures.gr24_ideal()
     rep = embed_value_semigroup(J, fixtures.gr24_gvector_matrix(), MIN,
                                 degree_bound=3)
     images = [Polynomial.monomial(J.vars, rep.images[v]) for v in J.vars]
     nf, bb = groebner._normal_form, groebner.buchberger
     counts = []  # [zero reductions] of each open buchberger call
-    calls = []  # (zero reductions, basis size) of each 12-variable block call
+    calls = []  # (zero reductions, basis size) of each 12-variable elimination
+    eliminating = groebner._weight_order([[-1] * 6 + [0] * 6], 12)
 
     def counting_nf(*args):
         r = nf(*args)
@@ -241,7 +243,7 @@ def test_gr24_elimination_zero_reductions(monkeypatch):
             G = bb(I, order)
         finally:
             zeros = counts.pop()
-        if isinstance(order, BlockOrder) and len(I.vars) == 12:
+        if order is not None and order.blocks == eliminating.blocks:
             calls.append((zeros, len(G)))
         return G
 
@@ -250,8 +252,8 @@ def test_gr24_elimination_zero_reductions(monkeypatch):
     ring_map_kernel(rep.kernel_check.vars, images, J)
     assert len(calls) == 1
     zeros, size = calls[0]
-    assert size == 173
-    assert zeros <= 1300
+    assert size == 106
+    assert zeros <= 700
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from reference_embedding import (
     reference_kernel,
 )
 from reference_groebner import exp_divides
+from reference_weight import reference_initial_ideal
 
 from toricdeg import fixtures as fx
 from toricdeg.degeneration import (
@@ -46,9 +47,11 @@ from toricdeg.polycore import (
     Grading,
     Lex,
     Polynomial,
+    UnknownVariable,
     WeightOrder,
     format_polynomial,
     parse_polynomial,
+    to_min,
 )
 from toricdeg.toric import toric_ideal
 
@@ -562,12 +565,26 @@ def test_projection_closure_contained_in_restricted_limit():
         assert ideal_contains(R, pr.closure)
 
 
-def test_projection_validates_kept():
+def test_projection_validates_kept(monkeypatch):
+    # every check comes before the first Buchberger run
+    from toricdeg import groebner
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("Groebner work before the names were checked")
+
+    monkeypatch.setattr(groebner, "buchberger", refuse)
     I = fx.hyperbola_ideal()
     with pytest.raises(ValueError):
         projection_limit(I, ())
     with pytest.raises(ValueError):
         projection_limit(I, ("x", "y", "z"))
+    with pytest.raises(ValueError, match="named twice"):
+        projection_limit(I, ("x", "x"))
+    with pytest.raises(UnknownVariable):
+        projection_limit(I, ("x", "q"))
+    assert calls == []
 
 
 def test_projection_makes_no_block_order_call(monkeypatch):
@@ -715,8 +732,8 @@ def test_embed_dims_one_numerator_per_ideal(numerator_tops):
 
 def test_embed_runs_no_degrevlex_basis_of_J(monkeypatch):
     # the dims table reads J's Hilbert function off in_M(J), which the
-    # pipeline has verified, so the only basis of J is the pipeline's
-    # WeightOrder(M) basis
+    # pipeline has verified, so the only basis of J is the pipeline's basis
+    # under M's rows refined by degrevlex
     from toricdeg import degeneration, groebner
     orders = []
     bb = groebner.buchberger
@@ -733,25 +750,60 @@ def test_embed_runs_no_degrevlex_basis_of_J(monkeypatch):
                              (plucker_ideal(5), caterpillar_matrix(5), MAX)]:
         orders.clear()
         embed_value_semigroup(J, M, convention, degree_bound=3)
-        assert len(orders) == 1 and isinstance(orders[0], WeightOrder)
+        want = groebner._weight_order(to_min(M.rows_list(), convention), len(J.vars))
+        assert len(orders) == 1 and orders[0].blocks == want.blocks
 
 
 def test_pipeline_one_matrix_order_basis(monkeypatch):
     # weight_from_matrix returns in_M(J) with w, so the gr25 pipeline runs
-    # its multi-row WeightOrder basis once
+    # its basis under M's rows refined by degrevlex once
     from toricdeg import groebner
+    J, M = fx.gr25_ideal(), fx.gr25_matrix()
+    want = groebner._weight_order(to_min(M.rows_list(), MAX), len(J.vars))
     bb = groebner.buchberger
-    multi_row = []
+    matrix_order = []
 
     def spy(I, order=None, **kwargs):
-        if isinstance(order, WeightOrder) and len(order.rows) > 1:
-            multi_row.append(order.rows)
+        if order is not None and order.blocks == want.blocks:
+            matrix_order.append(I)
         return bb(I, order, **kwargs)
 
     monkeypatch.setattr(groebner, "buchberger", spy)
-    rep = valuation_pipeline(fx.gr25_ideal(), fx.gr25_matrix(), MAX)
+    rep = valuation_pipeline(J, M, MAX)
     assert rep.binomial_prime
-    assert len(multi_row) == 1
+    assert len(matrix_order) == 1 and matrix_order[0].gens == J.gens
+
+
+def test_weight_initial_ideals_run_no_degrevlex_basis(monkeypatch):
+    # the initial forms of the weight basis are a degrevlex Groebner basis,
+    # made canonical by interreduction alone: outside toric_ideal, neither
+    # initial_ideal nor the pipeline runs a degrevlex Buchberger
+    from toricdeg import degeneration, groebner
+    bb, toric = groebner.buchberger, degeneration.toric_ideal
+    degrevlex, in_toric = [], []
+
+    def spy(I, order=None, **kwargs):
+        if not in_toric and (order is None or isinstance(order, DegRevLex)):
+            degrevlex.append(I)
+        return bb(I, order, **kwargs)
+
+    def toric_spy(*args):
+        in_toric.append(True)
+        try:
+            return toric(*args)
+        finally:
+            in_toric.pop()
+
+    monkeypatch.setattr(groebner, "buchberger", spy)
+    monkeypatch.setattr(degeneration, "toric_ideal", toric_spy)
+    J, M = fx.gr25_ideal(), fx.gr25_matrix()
+    rows = to_min(M.rows_list(), MAX)
+    init = initial_ideal(J, rows)
+    assert valuation_pipeline(J, M, MAX).binomial_prime
+    assert initial_ideal(fx.elliptic_ideal(), (1, 0, 3)).gens
+    assert degrevlex == []
+    monkeypatch.setattr(groebner, "buchberger", bb)
+    assert same_ideal(init, reference_initial_ideal(J, rows))
 
 
 def test_pipeline_rejects_non_homogeneous_before_buchberger(monkeypatch):

@@ -38,6 +38,7 @@ from toricdeg.polycore import (
     Grading,
     Lex,
     Polynomial,
+    UnknownVariable,
     format_polynomial,
     parse_polynomial,
 )
@@ -280,6 +281,28 @@ def test_eliminate_idempotent_and_supported():
     assert same_ideal(E1, E2)
     for g in E1.gens:
         assert g.support_vars() <= {0, 1}
+
+
+def test_variable_names_are_checked_before_any_groebner_work(monkeypatch):
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("Groebner work before the names were checked")
+
+    monkeypatch.setattr(groebner, "buchberger", refuse)
+    graded = _ideal(("x", "y", "z"), "x*y - z^2")
+    inhomogeneous = _ideal(("x", "y", "z"), "x*y - z")
+    # the graded route and the elimination fallback name the same error
+    for I in (graded, inhomogeneous):
+        with pytest.raises(UnknownVariable) as exc:
+            groebner.saturate_by_variables(I, ["q"])
+        assert exc.value.name == "q"
+        with pytest.raises(UnknownVariable):
+            eliminate(I, ["x", "q"])
+        with pytest.raises(ValueError, match="named twice"):
+            eliminate(I, ["x", "x"])
+    assert calls == []
 
 
 def test_saturate_hyperbola_cone():

@@ -222,10 +222,9 @@ def test_weight_from_gr24_matrix():
 
 def test_weight_from_matrix_one_matrix_order_basis(monkeypatch):
     # the matrix-order basis gives both the splitting check and in_M(J): the
-    # one Groebner basis of J is under WeightOrder(M), and no second one
-    # under w verifies the split
+    # one Groebner basis of J is under M's rows refined by degrevlex, and no
+    # second one under w verifies the split
     from toricdeg import groebner
-    from toricdeg.polycore import WeightOrder
     vars = ("p12", "p13", "p14", "p23", "p24", "p34")
     J = Ideal([parse_polynomial("p12*p34 - p13*p24 + p14*p23", vars)], vars,
               grading=Grading.standard(6))
@@ -242,7 +241,7 @@ def test_weight_from_matrix_one_matrix_order_basis(monkeypatch):
     monkeypatch.setattr(groebner, "buchberger", spy)
     w, init_M = weight_from_matrix(J, M)
     assert len(orders_on_J) == 1
-    assert isinstance(orders_on_J[0], WeightOrder) and orders_on_J[0].rows == rows
+    assert orders_on_J[0].blocks == groebner._weight_order(rows, 6).blocks
     monkeypatch.setattr(groebner, "buchberger", bb)
     assert same_ideal(initial_ideal(J, w), initial_ideal(J, M))
     assert same_ideal(init_M, initial_ideal(J, M))

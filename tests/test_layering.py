@@ -5,7 +5,7 @@ reduced bases, every public name has a caller, and every dataclass field
 has a reader.
 
 Imports are read from the source with `ast`, including those inside
-functions.  ROADMAP item 8 plans to move `weight_from_matrix`, which needs
+functions.  ROADMAP item 10 plans to move `weight_from_matrix`, which needs
 Groebner bases, out of `intlat`; `intlat` then no longer needs `groebner`.
 """
 
