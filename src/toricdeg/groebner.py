@@ -419,7 +419,10 @@ def buchberger(I: Ideal, order: TermOrder | None = None,
 
     An order that is not a well-order needs I homogeneous for its grading
     (NotHomogeneous otherwise): then every reduction stays in one degree,
-    among finitely many monomials, and the algorithm ends.
+    among finitely many monomials, and the algorithm ends.  I not
+    homogeneous for its grading, under a well-order whose first row is not
+    the total degree (lex, elimination and weight orders), goes through
+    `_via_homogenization`.
 
     `hilbert`, when given, is the lead exponents of a Groebner basis, under
     any order, of an ideal with the Hilbert function of I; I must then be
@@ -446,8 +449,45 @@ def buchberger(I: Ideal, order: TermOrder | None = None,
         hilbert = _minimal(hilbert)
     elif not order.well_ordered:
         homogeneous_grading(I)
+    elif (I.grading is None and I.vars and order.blocks[0][0] != (1,) * len(I.vars)
+          and not all(map(Grading.standard(len(I.vars)).is_homogeneous, I.gens))):
+        return _via_homogenization(I, order)  # an attached grading was checked
     return _widening(len(I.vars), _top(I.gens), order,
                      lambda packing: _pair_loop(I, order, hilbert, packing))
+
+
+def _via_homogenization(I: Ideal, order: TermOrder) -> GroebnerBasis:
+    """`buchberger` for I not homogeneous in its grading, under a well-order
+    whose first row is not the total degree.  Run directly, such an order
+    lets the pair loop build coefficients far larger than the answer's.
+
+    The homogenizations g^h of I's degrevlex reduced basis, in a new
+    variable h, generate I^h (Cox, Little & O'Shea, Ideals, Varieties, and
+    Algorithms, §8.4, Thm. 4).  I^h is homogeneous, and its basis is taken
+    under total degree, then `order` with h weighted 0: within one degree
+    the x-part of a monomial fixes its h-part, so that order restricted to
+    a degree is `order` on the x-part.  Hence, for f in I, the lead of f^h
+    is the lead of f times a power of h, and a lead of the basis divides
+    it: setting h = 1 in the basis gives a Groebner basis of I under
+    `order`.  The elements whose leads are minimal are interreduced into
+    the unique reduced basis."""
+    n = len(I.vars)
+    big = I.vars + (_fresh_name("h", I.vars),)
+    gens = []
+    for g in reduced_basis(I).elements:
+        d = max(map(sum, g.terms))
+        gens.append(Polynomial._trusted(big, {e + (d - sum(e),): c
+                                              for e, c in g.terms.items()}))
+    lifted = TermOrder(n + 1, [((1,) * (n + 1), ()),
+                               *[(row and row + (0,), entries)
+                                 for row, entries in order.blocks]])
+    Gh = buchberger(Ideal(gens, big), lifted)
+    found = {}  # x-part of a lead -> its element with h = 1
+    for g, l in zip(Gh.elements, Gh.leads):
+        found.setdefault(l[:n], Polynomial._trusted(
+            I.vars, {e[:n]: c for e, c in g.terms.items()}))
+    leads = _minimal(found)
+    return _interreduced([found[l] for l in leads], leads, I.vars, order)
 
 
 def _pair_loop(I: Ideal, order: TermOrder, hilbert, packing: _Packing) -> GroebnerBasis:
@@ -562,18 +602,24 @@ def _with_basis(G: GroebnerBasis, vars: Sequence[str],
 def _from_degrevlex_basis(elements: Sequence[Polynomial], leads: Sequence[Exponent],
                           vars: Sequence[str], grading: Grading | None) -> Ideal:
     """The ideal generated by `elements`, a degrevlex Groebner basis over
-    `vars` of monic polynomials whose leads `leads` do not divide one
-    another, as in a reduced basis, in canonical form with no pair loop:
-    `buchberger`'s final interreduction turns them into the reduced basis."""
+    `vars` as `_interreduced` takes it, in canonical form with no pair loop."""
     vars = tuple(vars)
-    order = _degrevlex(len(vars))
+    return _with_basis(_interreduced(elements, leads, vars, _degrevlex(len(vars))),
+                       vars, grading)
 
+
+def _interreduced(elements: Sequence[Polynomial], leads: Sequence[Exponent],
+                  vars: tuple, order: TermOrder) -> GroebnerBasis:
+    """The reduced basis under `order` of the ideal generated by `elements`,
+    a Groebner basis under it over `vars` whose leads `leads` do not divide
+    one another, as in a reduced basis: `buchberger`'s final interreduction
+    turns them into it, with no pair loop."""
     def run(packing):
         return _interreduce([(packing.pack(l), packing.packed(_cleared(g)[0]))
                              for l, g in zip(leads, elements)], vars, packing)
 
     basis, leads = _widening(len(vars), _top(elements), order, run)
-    return _with_basis(GroebnerBasis(basis, order, leads), vars, grading)
+    return GroebnerBasis(basis, order, leads)
 
 
 def same_ideal(I: Ideal, J: Ideal) -> bool:
@@ -793,7 +839,11 @@ def ring_map_kernel(source_vars: Sequence[str], images: Sequence[Polynomial],
     """Kernel of k[source_vars] -> k[target.vars]/target, x_i -> image_i.
 
     Computed from the graph ideal (x_i - image_i) + target by eliminating the
-    target variables.
+    target variables.  When the target is homogeneous and each image is
+    homogeneous of positive degree for its grading, the graph ideal is
+    graded by giving x_i the degree of image_i, so `buchberger` runs on it
+    directly rather than through homogenization, which is slower on such
+    ideals.  The kernel is returned without a grading either way.
     """
     source_vars = tuple(source_vars)
     if len(source_vars) != len(images):
@@ -807,7 +857,25 @@ def ring_map_kernel(source_vars: Sequence[str], images: Sequence[Polynomial],
             raise DimensionMismatch("images must live in the target ring")
         gens.append(Polynomial.variable(big, name) - img.extend(big))
     gens.extend(g.extend(big) for g in target.gens)
-    return eliminate(Ideal(gens, big), source_vars)
+    K = eliminate(Ideal(gens, big, grading=_graph_grading(target, images)), source_vars)
+    return _with_basis(reduced_basis(K), source_vars, None)
+
+
+def _graph_grading(target: Ideal, images: Sequence[Polynomial]) -> Grading | None:
+    """The target's grading extended by the degree of each image, or None
+    when the target or an image is not homogeneous or an image's degree is
+    not positive."""
+    try:
+        grading = homogeneous_grading(target)
+    except NotHomogeneous:
+        return None
+    degrees = []
+    for img in images:
+        d = {grading.degree(e) for e in img.terms}
+        if len(d) != 1 or 0 in d:
+            return None
+        degrees.append(d.pop())
+    return Grading(grading.weights + tuple(degrees))
 
 
 # ---------------------------------------------------------------------------

@@ -309,15 +309,47 @@ def _widths_used(monkeypatch) -> list:
 
 def test_overflowing_field_reruns_wider(monkeypatch):
     # y - x^31 and y^5 - 1 under lex with y first: the input fits 8-bit
-    # fields, and reducing y^5 gives x^155, which does not
+    # fields, and reducing y^5 gives x^155, which does not.  The input is not
+    # homogeneous, so lex takes the homogenized route: I's degrevlex basis
+    # fits 8 bits, the run on I^h overflows them and reruns at 16, and the
+    # final interreduction starts at 16, as x^155 needs
     vars = ("x", "y")
     I = Ideal([Polynomial(vars, {(0, 1): 1, (31, 0): -1}),
                Polynomial(vars, {(0, 5): 1, (0, 0): -1})], vars)
     widths = _widths_used(monkeypatch)
     G = buchberger(I, Lex([1, 0]))
-    assert widths == [8, 16]
+    assert widths == [8, 8, 16, 16]
     assert G.leads == ((0, 1), (155, 0))
     assert G.elements == reference_groebner.buchberger(I, Lex([1, 0])).elements
+
+
+def test_only_inhomogeneous_input_under_a_non_graded_order_is_homogenized(monkeypatch):
+    calls = []
+    route = groebner._via_homogenization
+
+    def spy(I, order):
+        calls.append(I.vars)
+        return route(I, order)
+
+    monkeypatch.setattr(groebner, "_via_homogenization", spy)
+    vars = ("x", "y")
+    I = Ideal([Polynomial(vars, {(0, 1): 1, (2, 0): -1})], vars)  # y - x^2
+    buchberger(I, DegRevLex(2))
+    assert calls == []
+    assert (buchberger(I, Lex([1, 0])).elements
+            == reference_groebner.buchberger(I, Lex([1, 0])).elements)
+    assert calls == [vars]
+    # homogeneous for its attached grading: the pair loop runs directly
+    buchberger(Ideal(I.gens, vars, grading=Grading([1, 2])), Lex([1, 0]))
+    assert calls == [vars]
+    # the graph of homogeneous images is graded by their degrees, and the
+    # kernel comes back without a grading
+    x, y = (Polynomial.variable(vars, v) for v in vars)
+    K = ring_map_kernel(("s", "t", "u"), [x * x, x * y, y * y], Ideal([], vars))
+    assert calls == [vars] and K.grading is None
+    assert K.gens == (Polynomial(("s", "t", "u"), {(0, 2, 0): 1, (1, 0, 1): -1}),)
+    ring_map_kernel(("s",), [x + Polynomial.constant(vars, 1)], Ideal([], vars))
+    assert calls == [vars, vars + ("s",)]
 
 
 def _lex_basis(k: int) -> groebner.GroebnerBasis:

@@ -76,6 +76,7 @@ from toricdeg.polycore import (
     Lex,
     Polynomial,
     format_polynomial,
+    parse_polynomial,
     to_min,
 )
 from toricdeg.toric import embed_semigroup, toric_ideal
@@ -541,6 +542,30 @@ def test_lex_bases_match_sympy():
         assert mine == theirs
 
 
+def test_stalling_inhomogeneous_ideal_matches_sympy_lex():
+    # drawn by test_projection_closure_matches_eliminate: run directly, the
+    # pair loop under the projection's weight order, and under the
+    # two-block elimination order, went past 120 s on it, building
+    # coefficients far larger than the 6-element lex basis needs
+    vars = ("x0", "x1", "x2")
+    syms = symbols(vars)
+    gens = [parse_polynomial(t, vars) for t in (
+        "x1^2*x2^2 - 2*x0*x1*x2 + 2*x1*x2^2",
+        "-2*x0*x1^2*x2^2 + 3*x0*x1^2*x2 + x0^2*x2 - 2*x1^2",
+        "x0^2*x1^2*x2^2 - 3*x0^2*x1^2 + x1^2")]
+    I = Ideal(gens, vars)
+    order = Lex((0, 1, 2))
+    mine = sorted(format_polynomial(g, order) for g in buchberger(I, order).elements)
+    sg = sympy.groebner([_to_sympy(g, syms) for g in gens], *syms, order="lex")
+    theirs = sorted(format_polynomial(monic(_from_sympy(e, vars, syms), order), order)
+                    for e in sg.exprs if e != 0)
+    assert mine == theirs
+    # no element of the lex basis is free of x0 and x1
+    assert all(e.free_symbols - {syms[2]} for e in sg.exprs)
+    pr = projection_limit(I, ("x2",))
+    assert pr.closure.is_zero() and eliminate(I, ("x2",)).is_zero()
+
+
 def test_eliminate_matches_sympy_lex():
     # the lex basis of I meets k[keep] in the lex basis of I & k[keep], so
     # sympy's lex basis, cut to the kept variables, checks the
@@ -593,11 +618,11 @@ def test_eliminate_and_ring_map_kernel_match_the_block_order_route():
     # eliminate reads I & k[keep] off the basis under the weight -1 on the
     # dropped variables refined by degrevlex; the BlockOrder route it
     # replaced must give the same canonical ideal, on inhomogeneous and on
-    # graded ideals, with the kept variables in and out of ring order.  The
-    # BlockOrder route is the slow one on some inhomogeneous draws (14 s on
-    # the first draw of seed 1729, over 60 s on a ring-map kernel of seed
-    # 3, where eliminate takes 0.003 s and 0.3 s), so the seed is one on
-    # which the oracle finishes
+    # graded ideals, with the kept variables in and out of ring order.  Run
+    # directly, the BlockOrder pair loop was the slow one on some
+    # inhomogeneous draws (14 s on the first draw of seed 1729, over 60 s on
+    # a ring-map kernel of seed 3, where eliminate took 0.003 s and 0.3 s),
+    # so the seed is one on which the oracle finished even then
     rng = random.Random(4)
     out_of_order = graded = 0
     for k in range(24):
