@@ -27,6 +27,7 @@ from .polycore import (
     Polynomial,
     TermOrder,
     UnknownVariable,
+    _IDENT,
     _degrevlex,
     exact_int,
     format_polynomial,
@@ -77,11 +78,15 @@ class Ideal:
 
 
 def _distinct(names: Iterable[str]) -> tuple:
-    """`names` as a tuple, none of them repeated (ValueError otherwise)."""
+    """`names` as a tuple, each an identifier of the polynomial grammar
+    ([A-Za-z][A-Za-z0-9_]*) and none of them repeated (ValueError
+    otherwise)."""
     names = tuple(names)
-    if len(set(names)) != len(names):
-        dup = next(v for i, v in enumerate(names) if v in names[:i])
-        raise ValueError(f"variable {dup!r} named twice")
+    for i, v in enumerate(names):
+        if not _IDENT.fullmatch(v):
+            raise ValueError(f"variable name {v!r} is not of the form {_IDENT.pattern}")
+        if v in names[:i]:
+            raise ValueError(f"variable {v!r} named twice")
     return names
 
 
@@ -428,8 +433,9 @@ def buchberger(I: Ideal, order: TermOrder | None = None,
     any order, of an ideal with the Hilbert function of I; I must then be
     homogeneous in the standard grading (NotHomogeneous otherwise), so that
     pairs come degree by degree.  At the first pair of degree d the engine
-    counts h = dim (k[x]/L)_d for the ideal L of the current leads of degree
-    at most d, and lowers h by one for each new lead of degree d (a normal
+    counts h = dim (k[x]/L)_d for the ideal L of the current leads (one of
+    higher degree divides no monomial of degree d, so none is filtered
+    out), and lowers h by one for each new lead of degree d (a normal
     form's lead lies outside L).  L is inside in(I), whose Hilbert function
     is that of I, so h is never below the target's value (ValueError if it
     is: the target is not I's); once it reaches it, L and in(I) agree in
@@ -499,7 +505,6 @@ def _pair_loop(I: Ideal, order: TermOrder, hilbert, packing: _Packing) -> Groebn
 
     basis: list[dict] = []  # primitive integer polynomials, lead first
     leads: list[int] = []
-    degrees: list[int] = []  # total degree of each lead
     excess: list[int] = []  # sugar minus the total degree of the lead
     active: list[int] = []  # elements whose lead no later lead divides
     reducers: list = []  # (lead, element) of the active elements
@@ -510,11 +515,9 @@ def _pair_loop(I: Ideal, order: TermOrder, hilbert, packing: _Packing) -> Groebn
         r = _primitive(r)
         j = len(basis)
         ej = next(iter(r))
-        dj = degree(ej)
         basis.append(r)
         leads.append(ej)
-        degrees.append(dj)
-        excess.append(max(sugar, max(map(degree, r))) - dj)
+        excess.append(max(sugar, max(map(degree, r))) - degree(ej))
         # new pairs, by packed lcm: a proper divisor of an lcm is a smaller
         # int, so criterion M looks only at the lcms kept before it
         kept: list = []  # [lcm, i, coprime]
@@ -559,8 +562,8 @@ def _pair_loop(I: Ideal, order: TermOrder, hilbert, packing: _Packing) -> Groebn
                 deg = sugar
                 if deg >= len(target):
                     target = _hilbert_function(hilbert, ones, 2 * deg)
-                low = [packing.unpack(leads[k]) for k in active if degrees[k] <= deg]
-                gap = _hilbert_function(low, ones, deg)[deg] - target[deg]
+                current = [packing.unpack(leads[k]) for k in active]
+                gap = _hilbert_function(current, ones, deg)[deg] - target[deg]
                 if gap < 0:
                     raise ValueError("the Hilbert target exceeds the ideal's "
                                      f"Hilbert function in degree {deg}")
@@ -643,7 +646,10 @@ def initial_ideal(I: Ideal, spec) -> Ideal:
 
     `spec` is either a TermOrder (result: the monomial ideal of leading
     terms), a single weight vector, or a sequence of weight rows applied
-    lexicographically, in the min convention.  For weights the result is
+    lexicographically, in the min convention.  For a TermOrder the leads of
+    I's reduced basis under it do not divide one another, so as monomials
+    they are already a degrevlex reduced basis, installed with no second
+    pair loop.  For weights the result is
     generated by the initial forms of I's reduced basis under the rows
     refined by degrevlex, and is made canonical by interreduction alone
     (`_weight_basis`).
@@ -651,7 +657,7 @@ def initial_ideal(I: Ideal, spec) -> Ideal:
     if isinstance(spec, TermOrder):
         G = buchberger(I, spec)
         gens = [Polynomial.monomial(I.vars, e) for e in G.leads]
-        return canonical(Ideal(gens, I.vars, grading=I.grading))
+        return _from_degrevlex_basis(gens, G.leads, I.vars, I.grading)
     return _weight_basis(I, _weight_rows(spec, len(I.vars)))[1]
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .groebner import Ideal
+from .groebner import Ideal, _distinct
 from .intlat import IntMatrix
 from .polycore import Grading, format_polynomial, parse_polynomial
 from .toric import Semigroup
@@ -25,7 +25,7 @@ def parse_ideal_text(text: str) -> Ideal:
         if not line or line.startswith("#"):
             continue
         if line.startswith("vars:"):
-            vars = tuple(v.strip() for v in line[len("vars:"):].split(",") if v.strip())
+            vars = _distinct(v.strip() for v in line[len("vars:"):].split(",") if v.strip())
             continue
         if line.startswith("grading:"):
             grading = Grading([int(x) for x in line[len("grading:"):].split(",")])
@@ -82,7 +82,7 @@ def ideal_from_json(obj: dict) -> Ideal:
     grading = obj.get("grading")
     if grading is not None and not isinstance(grading, list):
         raise ValueError("ideal grading must be a list of integers")
-    vars = tuple(vars)
+    vars = _distinct(vars)
     grading = Grading(grading) if grading is not None else None
     gens = [parse_polynomial(s, vars) for s in gens]
     gens = [g for g in gens if not g.is_zero()]

@@ -460,7 +460,8 @@ def initial_form_rows(p: Polynomial, rows: Sequence[Sequence[int]]) -> Polynomia
 # coeff  := uint ['/' uint]
 # ident  := [A-Za-z][A-Za-z0-9_]*
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[+\-*/^()]))")
+_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_TOKEN = re.compile(rf"\s*(?:(?P<num>\d+)|(?P<ident>{_IDENT.pattern})|(?P<op>[+\-*/^()]))")
 
 
 def _tokenize(text: str):

@@ -4,13 +4,17 @@ the two-block order BlockOrder(dropped, kept), whose elements free of the
 dropped variables generate the elimination ideal, made canonical by a
 second Buchberger run.  Tests compare it with `toricdeg.groebner.eliminate`
 and `toricdeg.groebner.ring_map_kernel`.
+
+Also the projection limit on the kept coordinate plane, as toricdeg built it
+before `projection_limit` proved its scheme check instead of testing it:
+tests compare it with the projection's closure.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from toricdeg.groebner import Ideal, buchberger, canonical
+from toricdeg.groebner import Ideal, buchberger, canonical, reduced_basis
 from toricdeg.polycore import BlockOrder, Grading, Polynomial
 
 
@@ -26,6 +30,14 @@ def reference_eliminate(I: Ideal, keep: Sequence[str]) -> Ideal:
     if I.grading is not None:
         grading = Grading([I.grading.weights[I.vars.index(v)] for v in keep])
     return canonical(Ideal(gens, keep, grading=grading))
+
+
+def restricted_limit(limit: Ideal, kept: Sequence[str]) -> Ideal:
+    """The image of `limit` under the ring map to k[kept] that sends every
+    other variable to 0, over `kept` in its given order: the restrictions of
+    the limit's reduced basis generate it."""
+    kept = tuple(kept)
+    return Ideal([g.restrict(kept) for g in reduced_basis(limit).elements], kept)
 
 
 def reference_ring_map_kernel(source_vars: Sequence[str], images: Sequence[Polynomial],

@@ -384,6 +384,29 @@ def test_repeated_variable_name_exit_1(tmp_path, capsys, argv):
     assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["toric", "--matrix", "{matrix}", "--names", "x*y,z,w"], id="toric-product"),
+    pytest.param(["gb", "--in", "{digit}"], id="gb-leading-digit"),
+    pytest.param(["gb", "--in", "{empty}"], id="gb-json-empty-name"),
+])
+def test_variable_name_outside_grammar_exit_1(tmp_path, capsys, argv):
+    # a name the polynomial grammar cannot read back is refused, before any
+    # polynomial line is parsed, so no output is printed that `gb --in`
+    # would then fail on
+    matrix = tmp_path / "tc.json"
+    matrix.write_text("[[1,1,1],[0,1,2]]\n")
+    digit = tmp_path / "digit.ideal"
+    digit.write_text("vars: 1x,y\n1x^2 - y\n")
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"vars": ["", "z"], "gens": ["z"]}\n')
+    paths = {"matrix": str(matrix), "digit": str(digit), "empty": str(empty)}
+    assert cli.main([a.format(**paths) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert "is not of the form [A-Za-z][A-Za-z0-9_]*" in captured.err
+
+
 def test_embed_negative_degree_bound_exit_1(tmp_path, capsys):
     ideal, matrix = _write_elliptic(tmp_path)
     assert cli.main(["embed", "--in", ideal, "--matrix", matrix,

@@ -14,6 +14,7 @@ from reference_embedding import (
     plucker_ideal,
     reference_kernel,
 )
+from reference_elimination import restricted_limit
 from reference_groebner import exp_divides
 from reference_weight import reference_initial_ideal
 
@@ -626,6 +627,27 @@ def test_projection_makes_no_block_order_call(monkeypatch):
                    for order, saturating in calls if not saturating) == closure_calls
 
 
+def test_projection_computes_no_containment(monkeypatch):
+    # the scheme check is proved from the weight basis: no normal form and
+    # no containment test runs inside projection_limit
+    from toricdeg import groebner
+    calls = []
+
+    def spy(name):
+        real = getattr(groebner, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in ("normal_form", "ideal_contains"):
+        monkeypatch.setattr(groebner, name, spy(name))
+    I = fx.elliptic_p9_ideal()
+    in_ring_order = tuple(v for v in I.vars if v in fx.ELLIPTIC_P9_KEPT)
+    for J, kept in [(fx.hyperbola_ideal(), ("z", "x")),
+                    (fx.twisted_cubic_ideal(), ("u3", "u2", "u0")),
+                    (I, in_ring_order), (I, fx.ELLIPTIC_P9_KEPT)]:
+        assert projection_limit(J, kept).scheme_check is True
+    assert calls == []
+
+
 @st.composite
 def _toric_ideals(draw):
     """Toric ideals of an all-ones row over 4-6 distinct columns of a second
@@ -642,12 +664,13 @@ def _toric_ideals(draw):
 @settings(max_examples=40, deadline=None)
 @given(case=_toric_ideals())
 def test_projection_scheme_check_matches_same_ideal(case):
-    # the scheme check tests one containment, as the closure lies in the
-    # restricted limit; the equality oracle compares both reduced bases
+    # the scheme check is proved, not computed: both containments follow
+    # from the one weight basis; the oracle restricts the limit's basis and
+    # compares reduced bases
     T, kept = case
     pr = projection_limit(T, kept)
-    restricted = Ideal([g.restrict(kept) for g in reduced_basis(pr.limit).elements], kept)
-    assert pr.scheme_check == same_ideal(restricted, pr.closure)
+    assert pr.scheme_check is True
+    assert same_ideal(restricted_limit(pr.limit, kept), pr.closure)
     assert same_ideal(pr.limit, initial_ideal(T, pr.w))
     assert same_ideal(pr.closure, eliminate(T, kept))
 
@@ -673,10 +696,15 @@ def _inhomogeneous_ideals(draw):
 def test_projection_closure_matches_eliminate(I, data):
     kept = data.draw(st.lists(st.sampled_from(I.vars), min_size=1,
                               max_size=len(I.vars) - 1, unique=True))
-    got, want = projection_limit(I, kept).closure, eliminate(I, kept)
+    pr = projection_limit(I, kept)
+    got, want = pr.closure, eliminate(I, kept)
     assert got.vars == want.vars
     assert got.gens == want.gens
     assert got.grading == want.grading
+    # the proved scheme check, against restricting the limit, with `kept`
+    # in ring order or not
+    assert pr.scheme_check is True
+    assert same_ideal(restricted_limit(pr.limit, kept), pr.closure)
 
 
 # ---------------------------------------------------------------------------

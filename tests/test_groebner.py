@@ -222,6 +222,39 @@ def test_initial_ideal_term_order_gives_monomials():
     assert all(len(g) == 1 for g in init.gens)
 
 
+def test_initial_ideal_term_order_runs_one_buchberger_call(monkeypatch):
+    # the leads of the reduced basis under the order are its initial ideal's
+    # degrevlex reduced basis already: no second pair loop canonicalizes them
+    I = _ideal(("x", "y", "z", "w"), "x*z - y^2", "y*w - z^2", "x*w - y*z",
+               grading=Grading.standard(4))
+    G = buchberger(I, Lex((0, 1, 2, 3)))
+    want = canonical(Ideal([Polynomial.monomial(I.vars, e) for e in G.leads], I.vars,
+                           grading=I.grading))
+    calls = []
+    bb = groebner.buchberger
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return bb(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", spy)
+    init = initial_ideal(I, Lex((0, 1, 2, 3)))
+    assert len(calls) == 1
+    assert init.gens == want.gens
+    assert init.grading == want.grading
+    assert reduced_basis(init).elements == reduced_basis(want).elements
+
+
+def test_ideal_refuses_names_outside_the_grammar():
+    # every name must read back through the polynomial parser
+    x = Polynomial.variable(("x",), "x")
+    assert Ideal([x], ("x",)).vars == ("x",)
+    assert Ideal([], ("a_1", "B2")).vars == ("a_1", "B2")
+    for names in [("x*y", "z"), ("1x",), ("", "z"), ("x y",), ("_x",), ("x'",)]:
+        with pytest.raises(ValueError, match="is not of the form"):
+            Ideal([], names)
+
+
 def test_initial_ideal_refuses_fractional_weights():
     # (1.5, 1, 2) would truncate to (1, 1, 2) and keep only x^2; integral
     # floats pass as the integers they equal
