@@ -24,7 +24,7 @@ from .groebner import (
     same_ideal,
     saturate_by_variables,
 )
-from .intlat import IntMatrix, homogenize_matrix, weight_from_matrix
+from .intlat import IntMatrix, homogenize_matrix, pivot_columns, weight_from_matrix
 from .polycore import (
     MIN,
     MAX,
@@ -218,9 +218,10 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
     quotient is finite wins when one exists (step 8); map each generator to
     the monomial with its embedded exponent, which is standard for the
     tie-broken cone of any such T (step 9); verify that graded dimensions
-    match degree by degree.  T is found greedily, with one rank check per
-    column scanned and no subset search (step 10).  The report carries the
-    pipeline report it ran and verified, so a caller needs no second run.
+    match degree by degree.  T is read off the pivot columns of one
+    echelon form per column list scanned, with no subset search (step
+    10).  The report carries the pipeline report it ran and verified, so a
+    caller needs no second run.
 
     The dims table is hilbert_witness(pipe.init, pipe.toric, 0..degree_bound),
     with no Groebner basis of J: in_M(J) has J's Hilbert function in J's
@@ -234,7 +235,7 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
     fresh variable names, with no elimination and no second toric ideal:
     1. The pipeline has verified in_M(J) = I_M; with an all-ones degree row,
        A_hat = M.
-    2. The host columns T are independent (_columns_independent), so distinct
+    2. The host columns T are independent (step 10), so distinct
        monomials of k[x_T] have distinct M-degrees.  I_M is M-graded and
        contains no monomial, so I_M meets k[x_T] only in 0.
     3. J is homogeneous, which the pipeline checks (weight_from_matrix
@@ -265,8 +266,13 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
        exactly when conv(p_T) is the value polytope conv(p), that is when
        every vertex of conv(p), an extreme point, is some p_j with j in T: T
        meets every vertex class, the columns sharing one vertex point.
-    7. No T of size |used| has independent columns when rank(M) < |used|,
-       so then NoIndependentSubset is raised before any column is checked.
+    7. Row operations keep the rank of every leading block of columns, so
+       the pivot columns of an echelon form of M's columns in a list are
+       those independent of the columns before them in the list
+       (intlat.pivot_columns), and their number is the rank of the list.
+       A list with fewer than |used| pivots holds no independent T of size
+       |used|; when that list is all the columns, rank(M) < |used| and
+       NoIndependentSubset is raised.
     8. Let T have independent columns.  Columns in one vertex class are
        equal, so T holds at most one column of each class.  With the
        all-ones degree row, rank(M) is one more than the dimension d of the
@@ -274,10 +280,13 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
        |T| <= rank(M) <= #classes.  If T meets every class, it holds one
        column of each, so |T| = #classes and T holds vertex columns only;
        the converse holds as T holds at most one column of each class.  So
-       when #classes = |T|, finite(T) is "T holds vertex columns only", and
-       otherwise no such T is finite: the order (not finite(T), not all of
-       T vertex columns, T) ranks these T as (not all of T vertex columns,
-       T) does, and the first admissible T is the same.
+       finite(T) is "#classes = |T| and T holds vertex columns only", and
+       the order (not finite(T), not all of T vertex columns, T) ranks
+       these T as (not all of T vertex columns, T) does: the first
+       admissible T is the same.  The first T holds vertex columns only
+       exactly when the scan over the vertex columns finds it (step 10),
+       so finiteness_certified is "that scan found T and #classes =
+       |used|", with no further test of T.
 
     Every T with independent columns gives standard images, and the first
     such T is a greedy choice:
@@ -289,15 +298,18 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
        So every lead of that basis holds a non-host variable, and none
        divides an image, a monomial in the hosts.
     10. Independent column sets form a matroid.  Scan a list of columns in
-       index order and keep each one independent of those kept before it,
-       up to |used| of them: the kept set, ascending, is componentwise no
-       larger than any independent set of that size drawn from the list
-       (Gale 1968, Optimal assignments in an ordered set), so it is the
-       first such set in lexicographic order.  If the vertex columns reach
-       |used| this way, their kept set is the first admissible T.
-       Otherwise no independent T holds vertex columns only, and the first
-       T is the kept set over all columns, which reaches |used| because
-       rank(M) >= |used| (step 7).
+       index order and keep each one independent of those kept before it:
+       a column is kept exactly when it is independent of all the columns
+       before it, whose span the kept ones span, so the kept set is the
+       list's pivot columns (step 7), read off one echelon form.  Its first
+       |used| columns are componentwise no larger than any independent set
+       of that size drawn from the list (Gale 1968, Optimal assignments in
+       an ordered set), so they are the first such set in lexicographic
+       order.  If the vertex columns have |used| pivots, their first |used|
+       are the first admissible T.  Otherwise no independent T holds vertex
+       columns only, and the first T is the first |used| pivots over all
+       columns, or NoIndependentSubset is raised (step 7).  An embed thus
+       computes at most two echelon forms.
     """
     if degree_bound < 0:
         raise ValueError("degree_bound must be nonnegative")
@@ -316,16 +328,16 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
     used = tuple(sorted({j for c in cvecs for j in range(r_plus_1) if c[j] > 0}))
 
     vertex_classes = _vertex_classes(M)
-    vertex_cols = set().union(*vertex_classes)
-    nvars, k = len(J.vars), len(used)
-    if M.rank() < k:
+    k = len(used)
+    T = _first_independent(M, sorted(set().union(*vertex_classes)), k)
+    finite = T is not None and len(vertex_classes) == k
+    T = T or _first_independent(M, range(len(J.vars)), k)
+    if T is None:
         raise NoIndependentSubset(
             "no host subset with independent columns and standard images; "
             "a linear change of coordinates would be required")
-    T = (_first_independent(M, sorted(vertex_cols), k)
-         or _first_independent(M, range(nvars), k))
     hosts = _assign_hosts(T, used, cvecs)
-    images_exp = _image_exponents(cvecs, hosts, used, nvars)
+    images_exp = _image_exponents(cvecs, hosts, used, len(J.vars))
 
     source_vars = _fresh_source_names(J.vars)
     toric_basis = reduced_basis(pipe.toric)
@@ -340,7 +352,7 @@ def embed_value_semigroup(J: Ideal, M: IntMatrix, convention: str = MIN,
             raise VerificationFailed("dims", f"degree {m}: {dR} != {dS}")
     images = dict(zip(J.vars, images_exp))
     return EmbeddingReport(T, tuple(hosts), N, images, kernel,
-                           tuple(dims), _finite(vertex_classes, T), pipe)
+                           tuple(dims), finite, pipe)
 
 
 def _vertex_classes(M: IntMatrix) -> list:
@@ -353,28 +365,13 @@ def _vertex_classes(M: IntMatrix) -> list:
     return [c for p, c in classes.items() if is_vertex(p, points)]
 
 
-def _finite(vertex_classes, T) -> bool:
-    """k[x]/I_M is finite over the variables T: T meets every vertex class
-    (steps 5-6 of embed_value_semigroup)."""
-    return all(not c.isdisjoint(T) for c in vertex_classes)
-
-
-def _columns_independent(M: IntMatrix, T) -> bool:
-    sub = IntMatrix._trusted([M.column(i) for i in T])
-    return sub.rank() == len(T)
-
-
 def _first_independent(M: IntMatrix, cols, k):
-    """The greedy k columns of `cols`, ascending: each column in turn is kept
-    when it is independent of those kept before it (step 10 of
-    embed_value_semigroup).  None when fewer than k are kept."""
-    T = ()
-    for i in cols:
-        if _columns_independent(M, T + (i,)):
-            T += (i,)
-            if len(T) == k:
-                return T
-    return None
+    """The greedy k columns of `cols`, in the order given: the first k pivot
+    columns of M restricted to `cols` (step 10 of embed_value_semigroup).
+    None when there are fewer than k."""
+    cols = list(cols)
+    kept = pivot_columns(IntMatrix._trusted([[r[i] for i in cols] for r in M.entries]))
+    return tuple([cols[j] for j in kept[:k]]) if len(kept) >= k else None
 
 
 def _assign_hosts(T, used, cvecs):

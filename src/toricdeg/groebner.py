@@ -166,10 +166,10 @@ class _Packing:
     0 except at 64 bits, where it lowers the guard's threshold from 2^63 to
     MAX_EXPONENT + 1.
 
-    The order's `key` and `reversed_key` and the total degree `degree` are
-    cached functions of the packed exponent, each unpacking it on its first
-    call; `unpack` itself is not cached, as its tuples would outlive their
-    use.
+    The order's `key`, `reversed_key` (the key negated entry for entry,
+    which sorts the other way) and the total degree `degree` are cached
+    functions of the packed exponent, each unpacking it on its first call;
+    `unpack` itself is not cached, as its tuples would outlive their use.
     """
 
     __slots__ = ("width", "cap", "guard", "bias", "_code", "unpack", "key",
@@ -191,7 +191,7 @@ class _Packing:
 
         self.unpack = unpack
         self.key = cache(lambda p: order.key(unpack(p)))
-        self.reversed_key = cache(lambda p: order.reversed_key(unpack(p)))
+        self.reversed_key = cache(lambda p: tuple([-x for x in order.key(unpack(p))]))
         self.degree = cache(lambda p: sum(memoryview(p.to_bytes(size, byteorder)).cast(code)))
 
     def pack(self, e: Exponent) -> int:
@@ -742,15 +742,15 @@ def _eliminated(I: Ideal, G: GroebnerBasis, keep: tuple) -> Ideal:
     of them: the order eliminates them, and is a well-order.  For f in I
     free of them, some lead of G divides f's lead, so that lead is free of
     them; it is its element's largest term, so the whole element is.
-    Hence G's elements free of the other variables, restricted to `keep`,
-    are a Groebner basis of the intersection, under degrevlex when `keep`
-    is in ring order.  Then `_from_degrevlex_basis` makes it canonical;
-    otherwise Buchberger does.
+    Hence G's elements whose leads are free of the other variables,
+    restricted to `keep`, are a Groebner basis of the intersection, under
+    degrevlex when `keep` is in ring order.  Then `_from_degrevlex_basis`
+    makes it canonical; otherwise Buchberger does.
     """
     idx = [I.vars.index(v) for v in keep]
     drop = set(range(len(I.vars))).difference(idx)
     found = [(g.restrict(keep), tuple(l[i] for i in idx))
-             for g, l in zip(G.elements, G.leads) if not (g.support_vars() & drop)]
+             for g, l in zip(G.elements, G.leads) if not any(l[i] for i in drop)]
     restricted = [g for g, _ in found]
     grading = None
     if I.grading is not None:

@@ -1,6 +1,6 @@
-"""Integer matrix linear algebra: Hermite normal form, kernel lattices,
-matrix homogenization, and certified weight vectors that realize a matrix
-refinement as a single weight.
+"""Integer matrix linear algebra: Hermite normal form and its pivot
+columns, kernel lattices, matrix homogenization, and certified weight
+vectors that realize a matrix refinement as a single weight.
 """
 
 from __future__ import annotations
@@ -65,10 +65,6 @@ class IntMatrix:
             raise ValueError("matrix must have at least one row")
         return IntMatrix._trusted(zip(*self.entries))
 
-    def rank(self) -> int:
-        H, _ = hermite_normal_form(self)
-        return sum(1 for r in H.entries if any(r))
-
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.entries == other.entries
 
@@ -129,6 +125,17 @@ def hermite_normal_form(A: IntMatrix):
             if r == m:
                 break
     return IntMatrix._trusted(H), IntMatrix._trusted(U)
+
+
+def pivot_columns(A: IntMatrix) -> tuple:
+    """Indices of the columns of A that are independent of the columns
+    before them, ascending: the pivot columns of hermite_normal_form(A).
+    Row operations keep the rank of every leading block of columns, so
+    column j raises that rank in A exactly when it does in the echelon
+    form, where it does exactly when it holds some row's first nonzero
+    entry."""
+    H, _ = hermite_normal_form(A)
+    return tuple([next(j for j, x in enumerate(r) if x) for r in H.entries if any(r)])
 
 
 def kernel_lattice(A: IntMatrix):

@@ -95,9 +95,8 @@ class TermOrder:
     row or None, and each (i, s) in `entries` stands for s*e[i].  `key(e)`
     is the flat tuple of the integers row.e and s*e[i] that the blocks give
     in turn; bigger key = bigger monomial, and leading terms are maxima.
-    `reversed_key(e)` is the key under the negated blocks: it sorts the
-    other way.  `well_ordered` says whether 1 < x_i for every i, that is,
-    whether the first nonzero coefficient of every e[i] is positive; if not,
+    `well_ordered` says whether 1 < x_i for every i, that is, whether the
+    first nonzero coefficient of every e[i] is positive; if not,
     Buchberger's algorithm need not end on non-homogeneous input.
     """
 
@@ -105,9 +104,6 @@ class TermOrder:
         self.nvars = nvars
         self.blocks = tuple([(tuple(row) if row else None, tuple(entries))
                              for row, entries in blocks])
-        self._negated_blocks = tuple([(row and tuple([-x for x in row]),
-                                       tuple([(i, -s) for i, s in entries]))
-                                      for row, entries in self.blocks])
         first = [0] * nvars  # the first nonzero coefficient of each e[i] in the key
         for row, entries in self.blocks:
             for i, c in [*enumerate(row or ()), *entries]:
@@ -115,19 +111,12 @@ class TermOrder:
         self.well_ordered = all(c > 0 for c in first)
 
     def key(self, e: Exponent) -> tuple:
-        return _matrix_key(self.blocks, e)
-
-    def reversed_key(self, e: Exponent) -> tuple:
-        return _matrix_key(self._negated_blocks, e)
-
-
-def _matrix_key(blocks, e: Exponent) -> tuple:
-    k = []
-    for row, entries in blocks:
-        if row:
-            k.append(sum(map(operator.mul, row, e)))
-        k += [s * e[i] for i, s in entries]
-    return tuple(k)
+        k = []
+        for row, entries in self.blocks:
+            if row:
+                k.append(sum(map(operator.mul, row, e)))
+            k += [s * e[i] for i, s in entries]
+        return tuple(k)
 
 
 class DegRevLex(TermOrder):
@@ -310,15 +299,6 @@ class Polynomial:
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    def support_vars(self) -> set:
-        """Indices of variables that actually occur."""
-        used = set()
-        for e in self.terms:
-            for i, x in enumerate(e):
-                if x:
-                    used.add(i)
-        return used
 
     # -- arithmetic
 

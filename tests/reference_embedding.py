@@ -7,8 +7,12 @@ standard monomials for a host set's cone, the initial ideal under
 subset of variables with both tests, all as toricdeg shipped them.
 `embed_value_semigroup` reads finiteness off the value polytope, proves
 standardness and picks its hosts greedily instead; the tests compare the
-two.  `reference_kernel` is the kernel as embed built it before it renamed
-the pipeline's toric ideal: a second toric ideal, of the embedded columns.
+two.  `_finite` is finiteness as embed read it off the vertex classes for
+a given host set, and `rank` and `_columns_independent` are the rank tests
+it ran once per scanned column, before it read both off the pivot columns
+of one echelon form per scan.  `reference_kernel` is the kernel as embed
+built it before it renamed the pipeline's toric ideal: a second toric
+ideal, of the embedded columns.
 
 Also here: the Gr(2,n) Pluecker ideal with its caterpillar-tree matrix, the
 orthant image (N - sum a, a) of a degree-one column (1, a), kept apart from
@@ -27,14 +31,29 @@ from toricdeg.degeneration import (
     NoIndependentSubset,
     VerificationFailed,
     _assign_hosts,
-    _columns_independent,
     _image_exponents,
     valuation_pipeline,
 )
 from toricdeg.groebner import Ideal, initial_ideal, reduced_basis
-from toricdeg.intlat import IntMatrix
+from toricdeg.intlat import IntMatrix, hermite_normal_form, pivot_columns
 from toricdeg.polycore import MIN, Grading, Lex, Polynomial, parse_polynomial
 from toricdeg.toric import Semigroup, embed_semigroup, is_vertex, toric_ideal
+
+
+def rank(M: IntMatrix) -> int:
+    """The number of nonzero rows of M's Hermite normal form."""
+    H, _ = hermite_normal_form(M)
+    return sum(1 for r in H.entries if any(r))
+
+
+def _columns_independent(M: IntMatrix, T) -> bool:
+    return rank(IntMatrix([M.column(i) for i in T])) == len(T)
+
+
+def _finite(vertex_classes, T) -> bool:
+    """k[x]/I_M is finite over the variables T: T meets every vertex class
+    (steps 5-6 of embed_value_semigroup)."""
+    return all(not c.isdisjoint(T) for c in vertex_classes)
 
 
 def _orthant_image(N: int, col) -> tuple:
@@ -160,13 +179,10 @@ def caterpillar_matrix(n: int, independent: bool = True) -> IntMatrix:
     rows = [[1] * len(pairs)]
     rows += [[int(k in p) for p in pairs] for k in range(1, n + 1)]
     rows += [[int(i <= m + 1 < j) for i, j in pairs] for m in range(1, n - 2)]
+    M = IntMatrix(rows)
     if not independent:
-        return IntMatrix(rows)
-    kept = []
-    for row in rows:
-        if IntMatrix(kept + [row]).rank() > len(kept):
-            kept.append(row)
-    return IntMatrix(kept)
+        return M
+    return IntMatrix([rows[i] for i in pivot_columns(M.transpose())])
 
 
 def graded_embedding_matrix(N: int, r: int) -> IntMatrix:

@@ -1,7 +1,7 @@
 """The term orders as toricdeg implemented them before `polycore.TermOrder`
 became the one order class: five classes, each with its own nested-tuple
-key, and the engine's negation of such keys.  The keys are copied verbatim;
-tests compare the block orders against them.
+key.  The keys are copied verbatim; tests compare the block orders
+against them.
 """
 
 from __future__ import annotations
@@ -90,9 +90,3 @@ class GradedRevLexLast:
     def key(self, e: Exponent):
         return (sum(wi * ei for wi, ei in zip(self.w, e)), -e[self.i],
                 tuple(-e[j] for j in self._rest_rev))
-
-
-def negated(k: tuple) -> tuple:
-    """The nested tuple `k` with every entry negated: the engine's reversed
-    key."""
-    return tuple([negated(x) if x.__class__ is tuple else -x for x in k])

@@ -23,7 +23,9 @@ from hypothesis import strategies as st
 from reference_elimination import reference_eliminate, reference_ring_map_kernel
 from reference_embedding import (
     _all_standard,
+    _columns_independent,
     _cone_order,
+    _finite,
     _finite_over,
     _orthant_image,
     caterpillar_matrix,
@@ -41,8 +43,6 @@ from toricdeg import groebner, toric
 from toricdeg.degeneration import (
     NoIndependentSubset,
     _assign_hosts,
-    _columns_independent,
-    _finite,
     _first_independent,
     _image_exponents,
     _vertex_classes,
@@ -422,6 +422,34 @@ def _embedding_matrices(draw):
                              max_size=2))
         M = IntMatrix(rows + [[a + b for a, b in zip(rows[i], rows[j])]])
     return M
+
+
+def _finiteness_matches_vertex_classes(J, M, convention) -> bool:
+    """embed's finiteness_certified, read off its vertex-column scan, against
+    its hosts meeting every vertex class; returns the flag."""
+    rep = embed_value_semigroup(J, M, convention, degree_bound=0)
+    assert rep.finiteness_certified == _finite(_vertex_classes(M),
+                                               rep.independent_vars)
+    return rep.finiteness_certified
+
+
+@settings(max_examples=30, deadline=None)
+@given(M=_embedding_matrices())
+def test_finiteness_certified_is_the_vertex_class_test(M):
+    # step 8 of embed_value_semigroup: the vertex-column scan finding the
+    # hosts, with one vertex class per host, is the hosts meeting every class
+    vars = tuple(f"x{i}" for i in range(M.cols))
+    try:
+        _finiteness_matches_vertex_classes(toric_ideal(M, vars), M, MIN)
+    except NoIndependentSubset:
+        pass
+
+
+def test_finiteness_certified_is_the_vertex_class_test_on_fixtures_and_caterpillars():
+    cases = [(J, M, MIN) for J, M in _embedding_fixtures()]
+    cases += [(plucker_ideal(n), caterpillar_matrix(n), MAX) for n in range(4, 8)]
+    flags = [_finiteness_matches_vertex_classes(*case) for case in cases]
+    assert set(flags) == {True, False} and not any(flags[-4:])
 
 
 @settings(max_examples=25, deadline=None)

@@ -12,6 +12,7 @@ from reference_embedding import (
     _cone_order,
     caterpillar_matrix,
     plucker_ideal,
+    rank,
     reference_kernel,
 )
 from reference_elimination import restricted_limit
@@ -370,7 +371,7 @@ def test_embed_no_independent_subset():
 def test_grassmannian_caterpillar_values_are_binomial_prime_under_max():
     for n in range(4, 8):
         J, M = plucker_ideal(n), caterpillar_matrix(n)
-        assert M.rows == M.rank() == 2 * n - 3
+        assert M.rows == rank(M) == 2 * n - 3
         assert valuation_pipeline(J, M, MAX).binomial_prime
         assert not valuation_pipeline(J, M, MIN).binomial_prime
 
@@ -393,37 +394,43 @@ def test_embed_gr2n_caterpillar_hosts(n):
     assert rep.kernel_check.gens == K.gens
 
 
-def test_embed_gr28_checks_each_column_at_most_twice(monkeypatch):
-    # two greedy scans over the 28 columns, not a walk over 13-subsets
+def _spy_pivot_columns(monkeypatch):
+    """The column lists embed computes an echelon form of, one per call."""
     from toricdeg import degeneration
-    tried = []
-    independent = degeneration._columns_independent
+    scanned = []
+    pivot_columns = degeneration.pivot_columns
 
-    def spy(M, T):
-        tried.append(T)
-        return independent(M, T)
+    def spy(A):
+        scanned.append(A.cols)
+        return pivot_columns(A)
 
-    monkeypatch.setattr(degeneration, "_columns_independent", spy)
+    monkeypatch.setattr(degeneration, "pivot_columns", spy)
+    return scanned
+
+
+def test_embed_gr28_checks_each_column_at_most_twice(monkeypatch):
+    # two greedy scans over the 28 columns, each one echelon form, not a
+    # walk over 13-subsets
+    scanned = _spy_pivot_columns(monkeypatch)
     rep = embed_value_semigroup(plucker_ideal(8), caterpillar_matrix(8), MAX,
                                 degree_bound=0)
     assert rep.independent_vars == _CATERPILLAR_HOSTS[8]
-    assert len(tried) <= 2 * 28
+    assert len(scanned) <= 2 and sum(scanned) <= 2 * 28
 
 
 def test_embed_caterpillar_with_dependent_rows_has_no_independent_subset(
         monkeypatch):
     # the leaf rows sum to twice the degree row: the embedded values use more
-    # coordinates than the matrix has rank, so no host subset is tried
-    from toricdeg import degeneration
-    tried = []
-    monkeypatch.setattr(degeneration, "_columns_independent",
-                        lambda M, T: tried.append(T))
+    # coordinates than the matrix has rank, so the scan over all columns
+    # keeps too few, after at most two echelon forms
+    scanned = _spy_pivot_columns(monkeypatch)
     for n in range(4, 8):
+        scanned.clear()
         M = caterpillar_matrix(n, independent=False)
-        assert M.rank() < M.rows
+        assert rank(M) < M.rows
         with pytest.raises(NoIndependentSubset):
             embed_value_semigroup(plucker_ideal(n), M, MAX, degree_bound=1)
-    assert tried == []
+        assert scanned[-1] == M.cols and len(scanned) <= 2
 
 
 def test_embed_decides_finiteness_without_a_groebner_basis(monkeypatch):

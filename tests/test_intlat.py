@@ -7,7 +7,9 @@ import random
 
 import pytest
 import sympy
-from reference_embedding import graded_embedding_matrix
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from reference_embedding import graded_embedding_matrix, rank
 
 from toricdeg.groebner import (
     Ideal,
@@ -21,6 +23,7 @@ from toricdeg.intlat import (
     hermite_normal_form,
     homogenize_matrix,
     kernel_lattice,
+    pivot_columns,
     weight_from_matrix,
 )
 from toricdeg.polycore import Grading, parse_polynomial
@@ -95,6 +98,39 @@ def test_hnf_random_property():
         assert _hnf_shape_ok(H)
 
 
+@st.composite
+def _matrices_with_dependent_columns(draw):
+    """1-5 rows and 1-7 columns, each column drawn in -3..3, zero, or a
+    repeat, negation or sum of earlier columns."""
+    m = draw(st.integers(1, 5))
+    cols = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["drawn", "zero", "repeat", "negated", "sum"]
+                                    if cols else ["drawn", "zero"]))
+        if kind == "drawn":
+            col = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+        elif kind == "zero":
+            col = [0] * m
+        else:
+            a, b = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
+            col = {"repeat": a, "negated": [-x for x in a],
+                   "sum": [x + y for x, y in zip(a, b)]}[kind]
+        cols.append(col)
+    return IntMatrix.from_columns(cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=_matrices_with_dependent_columns())
+@example(A=IntMatrix([[1, 2, 0, -1, 3], [2, 4, 0, -2, 1]]))
+@example(A=IntMatrix([[0, 1], [0, 2], [0, -3], [0, 0], [0, 5]]))
+def test_pivot_columns_raise_the_prefix_ranks(A):
+    # column j is a pivot exactly when it raises the rank of the columns
+    # before it, each rank from sympy
+    S = sympy.Matrix(A.rows_list())
+    ranks = [S[:, :j].rank() for j in range(A.cols + 1)]
+    assert pivot_columns(A) == tuple(j for j in range(A.cols) if ranks[j + 1] > ranks[j])
+
+
 def test_hnf_row_permutation_invariant():
     rng = random.Random(7)
     A_rows = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(3)]
@@ -162,7 +198,7 @@ def test_homogenize_elliptic_weights():
 def test_homogenize_rank_increases_when_needed():
     A = IntMatrix([[0, 1, 3]])
     H = homogenize_matrix(A)
-    assert H.rank() == A.rank() + 1
+    assert rank(H) == rank(A) + 1
     # the all-ones vector lies in the row space: it is orthogonal to the kernel
     assert all(sum(u) == 0 for u in kernel_lattice(H))
 
