@@ -467,33 +467,44 @@ def _via_homogenization(I: Ideal, order: TermOrder) -> GroebnerBasis:
     whose first row is not the total degree.  Run directly, such an order
     lets the pair loop build coefficients far larger than the answer's.
 
-    The homogenizations g^h of I's degrevlex reduced basis, in a new
-    variable h, generate I^h (Cox, Little & O'Shea, Ideals, Varieties, and
-    Algorithms, §8.4, Thm. 4).  I^h is homogeneous, and its basis is taken
-    under total degree, then `order` with h weighted 0: within one degree
-    the x-part of a monomial fixes its h-part, so that order restricted to
-    a degree is `order` on the x-part.  Hence, for f in I, the lead of f^h
-    is the lead of f times a power of h, and a lead of the basis divides
-    it: setting h = 1 in the basis gives a Groebner basis of I under
-    `order`.  The elements whose leads are minimal are interreduced into
-    the unique reduced basis."""
+    I^h (`_homogenized`) is homogeneous, and its basis is taken under total
+    degree, then `order` with h weighted 0: within one degree the x-part of
+    a monomial fixes its h-part, so that order restricted to a degree is
+    `order` on the x-part.  Hence, for f in I, the lead of f^h is the lead
+    of f times a power of h, and a lead of the basis divides it: setting
+    h = 1 in the basis gives a Groebner basis of I under `order`.  The
+    elements whose leads are minimal are interreduced into the unique
+    reduced basis."""
     n = len(I.vars)
+    lifted = TermOrder(n + 1, [((1,) * (n + 1), ()),
+                               *[(row and row + (0,), entries)
+                                 for row, entries in order.blocks]])
+    Gh = buchberger(_homogenized(I), lifted)
+    found = {}  # x-part of a lead -> its element with h = 1
+    for g, l in zip(Gh.elements, Gh.leads):
+        found.setdefault(l[:n], _at_h_one(g, I.vars))
+    leads = _minimal(found)
+    return _interreduced([found[l] for l in leads], leads, I.vars, order)
+
+
+def _homogenized(I: Ideal) -> Ideal:
+    """I^h in k[vars, h], h a new last variable, with no grading attached:
+    the homogenizations g^h of I's degrevlex reduced basis generate it
+    (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms, §8.4, Thm. 4),
+    and it is homogeneous in the standard grading."""
     big = I.vars + (_fresh_name("h", I.vars),)
     gens = []
     for g in reduced_basis(I).elements:
         d = max(map(sum, g.terms))
         gens.append(Polynomial._trusted(big, {e + (d - sum(e),): c
                                               for e, c in g.terms.items()}))
-    lifted = TermOrder(n + 1, [((1,) * (n + 1), ()),
-                               *[(row and row + (0,), entries)
-                                 for row, entries in order.blocks]])
-    Gh = buchberger(Ideal(gens, big), lifted)
-    found = {}  # x-part of a lead -> its element with h = 1
-    for g, l in zip(Gh.elements, Gh.leads):
-        found.setdefault(l[:n], Polynomial._trusted(
-            I.vars, {e[:n]: c for e, c in g.terms.items()}))
-    leads = _minimal(found)
-    return _interreduced([found[l] for l in leads], leads, I.vars, order)
+    return Ideal(gens, big)
+
+
+def _at_h_one(g: Polynomial, vars: tuple) -> Polynomial:
+    """g over `vars` plus a last variable h, homogeneous, with h set to 1:
+    distinct terms of one degree differ off h, so no two terms merge."""
+    return Polynomial._trusted(vars, {e[:-1]: c for e, c in g.terms.items()})
 
 
 def _pair_loop(I: Ideal, order: TermOrder, hilbert, packing: _Packing) -> GroebnerBasis:
@@ -770,44 +781,52 @@ def _fresh_name(base: str, used: Sequence[str]) -> str:
 
 
 def saturate(I: Ideal, f: Polynomial) -> Ideal:
-    """(I : f^infinity), via the extra variable y and the relation 1 - y*f."""
+    """(I : f^infinity) for a monomial f = c*x^a, c nonzero (ValueError for
+    any other f), in canonical form and with the grading of I.
+
+    It is the successive saturation by each x_i in supp(a), one
+    `_saturate_variable_graded` run each (Sturmfels, Lemma 12.1), under
+    the grading in effect for I (`homogeneous_grading`) when I is
+    homogeneous for it; otherwise on I^h (`_homogenized`), under the
+    standard grading, and then h is set to 1.  For a monomial m
+    in the x variables, (I^h : m^infinity) at h = 1 is I : m^infinity:
+    - inside: setting h = 1 is a ring map that sends I^h onto I, so
+      m^k*g in I^h gives m^k*g(x, 1) in I;
+    - onto: m^k*g in I gives m^k*g^h = (m^k*g)^h in I^h, as homogenization
+      is multiplicative, and g^h at h = 1 is g; a ring map onto k[x] sends
+      the generators of an ideal to generators of its image.
+    Every basis of I^h and of its saturations is homogeneous, so setting
+    h = 1 merges no terms (`_at_h_one`).
+    """
     if f.is_zero():
         raise ValueError("cannot saturate by 0")
     if f.vars != I.vars:
         raise DimensionMismatch("polynomial in a different ring")
-    aux = _fresh_name("ysat", I.vars)
-    big = I.vars + (aux,)
-    gens = [g.extend(big) for g in I.gens]
-    one = Polynomial.constant(big, 1)
-    gens.append(one - Polynomial.variable(big, aux) * f.extend(big))
-    out = eliminate(Ideal(gens, big), I.vars)
-    if I.grading is not None and I.grading.is_homogeneous(f):
-        out = _with_basis(reduced_basis(out), I.vars, I.grading)
-    return out
+    if len(f.terms) != 1:
+        raise ValueError(f"can only saturate by a monomial, not {format_polynomial(f)}")
+    (a,) = f.terms
+    names = [v for v, k in zip(I.vars, a) if k]
+    if not names:
+        return canonical(I)
+    try:
+        J, w = I, homogeneous_grading(I).weights
+    except NotHomogeneous:
+        J, w = _homogenized(I), (1,) * (len(I.vars) + 1)
+    for name in names:
+        J = _saturate_variable_graded(J, name, w)
+    if J.vars != I.vars:
+        J = Ideal([_at_h_one(g, I.vars) for g in J.gens], I.vars)
+    return canonical(J)
 
 
 def saturate_by_variables(I: Ideal, var_names: Sequence[str]) -> Ideal:
-    """Successive (I : x^infinity) for each named variable, in canonical form
-    and with the grading of I.
-
-    For ideals homogeneous under some positive weight vector, each variable
-    takes one Groebner basis under a graded order with x smallest, whose
-    elements divided by their x-content generate the saturation and are a
-    Groebner basis of it (Sturmfels, Groebner Bases and Convex Polytopes,
-    Lemma 12.1).  Falls back to `saturate` otherwise.
-    """
-    var_names = _known(I.vars, var_names)
-    J = I
-    try:
-        pos = homogeneous_grading(I).weights
-    except NotHomogeneous:
-        pos = None
-    for name in var_names:
-        if pos is not None:
-            J = _saturate_variable_graded(J, name, pos)
-        else:
-            J = saturate(J, Polynomial.variable(I.vars, name))
-    return canonical(J)
+    """(I : x^infinity) for the product x of the named variables, in
+    canonical form and with the grading of I, by one `saturate`.  The
+    names are checked before any Groebner work."""
+    a = [0] * len(I.vars)
+    for name in _known(I.vars, var_names):
+        a[I.vars.index(name)] = 1
+    return saturate(I, Polynomial.monomial(I.vars, a))
 
 
 def _graded_last(w: Sequence[int], i: int) -> TermOrder:

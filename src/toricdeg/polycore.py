@@ -272,10 +272,6 @@ class Polynomial:
         return p
 
     @classmethod
-    def constant(cls, vars: Sequence[str], c) -> "Polynomial":
-        return cls(vars, {(0,) * len(vars): Fraction(c)})
-
-    @classmethod
     def monomial(cls, vars: Sequence[str], e: Exponent, c=1) -> "Polynomial":
         return cls(vars, {tuple(e): Fraction(c)})
 

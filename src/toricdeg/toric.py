@@ -293,8 +293,9 @@ def toric_ideal(A: IntMatrix, names: Sequence[str]) -> Ideal:
     row of A; carries the standard grading when the all-ones vector lies in
     the row space.  The saturations take the graded route under that
     grading, or else under the first strictly positive row of A, for which
-    every binomial is homogeneous as the row is orthogonal to ker A; the
-    result keeps the standard grading or none.
+    every binomial is homogeneous as the row is orthogonal to ker A, or
+    else through I^h (`groebner.saturate`); the result keeps the standard
+    grading or none.
 
     Why sigma suffices.  Let P be an associated prime of I_B and tau(P) the
     set of variables in P.  If supp(u+) meets tau(P) then x^(u+) lies in P,

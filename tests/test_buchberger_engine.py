@@ -348,7 +348,7 @@ def test_only_inhomogeneous_input_under_a_non_graded_order_is_homogenized(monkey
     K = ring_map_kernel(("s", "t", "u"), [x * x, x * y, y * y], Ideal([], vars))
     assert calls == [vars] and K.grading is None
     assert K.gens == (Polynomial(("s", "t", "u"), {(0, 2, 0): 1, (1, 0, 1): -1}),)
-    ring_map_kernel(("s",), [x + Polynomial.constant(vars, 1)], Ideal([], vars))
+    ring_map_kernel(("s",), [x + Polynomial.monomial(vars, (0,) * len(vars))], Ideal([], vars))
     assert calls == [vars, vars + ("s",)]
 
 

@@ -19,7 +19,22 @@ import pytest
 
 from toricdeg import cli
 from toricdeg import fixtures as fx
+from toricdeg.groebner import Ideal
+from toricdeg.intlat import IntMatrix
 from toricdeg.ioformats import ideal_to_text
+from toricdeg.polycore import parse_polynomial
+
+
+def _no_grading_ideal():
+    """Its projection limit to k[x, z], y*z^2 - x*y, has no positive grading."""
+    vars = ("x", "y", "z")
+    return Ideal([parse_polynomial("x*y - y*z^2 - z", vars)], vars)
+
+
+def _no_grading_matrix():
+    """Its kernel binomials have no positive grading; toric_ideal saturates x2."""
+    return IntMatrix([[1, -2, -1, -2], [0, 2, 2, 2]])
+
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_outputs.json"
 
@@ -30,6 +45,7 @@ IDEALS = {
     "gr24": fx.gr24_ideal,
     "gr25": fx.gr25_ideal,
     "elliptic_p9": fx.elliptic_p9_ideal,
+    "no_grading": _no_grading_ideal,
 }
 
 MATRICES = {
@@ -38,6 +54,7 @@ MATRICES = {
     "gr24_gvector_m": fx.gr24_gvector_matrix,
     "gr24_plabic_m": fx.gr24_plabic_matrix,
     "gr25_m": fx.gr25_matrix,
+    "no_grading_m": _no_grading_matrix,
 }
 
 # {name} stands for the file of IDEALS[name] or MATRICES[name]
@@ -72,9 +89,11 @@ CASES = {
     "project-hyperbola": "project --in {hyperbola} --keep x,y",
     "project-twisted": "project --in {twisted} --keep u3,u2,u0",
     "project-elliptic-p9": "project --in {elliptic_p9} --keep u_y2z,u_y3,u_z3",
+    "project-no-grading": "project --in {no_grading} --keep x,z",
     "toric-twisted": "toric --matrix {twisted_m} --names u3,u2,u1,u0",
     "toric-gr24-gvector": "toric --matrix {gr24_gvector_m} --names p12,p13,p14,p23,p24,p34 --json",
     "toric-gr24-plabic": "toric --matrix {gr24_plabic_m} --names p12,p13,p14,p23,p24,p34",
+    "toric-no-grading": "toric --matrix {no_grading_m} --names a,b,c,d",
 }
 
 

@@ -34,6 +34,7 @@ from reference_embedding import (
 )
 from reference_groebner import monic
 from reference_hull import reference_feasible
+from reference_saturation import saturate as reference_saturate
 from reference_weight import reference_weight_from_matrix
 from sympy import symbols
 from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
@@ -59,7 +60,6 @@ from toricdeg.groebner import (
     reduced_basis,
     ring_map_kernel,
     same_ideal,
-    saturate,
     saturate_by_variables,
 )
 from toricdeg.intlat import (
@@ -75,6 +75,7 @@ from toricdeg.polycore import (
     Grading,
     Lex,
     Polynomial,
+    dot,
     format_polynomial,
     parse_polynomial,
     to_min,
@@ -105,8 +106,9 @@ def _kernel_binomials(A, vars):
 
 
 def _saturate_each(I, names):
+    """I saturated by each named variable in turn, by the elimination oracle."""
     for v in names:
-        I = saturate(I, Polynomial.variable(I.vars, v))
+        I = reference_saturate(I, Polynomial.variable(I.vars, v))
     return I
 
 
@@ -152,6 +154,60 @@ def test_graded_saturation_route_agrees_with_saturate(monkeypatch):
     assert enlarged >= 3
 
 
+@st.composite
+def _saturation_inputs(draw):
+    """An ideal in 3-4 variables, one of them possibly named h, with no
+    positive grading, homogeneous in the standard grading, or carrying a
+    drawn grading, perhaps holding 1; and a monomial c*x^a over 0-3 of its
+    variables."""
+    vars = draw(st.sampled_from([("x", "y", "z"), ("x", "y", "z", "w"),
+                                 ("x", "h", "z"), ("h", "x", "y", "z")]))
+    n = len(vars)
+    kind = draw(st.sampled_from(["none", "none", "standard", "attached"]))
+    w = [1] * n
+    if kind == "attached":
+        w = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    pad = draw(st.integers(0, n - 1))  # a variable of weight 1
+    w[pad] = 1
+    exponents = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple)
+    coefficients = st.integers(-2, 2).filter(bool)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = draw(st.dictionaries(exponents, coefficients, min_size=1, max_size=3))
+        if kind == "none" and not gens:  # a term of another degree
+            d, e = sum(next(iter(terms))), draw(exponents)
+            terms[e if sum(e) != d else (e[0] + 1,) + e[1:]] = draw(coefficients)
+        elif kind != "none":  # each term times a power of x_pad, to one degree
+            top = max(dot(w, e) for e in terms)
+            terms = {e[:pad] + (e[pad] + top - dot(w, e),) + e[pad + 1:]: c
+                     for e, c in terms.items()}
+        gens.append(Polynomial(vars, terms))
+    if kind != "standard" and draw(st.integers(0, 3)) == 0:
+        gens.append(Polynomial.monomial(vars, (0,) * n, draw(coefficients)))
+    I = Ideal(gens, vars, grading=Grading(w) if kind == "attached" else None)
+    support = draw(st.lists(st.sampled_from(range(n)), max_size=3, unique=True))
+    a = [draw(st.integers(1, 2)) if i in support else 0 for i in range(n)]
+    c = Fraction(draw(coefficients), draw(st.integers(1, 3)))
+    return I, Polynomial.monomial(vars, a, c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_saturation_inputs())
+# no positive grading, saturated through I^h in a ring that has an h already
+@example(case=(Ideal([parse_polynomial("x*h - h*z^2 - z", ("x", "h", "z"))], ("x", "h", "z")),
+               parse_polynomial("3*h", ("x", "h", "z"))))
+# the ideal holds 1 and has no positive grading
+@example(case=(Ideal([parse_polynomial("x*y - 1", ("x", "y", "z")),
+                      parse_polynomial("x", ("x", "y", "z"))], ("x", "y", "z")),
+               parse_polynomial("y*z", ("x", "y", "z"))))
+def test_saturate_matches_elimination_oracle(case):
+    I, f = case
+    got = groebner.saturate(I, f)
+    want = reference_saturate(I, f)
+    assert got.gens == want.gens
+    assert got.grading == want.grading == I.grading
+
+
 def _all_variables_toric_oracle(A, vars):
     """The toric ideal saturated by every variable, as before hitting sets."""
     basis = kernel_lattice(A)
@@ -175,7 +231,7 @@ def _small_matrices(draw):
 @given(A=_small_matrices())
 # kernel (1, 1, 0): no balanced set, so sigma is empty
 @example(A=IntMatrix([[1, -1, 0], [0, 0, 1]]))
-# not positively graded, sigma = {x2}: the `saturate` fallback
+# not positively graded, sigma = {x2}: saturated through I^h
 @example(A=IntMatrix([[1, -2, -1, -2], [0, 2, 2, 2]]))
 def test_toric_ideal_matches_all_variables_saturation(A):
     vars = tuple(f"x{i}" for i in range(A.cols))
@@ -206,18 +262,30 @@ def test_rational_normal_curve_saturates_by_fewer_than_all_variables(monkeypatch
     assert T.gens == oracle.gens and T.grading == oracle.grading
 
 
-def test_toric_ideal_reaches_saturate_fallback(monkeypatch):
-    # the second example above: no positive grading, sigma = {x2}
-    calls = []
-    original = groebner.saturate
+def test_toric_ideal_saturates_through_homogenization(monkeypatch):
+    # the second example above: no positive grading, sigma = {x2}; the one
+    # saturation is a graded-last run on I^h over x0..x3 and h, and no ring
+    # gains the auxiliary variable of the elimination route
+    rings = []
+    original = groebner.buchberger
 
-    def spy(I, f):
-        calls.append(format_polynomial(f))
-        return original(I, f)
+    def spy(I, order=None, hilbert=None):
+        rings.append((I.vars, order))
+        return original(I, order, hilbert)
 
-    monkeypatch.setattr(groebner, "saturate", spy)
-    toric_ideal(IntMatrix([[1, -2, -1, -2], [0, 2, 2, 2]]), ("x0", "x1", "x2", "x3"))
-    assert calls == ["x2"]
+    monkeypatch.setattr(groebner, "buchberger", spy)
+    A = IntMatrix([[1, -2, -1, -2], [0, 2, 2, 2]])
+    names = ("x0", "x1", "x2", "x3")
+    T = toric_ideal(A, names)
+    monkeypatch.undo()
+    graded_last = groebner._graded_last((1,) * 5, 2).blocks
+    assert [vars for vars, order in rings
+            if order is not None and order.blocks == graded_last] == [names + ("h",)]
+    assert not any("ysat" in vars for vars, _ in rings)
+    assert [format_polynomial(g) for g in T.gens] == ["x0*x3 - x2", "x1 - x3"]
+    oracle = reference_saturate(Ideal(_kernel_binomials(A, names), names),
+                                Polynomial.variable(names, "x2"))
+    assert T.gens == canonical(oracle).gens
 
 
 def test_dropping_a_hitting_set_variable_changes_some_toric_ideal():
@@ -269,10 +337,10 @@ def test_projection_cone_part_matches_saturation_by_product():
     routes = set()
     for I, kept in cases:
         pr = projection_limit(I, kept)
-        prod = Polynomial.constant(I.vars, 1)
+        prod = Polynomial.monomial(I.vars, (0,) * len(I.vars))
         for v in pr.dropped:
             prod = prod * Polynomial.variable(I.vars, v)
-        want = saturate(pr.limit, prod)
+        want = reference_saturate(pr.limit, prod)
         assert pr.cone_part.gens == want.gens
         assert pr.cone_part.grading == want.grading
         try:
@@ -288,7 +356,7 @@ def _finite_by_saturation(init, T):
     vars = init.vars
     K = Ideal(list(init.gens) + [Polynomial.variable(vars, vars[i]) for i in T],
               vars)
-    return all(saturate(K, Polynomial.variable(vars, vars[i])).contains_one()
+    return all(reference_saturate(K, Polynomial.variable(vars, vars[i])).contains_one()
                for i in range(len(vars)) if i not in T)
 
 
@@ -300,7 +368,7 @@ def test_finite_over_matches_radical_definition():
         valuation_pipeline(fx.twisted_cubic_ideal(),
                            fx.twisted_cubic_matrix()).init,
         valuation_pipeline(fx.gr24_ideal(), fx.gr24_gvector_matrix()).init,
-        Ideal([Polynomial.constant(vars, 1)], vars),
+        Ideal([Polynomial.monomial(vars, (0,) * len(vars))], vars),
     ]
     for _ in range(4):
         gens = []

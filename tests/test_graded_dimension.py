@@ -48,7 +48,7 @@ def test_random_lead_sets_match_enumeration(I):
 @pytest.mark.parametrize("unit", [False, True])
 def test_zero_and_unit_ideal_match_enumeration(weights, unit):
     vars = tuple(f"x{i}" for i in range(len(weights)))
-    gens = [Polynomial.constant(vars, 1)] if unit else []
+    gens = [Polynomial.monomial(vars, (0,) * len(vars))] if unit else []
     I = Ideal(gens, vars, grading=Grading(weights))
     dims = _dims(graded_dimension, I)
     assert dims == _dims(reference_hilbert.graded_dimension, I)

@@ -35,6 +35,7 @@ from toricdeg.groebner import (
 )
 from toricdeg.polycore import (
     DegRevLex,
+    DimensionMismatch,
     Grading,
     Lex,
     Polynomial,
@@ -326,7 +327,7 @@ def test_variable_names_are_checked_before_any_groebner_work(monkeypatch):
     monkeypatch.setattr(groebner, "buchberger", refuse)
     graded = _ideal(("x", "y", "z"), "x*y - z^2")
     inhomogeneous = _ideal(("x", "y", "z"), "x*y - z")
-    # the graded route and the elimination fallback name the same error
+    # the graded route and the route through I^h name the same error
     for I in (graded, inhomogeneous):
         with pytest.raises(UnknownVariable) as exc:
             groebner.saturate_by_variables(I, ["q"])
@@ -354,6 +355,20 @@ def test_saturate_to_unit():
     assert saturate(I2, parse_polynomial("x", ("x",))).contains_one()
 
 
+def test_saturate_takes_only_a_monomial_from_its_own_ring():
+    vars = ("x", "y", "z")
+    I = _ideal(vars, "x*y - z")
+    for f in ("x + y", "x*y - 1", "y + 1"):
+        with pytest.raises(ValueError, match="monomial"):
+            saturate(I, parse_polynomial(f, vars))
+    with pytest.raises(ValueError, match="by 0"):
+        saturate(I, Polynomial(vars))
+    with pytest.raises(DimensionMismatch):
+        saturate(I, parse_polynomial("x", ("x", "y")))
+    with pytest.raises(DimensionMismatch):
+        saturate(I, parse_polynomial("x", ("x", "z", "y")))
+
+
 def test_graded_saturation_one_buchberger_call_per_variable(monkeypatch):
     # the twisted cubic's two adjacent binomials; saturating adds x0*x3 - x1*x2
     vars = ("x0", "x1", "x2", "x3")
@@ -377,7 +392,8 @@ def test_graded_saturation_one_buchberger_call_per_variable(monkeypatch):
 
 
 def test_saturate_regrading_runs_no_buchberger(monkeypatch):
-    # the graded result adopts the reduced basis of the ungraded one
+    # a graded and an ungraded copy of one ideal make the same Buchberger
+    # calls and the same basis
     vars = ("x", "y", "z")
     f = parse_polynomial("y", vars)
     calls = []
