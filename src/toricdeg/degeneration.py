@@ -455,6 +455,15 @@ def projection_limit(I: Ideal, kept: Sequence[str]) -> ProjectionReport:
       and restriction is a ring map onto k[kept], so the images of the
       in_w(g) generate the restricted limit, and each lies in the closure.
 
+    The cone part saturates the limit by the dropped variables
+    (`groebner.saturate`), starting from the limit's installed degrevlex
+    basis.  With one dropped variable x and I homogeneous for its grading,
+    that is no pair loop at all: the limit is graded by the x-degree, as w
+    is -1 on x alone, so each element of its reduced basis has a single
+    x-exponent, and the elements divided by their x-content are the
+    cone part's degrevlex basis, made canonical by interreduction.  So the
+    weight basis is the projection's only run.
+
     The weight basis takes no Hilbert target, though I's leads would be one
     when I is standard-homogeneous: on the `lattices` catalogue the
     per-degree Hilbert counts cost more than the few zero reductions of

@@ -166,32 +166,57 @@ class _Packing:
     0 except at 64 bits, where it lowers the guard's threshold from 2^63 to
     MAX_EXPONENT + 1.
 
-    The order's `key`, `reversed_key` (the key negated entry for entry,
-    which sorts the other way) and the total degree `degree` are cached
-    functions of the packed exponent, each unpacking it on its first call;
-    `unpack` itself is not cached, as its tuples would outlive their use.
+    The order's `key` and the total degree `degree` are cached functions of
+    the packed exponent, each unpacking it on its first call; `unpack`
+    itself is not cached, as its tuples would outlive their use.
+
+    `key` is one int per exponent, key(e) = sum of e_i*V_i, with one int
+    V_i per variable, built by Horner over the order's key entries (each a
+    linear form sum of c_i*e_i, as `TermOrder.key` lists them), most
+    significant first: every entry is one digit, of radix R = 2*b + 1 with
+    b = sum of |c_i|*cap.  It sorts exactly as the tuple `TermOrder.key`
+    does, on every exponent whose fields are at most cap, which is every
+    exponent the engine keeps:
+    - each entry of such an exponent lies in [-b, b], a balanced digit of
+      radix R;
+    - the digits after entry k, as a balanced number, lie strictly between
+      -P/2 and P/2, with P the product of their radices: the largest is
+      sum over j > k of b_j times the radices after j, which telescopes
+      to (P - 1)/2;
+    - so where two keys first differ, at entry k by at least 1, the ints
+      differ there by at least P, which the later digits' difference, at
+      most P - 1, cannot cancel: the ints compare as the tuples do.
+    An exponent is never compared with one of another packing, so the
+    radices may change with the width.
     """
 
-    __slots__ = ("width", "cap", "guard", "bias", "_code", "unpack", "key",
-                 "reversed_key", "degree")
+    __slots__ = ("width", "cap", "guard", "bias", "_code", "unpack", "key", "degree")
 
     def __init__(self, n: int, width: int, order: TermOrder):
         self.width = width
         self._code = code = _CODES[width]
         ones = int.from_bytes(array(code, [1] * n).tobytes(), sys.byteorder)
         top = 1 << (width - 1)
-        self.cap = min(top - 1, MAX_EXPONENT)  # the largest entry a field holds
+        self.cap = cap = min(top - 1, MAX_EXPONENT)  # the largest entry a field holds
         self.guard = ones * top
-        self.bias = ones * (top - 1 - self.cap)
+        self.bias = ones * (top - 1 - cap)
         size = n * width // 8
         byteorder = sys.byteorder
+        weights = [0] * n  # V_i, by Horner over the key entries
+        for row, entries in order.blocks:
+            if row:
+                radix = 2 * cap * sum(map(abs, row)) + 1
+                weights = [v * radix + c for v, c in zip(weights, row)]
+            for i, s in entries:
+                weights = [v * (2 * cap * abs(s) + 1) for v in weights]
+                weights[i] += s
 
         def unpack(p: int) -> Exponent:
             return tuple(memoryview(p.to_bytes(size, byteorder)).cast(code))
 
         self.unpack = unpack
-        self.key = cache(lambda p: order.key(unpack(p)))
-        self.reversed_key = cache(lambda p: tuple([-x for x in order.key(unpack(p))]))
+        self.key = cache(lambda p: sum(map(operator.mul, weights,
+                                           memoryview(p.to_bytes(size, byteorder)).cast(code))))
         self.degree = cache(lambda p: sum(memoryview(p.to_bytes(size, byteorder)).cast(code)))
 
     def pack(self, e: Exponent) -> int:
@@ -266,15 +291,15 @@ def _normal_form(terms: dict, divisors: list, packing: _Packing) -> tuple:
     - (c/k)*x^(e-l)*g, where a is g's lead coefficient and k = gcd(a, c): the
     factor a/k scales both the terms still to be reduced and those already in
     r, and multiplies m.  Terms are taken largest first from a heap keyed by
-    the order's reversed key, whose smallest entry is the largest term.  A
-    term that cancels stays in the heap and is skipped when popped: every
+    the negated key, whose smallest entry is the largest term.  A term
+    that cancels stays in the heap and is skipped when popped: every
     term a reduction step adds is smaller than the one it removes, so a
     popped exponent never comes back.  A new term whose exponent outgrows
     its field raises _FieldOverflow.
     """
-    rkey, guard, bias = packing.reversed_key, packing.guard, packing.bias
+    key, guard, bias = packing.key, packing.guard, packing.bias
     work = dict(terms)
-    heap = [(rkey(e), e) for e in work]
+    heap = [(-key(e), e) for e in work]
     heapq.heapify(heap)
     out: dict = {}
     mult = 1
@@ -309,7 +334,7 @@ def _normal_form(terms: dict, divisors: list, packing: _Packing) -> tuple:
                 if (et + bias) & guard:
                     raise _FieldOverflow
                 work[et] = -c * cg
-                push(heap, (rkey(et), et))
+                push(heap, (-key(et), et))
             else:
                 c0 -= c * cg
                 if c0:
@@ -377,12 +402,12 @@ def _interreduce(divisors: list, vars: tuple, packing: _Packing) -> tuple:
     another, so each element keeps its lead when its tail is reduced by the
     others.  The exponents are unpacked here, once per output term.
     """
-    rkey, unpack = packing.reversed_key, packing.unpack
+    key, unpack = packing.key, packing.unpack
     reduced = []
     for i, (l, g) in enumerate(divisors):
         r, _ = _normal_form(g, divisors[:i] + divisors[i + 1:], packing)
         lc = r[l]
-        reduced.append((rkey(l), unpack(l), Polynomial._trusted(
+        reduced.append((-key(l), unpack(l), Polynomial._trusted(
             vars, {unpack(e): Fraction(c, lc) for e, c in r.items()})))
     reduced.sort(key=operator.itemgetter(0))
     return [p for _, _, p in reduced], [l for _, l, _ in reduced]
@@ -476,15 +501,20 @@ def _via_homogenization(I: Ideal, order: TermOrder) -> GroebnerBasis:
     elements whose leads are minimal are interreduced into the unique
     reduced basis."""
     n = len(I.vars)
-    lifted = TermOrder(n + 1, [((1,) * (n + 1), ()),
-                               *[(row and row + (0,), entries)
-                                 for row, entries in order.blocks]])
-    Gh = buchberger(_homogenized(I), lifted)
+    Gh = buchberger(_homogenized(I), _lifted(order))
     found = {}  # x-part of a lead -> its element with h = 1
     for g, l in zip(Gh.elements, Gh.leads):
         found.setdefault(l[:n], _at_h_one(g, I.vars))
     leads = _minimal(found)
     return _interreduced([found[l] for l in leads], leads, I.vars, order)
+
+
+def _lifted(order: TermOrder) -> TermOrder:
+    """The order of `_via_homogenization` on k[vars, h]: total degree, then
+    `order` with h weighted 0."""
+    n = order.nvars
+    return TermOrder(n + 1, [((1,) * (n + 1), ()),
+                             *[(row and row + (0,), entries) for row, entries in order.blocks]])
 
 
 def _homogenized(I: Ideal) -> Ideal:
@@ -510,7 +540,7 @@ def _at_h_one(g: Polynomial, vars: tuple) -> Polynomial:
 def _pair_loop(I: Ideal, order: TermOrder, hilbert, packing: _Packing) -> GroebnerBasis:
     """`buchberger` on exponents packed by `packing`; `hilbert` is minimal."""
     key, degree = packing.key, packing.degree
-    divides, lcm = packing.divides, packing.lcm
+    guard, high = packing.guard, packing.width - 1
     ones = (1,) * len(I.vars)
     target: list = []  # the Hilbert function of `hilbert`, extended on demand
 
@@ -522,6 +552,9 @@ def _pair_loop(I: Ideal, order: TermOrder, hilbert, packing: _Packing) -> Groebn
     pairs: dict = {}  # (i, j) -> lcm; heap entries of missing pairs are stale
     heap: list = []  # (sugar, key(lcm), i, j)
 
+    # `_Packing.divides` and `_Packing.lcm` are inlined below: x^b divides
+    # x^a when ((a | guard) - b) & guard == guard, and with d that guard
+    # word for a and b, the lcm is b ^ ((a ^ b) & (d - (d >> high)))
     def add(r: dict, sugar: int):
         r = _primitive(r)
         j = len(basis)
@@ -531,28 +564,39 @@ def _pair_loop(I: Ideal, order: TermOrder, hilbert, packing: _Packing) -> Groebn
         excess.append(max(sugar, max(map(degree, r))) - degree(ej))
         # new pairs, by packed lcm: a proper divisor of an lcm is a smaller
         # int, so criterion M looks only at the lcms kept before it
+        new = []
+        for i in active:
+            a = leads[i]
+            d = ((a | guard) - ej) & guard
+            new.append((ej ^ ((a ^ ej) & (d - (d >> high))), i))
+        new.sort()
         kept: list = []  # [lcm, i, coprime]
-        for l, i in sorted([(lcm(leads[i], ej), i) for i in active]):
+        for l, i in new:
             coprime = l == leads[i] + ej  # the lcm is the product
             if kept and kept[-1][0] == l:
                 kept[-1][2] = kept[-1][2] or coprime
                 continue
+            lg = l | guard
             for k in kept:
-                if divides(k[0], l):
+                if (lg - k[0]) & guard == guard:
                     break
             else:
                 kept.append([l, i, coprime])
+        # the old-pair rule: ej divides l, and lcm(a, ej) != l != lcm(b, ej)
         for p, l in list(pairs.items()):
-            if (divides(ej, l)
-                    and lcm(leads[p[0]], ej) != l
-                    and lcm(leads[p[1]], ej) != l):
-                del pairs[p]
+            if ((l | guard) - ej) & guard == guard:
+                a, b = leads[p[0]], leads[p[1]]
+                d = ((a | guard) - ej) & guard
+                if ej ^ ((a ^ ej) & (d - (d >> high))) != l:
+                    d = ((b | guard) - ej) & guard
+                    if ej ^ ((b ^ ej) & (d - (d >> high))) != l:
+                        del pairs[p]
         for l, i, coprime in kept:
             if not coprime:
                 pairs[i, j] = l
                 heapq.heappush(heap, (degree(l) + max(excess[i], excess[j]),
                                       key(l), i, j))
-        active[:] = [i for i in active if not divides(ej, leads[i])]
+        active[:] = [i for i in active if ((leads[i] | guard) - ej) & guard != guard]
         active.append(j)
         reducers[:] = [(leads[i], basis[i]) for i in active]
 
@@ -785,10 +829,14 @@ def saturate(I: Ideal, f: Polynomial) -> Ideal:
     any other f), in canonical form and with the grading of I.
 
     It is the successive saturation by each x_i in supp(a), one
-    `_saturate_variable_graded` run each (Sturmfels, Lemma 12.1), under
+    `_saturate_variable_graded` step each (Sturmfels, Lemma 12.1), under
     the grading in effect for I (`homogeneous_grading`) when I is
     homogeneous for it; otherwise on I^h (`_homogenized`), under the
-    standard grading, and then h is set to 1.  For a monomial m
+    standard grading, and then h is set to 1.  A step makes at most one
+    pair loop: none when I's installed degrevlex basis already serves it,
+    or when each current generator has a single x_i-exponent.  When the
+    last step leaves a degrevlex basis installed, the final `canonical`
+    makes no pair loop either.  For a monomial m
     in the x variables, (I^h : m^infinity) at h = 1 is I : m^infinity:
     - inside: setting h = 1 is a ring map that sends I^h onto I, so
       m^k*g in I^h gives m^k*g(x, 1) in I;
@@ -844,19 +892,65 @@ def _graded_last(w: Sequence[int], i: int) -> TermOrder:
 def _saturate_variable_graded(I: Ideal, name: str, w: Sequence[int]) -> Ideal:
     """(I : x^infinity) for the w-homogeneous I, with the grading of I.
 
-    One Groebner basis under `_graded_last(w, i)` suffices: its elements
-    divided by their x-content are a Groebner basis of the saturation
-    (Sturmfels, Lemma 12.1), so a second pass would find no content.
+    It divides each element of a Groebner basis B of I by its x-content.
+    B is I's installed degrevlex basis when that one serves, and otherwise
+    one run under `_graded_last(w, i)`; the divided elements are then a
+    Groebner basis of the saturation under B's order.
+    - After a run, this is Sturmfels, Lemma 12.1.  The installed basis
+      serves in the same way when its order is that one: w standard and x
+      the ring's last variable.
+    - The installed basis also serves, under degrevlex, when each of its
+      elements has a single x-exponent; so do I's generators, with no
+      Groebner claim, so no run is made either way.  Write g = x^k*h with
+      h free of x.  Then I : x^infinity = (h):
+      - each h is in it, as x^k*h = g is in I;
+      - modulo (h), an ideal extended from the ring without x, the ring
+        is a polynomial ring in x over k[others]/(h), where x is a
+        nonzerodivisor; so x^m*f in I, inside (h), gives f in (h).
+      The h's are a Groebner basis under any order under which the g's
+      are one: a term order is multiplicative, so lead(g) = x^k*lead(h).
+      For f in (h), x^K*f is in I, with K the largest k; some lead(g)
+      divides its lead x^K*lead(f), and then lead(h), free of x, divides
+      lead(f).
+    Either way each lead carries its element's x-content, as the lead of
+    a w-homogeneous element under `_graded_last` has the least x-exponent
+    of its terms, so the divided leads are the old ones with x removed.
+    A result known to be a degrevlex Groebner basis (the basis served, or
+    the run's order is degrevlex) is cut to its elements with minimal
+    leads, which still generate the initial ideal, and installed by
+    `_from_degrevlex_basis`, so the next step and `canonical` start from it
+    with no pair loop.
     """
     i = I.vars.index(name)
-    divided = []
-    for g in buchberger(I, _graded_last(w, i)).elements:
-        m = min(e[i] for e in g.terms)
-        if m:
-            g = Polynomial._trusted(I.vars, {e[:i] + (e[i] - m,) + e[i + 1:]: c
-                                             for e, c in g.terms.items()})
-        divided.append(g)
-    return Ideal(divided, I.vars, grading=I.grading)
+    order = _graded_last(w, i)
+    B = I._rgb_cache
+    if B is None or not (B.order.blocks == order.blocks or _one_x_degree(B.elements, i)):
+        if _one_x_degree(I.gens, i):
+            return Ideal([_divided(g, i) for g in I.gens], I.vars, grading=I.grading)
+        B = buchberger(I, order)
+    divided = [_divided(g, i) for g in B.elements]
+    if B.order.blocks != _degrevlex(len(I.vars)).blocks:
+        return Ideal(divided, I.vars, grading=I.grading)
+    found = {}  # lead -> the first divided element with it
+    for g, l in zip(divided, B.leads):
+        found.setdefault(l[:i] + (0,) + l[i + 1:], g)
+    leads = _minimal(found)
+    return _from_degrevlex_basis([found[l] for l in leads], leads, I.vars, I.grading)
+
+
+def _one_x_degree(polys: Iterable[Polynomial], i: int) -> bool:
+    """Whether every term of each polynomial has one exponent of x_i."""
+    return all(len({e[i] for e in g.terms}) == 1 for g in polys)
+
+
+def _divided(g: Polynomial, i: int) -> Polynomial:
+    """g divided by its x_i-content, the least exponent of x_i in its
+    terms."""
+    m = min(e[i] for e in g.terms)
+    if not m:
+        return g
+    return Polynomial._trusted(g.vars, {e[:i] + (e[i] - m,) + e[i + 1:]: c
+                                        for e, c in g.terms.items()})
 
 
 def ring_map_kernel(source_vars: Sequence[str], images: Sequence[Polynomial],

@@ -11,6 +11,7 @@ definitions, at every field width and across a field's largest entry.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from fractions import Fraction
 
@@ -19,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_groebner
-from toricdeg import fixtures, groebner
-from toricdeg.degeneration import embed_value_semigroup
+from toricdeg import degeneration, fixtures, groebner
+from toricdeg.degeneration import embed_value_semigroup, family_ideal
 from toricdeg.groebner import (
     Ideal,
     NotHomogeneous,
@@ -29,6 +30,8 @@ from toricdeg.groebner import (
     normal_form,
     ring_map_kernel,
 )
+from toricdeg.intlat import IntMatrix
+from toricdeg.ioformats import parse_ideal_text
 from toricdeg.polycore import (
     MAX,
     MAX_EXPONENT,
@@ -43,6 +46,7 @@ from toricdeg.polycore import (
     exp_add,
     to_min,
 )
+from toricdeg.toric import toric_ideal
 
 ORDER_KINDS = ("degrevlex", "weight-min", "weight-max", "block", "graded-last")
 
@@ -256,6 +260,72 @@ def test_gr24_elimination_zero_reductions(monkeypatch):
     assert zeros <= 700
 
 
+def _engine_counters(monkeypatch, run) -> list:
+    """(order, Hilbert target given, normal forms, zero reductions, basis
+    size) of each Buchberger call that run() makes, in the order the calls
+    end; the order is None for the default degrevlex."""
+    nf, bb = groebner._normal_form, groebner.buchberger
+    open_calls, ended = [], []
+
+    def counting_nf(*args):
+        r = nf(*args)
+        if open_calls:
+            open_calls[-1][0] += 1
+            open_calls[-1][1] += not r[0]
+        return r
+
+    def counting_bb(I, order=None, hilbert=None):
+        open_calls.append([0, 0])
+        try:
+            G = bb(I, order, hilbert)
+        finally:
+            forms, zeros = open_calls.pop()
+        ended.append((order, hilbert is not None, forms, zeros, len(G)))
+        return G
+
+    monkeypatch.setattr(groebner, "_normal_form", counting_nf)
+    monkeypatch.setattr(groebner, "buchberger", counting_bb)
+    monkeypatch.setattr(degeneration, "buchberger", counting_bb)
+    try:
+        run()
+    finally:
+        monkeypatch.undo()
+    return ended
+
+
+def test_pair_criteria_counters_are_pinned(monkeypatch):
+    """Each run's normal forms, zero reductions and basis size, pinned: a
+    change to the term key or to the pair bookkeeping that keeps every
+    decision of the criteria keeps these counts.  The runs are the gr24
+    12-variable elimination, the `toric_ideal` runs of the first
+    `lattices` benchmark entry and the weight basis of the first
+    `families` benchmark entry."""
+    J = fixtures.gr24_ideal()
+    rep = embed_value_semigroup(J, fixtures.gr24_gvector_matrix(), MIN, degree_bound=3)
+    images = [Polynomial.monomial(J.vars, rep.images[v]) for v in J.vars]
+    runs = _engine_counters(
+        monkeypatch, lambda: ring_map_kernel(rep.kernel_check.vars, images, J))
+    eliminating = groebner._weight_order([[-1] * 6 + [0] * 6], 12).blocks
+    assert [run[2:] for run in runs if run[0] is not None
+            and run[0].blocks == eliminating] == [(834, 614, 106)]
+
+    A = IntMatrix([[1, 1, 1, 1, 1, 1], [2, 0, 0, 3, 0, 3], [1, 0, 1, 2, 3, 0]])
+    names = tuple(f"x{i}" for i in range(6))
+    runs = _engine_counters(monkeypatch, lambda: toric_ideal(A, names))
+    assert [(None if order is None else order.blocks, *rest) for order, *rest in runs] == [
+        (_graded_last((1,) * 6, 0).blocks, False, 25, 9, 8),
+        (None, False, 14, 6, 4)]
+
+    text = ("vars: x0,x1,x2,x3,x4\n- 2*x0*x1 - 2*x1^2 + 3*x2*x3\n"
+            "1*x0*x4 + 1*x3^2 - 2*x4^2\n"
+            "2*x0*x3*x4 + 3*x1*x3^2 - 3*x2*x3^2 - 1*x2*x3*x4\n")
+    runs = _engine_counters(
+        monkeypatch, lambda: family_ideal(parse_ideal_text(text), (0, 1, 0, 3, 2)))
+    assert [(None if order is None else order.blocks, *rest) for order, *rest in runs] == [
+        (None, False, 9, 1, 4),
+        (WeightOrder([(0, 1, 0, 3, 2)]).blocks, True, 13, 1, 6)]
+
+
 # ---------------------------------------------------------------------------
 # packed exponents
 
@@ -274,6 +344,59 @@ def test_packed_divisibility_and_lcm_match_tuples(data):
     assert packing.divides(pb, pa) == reference_groebner.exp_divides(b, a)
     assert packing.unpack(packing.lcm(pa, pb)) == reference_groebner.exp_lcm(a, b)
     assert packing.degree(pa) == sum(a)
+
+
+@st.composite
+def _engine_orders(draw, n: int):
+    """An order of every kind the engine builds over n variables: the order
+    classes, with weights that may be zero or negative, `_weight_order`,
+    `_graded_last` for each variable, and `_lifted` of an order of these
+    kinds over n - 1 variables."""
+    weights = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    kind = draw(st.sampled_from(["degrevlex", "lex", "weight", "block", "weight-rows",
+                                 "graded-last", "lifted"]))
+    if kind == "degrevlex":
+        return DegRevLex(n)
+    if kind == "lex":
+        return Lex(draw(st.permutations(range(n))))
+    if kind == "weight":
+        return WeightOrder(draw(st.lists(weights, min_size=1, max_size=2)))
+    if kind == "block":
+        first = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+        return BlockOrder(sorted(first), [i for i in range(n) if i not in first])
+    if kind == "weight-rows":
+        return groebner._weight_order(draw(st.lists(weights, max_size=2)), n)
+    if kind == "graded-last":
+        w = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        return _graded_last(w, draw(st.integers(0, n - 1)))
+    if n == 1:
+        return groebner._lifted(DegRevLex(0))
+    return groebner._lifted(draw(_engine_orders(n - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_integer_key_sorts_as_the_tuple_key(data):
+    # at every field width: the sign of intkey(a) - intkey(b) is that of
+    # comparing the tuples of TermOrder.key.  Checked on every pair of
+    # exponents whose entries are 0, 1, cap - 1 or cap, the largest entry a
+    # field holds, where the tuples tie in their first entries and then
+    # differ by the least while later entries differ by the most: sorted by
+    # the tuple key, their int keys rise exactly where the tuples do.  Then
+    # on one drawn pair.
+    n = data.draw(st.integers(1, 5))
+    order = data.draw(_engine_orders(n))
+    packing = groebner._Packing(n, data.draw(st.sampled_from(groebner._WIDTHS)), order)
+    cap = packing.cap
+    grid = sorted(itertools.product([0, 1, cap - 1, cap], repeat=n), key=order.key)
+    keys = [packing.key(packing.pack(e)) for e in grid]
+    for a, b, ka, kb in zip(grid, grid[1:], keys, keys[1:]):
+        assert ka < kb if order.key(a) < order.key(b) else ka == kb
+    entry = st.integers(0, cap)
+    a, b = (tuple(data.draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(2))
+    ka, kb = packing.key(packing.pack(a)), packing.key(packing.pack(b))
+    ta, tb = order.key(a), order.key(b)
+    assert (ka > kb) - (ka < kb) == (ta > tb) - (ta < tb)
 
 
 @pytest.mark.parametrize("kind", ORDER_KINDS)

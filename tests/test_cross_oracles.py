@@ -154,6 +154,105 @@ def test_graded_saturation_route_agrees_with_saturate(monkeypatch):
     assert enlarged >= 3
 
 
+def _pair_loops(monkeypatch) -> list:
+    """The order of every Buchberger call made from now on, None for the
+    default degrevlex."""
+    orders, original = [], groebner.buchberger
+
+    def spy(I, order=None, hilbert=None):
+        orders.append(order)
+        return original(I, order, hilbert)
+
+    monkeypatch.setattr(groebner, "buchberger", spy)
+    return orders
+
+
+def test_saturate_makes_no_run_for_generators_of_one_x_degree(monkeypatch):
+    # every generator is x^k*h with h free of x, so I : x^infinity = (h):
+    # no pair loop under a graded-last order, on graded input and through
+    # I^h alike, and the oracle's answer
+    rng = random.Random(4040)
+    vars = ("x0", "x1", "x2")
+    routes = set()
+    for k in range(16):
+        i = rng.randrange(3)
+        homogeneous = k % 2 == 0
+        gens = []
+        for _ in range(rng.randint(1, 2)):
+            d = rng.randint(1, 2)
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                e = [0, 0, 0]
+                for _ in range(d if homogeneous else rng.randint(0, d)):
+                    e[rng.choice([j for j in range(3) if j != i])] += 1
+                terms[tuple(e)] = rng.randint(-2, 2)
+            h = Polynomial(vars, terms)
+            if not h.is_zero():
+                gens.append(h * Polynomial.monomial(vars, tuple(
+                    rng.randint(0, 2) if j == i else 0 for j in range(3))))
+        if not gens:
+            continue
+        I = Ideal(gens, vars)
+        f = Polynomial.variable(vars, vars[i])
+        orders = _pair_loops(monkeypatch)
+        got = groebner.saturate(I, f)
+        monkeypatch.undo()
+        assert orders and all(order is None for order in orders)
+        assert got.gens == canonical(reference_saturate(I, f)).gens
+        try:
+            groebner.homogeneous_grading(I)
+            routes.add("graded")
+        except groebner.NotHomogeneous:
+            routes.add("homogenized")
+    assert routes == {"graded", "homogenized"}
+
+
+def test_saturate_last_by_the_last_variable_makes_no_canonical_run(monkeypatch):
+    # under the standard grading, the graded-last order for the ring's last
+    # variable is degrevlex, so its run leaves the canonical basis: the
+    # last step is the last pair loop
+    rng = random.Random(4041)
+    vars = tuple(f"x{i}" for i in range(5))
+    degrevlex = groebner._degrevlex(5).blocks
+    for _ in range(8):
+        A = IntMatrix([[1] * 5, [rng.randint(0, 3) for _ in range(5)]])
+        gens = _kernel_binomials(A, vars)
+        if not gens:
+            continue
+        I = Ideal(gens, vars, grading=Grading.standard(5))
+        for names in (["x4"], ["x1", "x4"]):
+            orders = _pair_loops(monkeypatch)
+            got = saturate_by_variables(I, names)
+            monkeypatch.undo()
+            assert len(orders) <= len(names)
+            assert orders[-1].blocks == degrevlex
+            assert got.gens == canonical(_saturate_each(I, names)).gens
+            assert got.grading == I.grading
+
+
+def test_saturate_starts_from_an_installed_basis(monkeypatch):
+    # a canonical ideal's degrevlex basis is where each step starts, and it
+    # makes the step's run when the step's order is degrevlex: saturating
+    # by the last variable makes no pair loop.  Neither does saturating an
+    # ideal graded by the x-degree, whose basis elements each have one
+    # x-degree
+    rng = random.Random(4042)
+    vars = tuple(f"x{i}" for i in range(4))
+    for k in range(16):
+        A = IntMatrix([[1] * 4, [rng.randint(0, 3) for _ in range(4)]])
+        I = canonical(Ideal(_kernel_binomials(A, vars), vars))
+        name = vars[k // 2 % 4]
+        if k % 2:  # the initial ideal for the weight -1 on x, graded by x-degree
+            I = initial_ideal(I, [-1 if v == name else 0 for v in vars])
+        f = Polynomial.variable(vars, name)
+        orders = _pair_loops(monkeypatch)
+        got = groebner.saturate(I, f)
+        monkeypatch.undo()
+        assert got.gens == canonical(reference_saturate(I, f)).gens
+        if k % 2 or name == vars[-1]:
+            assert orders == []
+
+
 @st.composite
 def _saturation_inputs(draw):
     """An ideal in 3-4 variables, one of them possibly named h, with no

@@ -17,6 +17,7 @@ from reference_embedding import (
 )
 from reference_elimination import restricted_limit
 from reference_groebner import exp_divides
+from reference_saturation import saturate as reference_saturate
 from reference_weight import reference_initial_ideal
 
 from toricdeg import fixtures as fx
@@ -632,6 +633,32 @@ def test_projection_makes_no_block_order_call(monkeypatch):
                    for order, _ in calls) == 1
         assert sum(order is None or isinstance(order, DegRevLex)
                    for order, saturating in calls if not saturating) == closure_calls
+
+
+def test_projection_with_one_dropped_variable_makes_one_pair_loop(monkeypatch):
+    # the weight basis is the only run: the limit is graded by the dropped
+    # variable's degree, so each element of its installed basis has one
+    # x-degree, and the cone part is those elements divided by their
+    # x-content, installed with no pair loop
+    from toricdeg import degeneration, groebner
+    calls = []
+    bb = groebner.buchberger
+
+    def spy(J, order=None, hilbert=None):
+        calls.append(order)
+        return bb(J, order, hilbert)
+
+    names = tuple(f"x{i}" for i in range(5))
+    T = toric_ideal(IntMatrix([[1] * 5, [0, 1, 3, 4, 6]]), names)
+    monkeypatch.setattr(groebner, "buchberger", spy)
+    monkeypatch.setattr(degeneration, "buchberger", spy)
+    for I in (T, fx.twisted_cubic_ideal(), fx.elliptic_ideal()):
+        for dropped in I.vars:
+            calls.clear()
+            pr = projection_limit(I, [v for v in I.vars if v != dropped])
+            assert len(calls) == 1
+            want = reference_saturate(pr.limit, Polynomial.variable(I.vars, dropped))
+            assert pr.cone_part.gens == canonical(want).gens
 
 
 def test_projection_computes_no_containment(monkeypatch):
