@@ -226,10 +226,6 @@ class _Packing:
         """`terms` with packed exponents."""
         return {self.pack(e): c for e, c in terms.items()}
 
-    def divides(self, b: int, a: int) -> bool:
-        """Whether x^b divides x^a."""
-        return ((a | self.guard) - b) & self.guard == self.guard
-
     def lcm(self, a: int, b: int) -> int:
         d = ((a | self.guard) - b) & self.guard  # guard bits where a_i >= b_i
         return b ^ ((a ^ b) & (d - (d >> (self.width - 1))))
@@ -311,7 +307,7 @@ def _normal_form(terms: dict, divisors: list, packing: _Packing) -> tuple:
             continue
         eg = e | guard
         for l, g in divisors:
-            if (eg - l) & guard == guard:  # `divides(l, e)`, inlined
+            if (eg - l) & guard == guard:  # x^l divides x^e
                 break
         else:
             out[e] = c
@@ -552,9 +548,10 @@ def _pair_loop(I: Ideal, order: TermOrder, hilbert, packing: _Packing) -> Groebn
     pairs: dict = {}  # (i, j) -> lcm; heap entries of missing pairs are stale
     heap: list = []  # (sugar, key(lcm), i, j)
 
-    # `_Packing.divides` and `_Packing.lcm` are inlined below: x^b divides
+    # the packed tests of `_Packing`'s docstring, inlined below: x^b divides
     # x^a when ((a | guard) - b) & guard == guard, and with d that guard
-    # word for a and b, the lcm is b ^ ((a ^ b) & (d - (d >> high)))
+    # word for a and b, the lcm is b ^ ((a ^ b) & (d - (d >> high))), as in
+    # `_Packing.lcm`
     def add(r: dict, sugar: int):
         r = _primitive(r)
         j = len(basis)
@@ -833,11 +830,10 @@ def saturate(I: Ideal, f: Polynomial) -> Ideal:
     the grading in effect for I (`homogeneous_grading`) when I is
     homogeneous for it; otherwise on I^h (`_homogenized`), under the
     standard grading, and then h is set to 1.  A step makes at most one
-    pair loop: none when I's installed degrevlex basis already serves it,
-    or when each current generator has a single x_i-exponent.  When the
-    last step leaves a degrevlex basis installed, the final `canonical`
-    makes no pair loop either.  For a monomial m
-    in the x variables, (I^h : m^infinity) at h = 1 is I : m^infinity:
+    pair loop: none when I's installed degrevlex basis already serves it.
+    When the last step leaves a degrevlex basis installed, the final
+    `canonical` makes no pair loop either.  For a monomial m in the x
+    variables, (I^h : m^infinity) at h = 1 is I : m^infinity:
     - inside: setting h = 1 is a ring map that sends I^h onto I, so
       m^k*g in I^h gives m^k*g(x, 1) in I;
     - onto: m^k*g in I gives m^k*g^h = (m^k*g)^h in I^h, as homogenization
@@ -900,9 +896,8 @@ def _saturate_variable_graded(I: Ideal, name: str, w: Sequence[int]) -> Ideal:
       serves in the same way when its order is that one: w standard and x
       the ring's last variable.
     - The installed basis also serves, under degrevlex, when each of its
-      elements has a single x-exponent; so do I's generators, with no
-      Groebner claim, so no run is made either way.  Write g = x^k*h with
-      h free of x.  Then I : x^infinity = (h):
+      elements has a single x-exponent.  Write g = x^k*h with h free of x.
+      Then I : x^infinity = (h):
       - each h is in it, as x^k*h = g is in I;
       - modulo (h), an ideal extended from the ring without x, the ring
         is a polynomial ring in x over k[others]/(h), where x is a
@@ -925,8 +920,6 @@ def _saturate_variable_graded(I: Ideal, name: str, w: Sequence[int]) -> Ideal:
     order = _graded_last(w, i)
     B = I._rgb_cache
     if B is None or not (B.order.blocks == order.blocks or _one_x_degree(B.elements, i)):
-        if _one_x_degree(I.gens, i):
-            return Ideal([_divided(g, i) for g in I.gens], I.vars, grading=I.grading)
         B = buchberger(I, order)
     divided = [_divided(g, i) for g in B.elements]
     if B.order.blocks != _degrevlex(len(I.vars)).blocks:

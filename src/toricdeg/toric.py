@@ -259,13 +259,8 @@ def _saturation_variables(basis) -> list[int]:
 
     sigma is valid exactly when those variables outside sigma have an empty
     balanced core.  It is grown greedily, each time by the variable of the
-    current core that leaves the smallest core, and then each variable
-    that is not needed is dropped, so no proper subset of sigma is valid.
-    Among equally good variables the ring's last one is taken, and
-    otherwise the first: a saturation by the last variable under the
-    standard grading runs under degrevlex itself, so it leaves the
-    canonical basis with no further pair loop
-    (`groebner._saturate_variable_graded`).
+    current core that leaves the smallest core, and then each variable that
+    is not needed is dropped, so no proper subset of sigma is valid.
     """
     n = len(basis[0])
     signs = [(sum(1 << i for i, x in enumerate(u) if x > 0),
@@ -277,8 +272,7 @@ def _saturation_variables(basis) -> list[int]:
     core = _balanced_core(full, signs)
     while core:
         i = min((i for i in range(n) if core >> i & 1),
-                key=lambda i: (bin(_balanced_core(core & ~(1 << i), signs)).count("1"),
-                               i != n - 1))
+                key=lambda i: bin(_balanced_core(core & ~(1 << i), signs)).count("1"))
         sigma |= 1 << i
         core = _balanced_core(core & ~(1 << i), signs)
     for i in range(n):

@@ -167,46 +167,6 @@ def _pair_loops(monkeypatch) -> list:
     return orders
 
 
-def test_saturate_makes_no_run_for_generators_of_one_x_degree(monkeypatch):
-    # every generator is x^k*h with h free of x, so I : x^infinity = (h):
-    # no pair loop under a graded-last order, on graded input and through
-    # I^h alike, and the oracle's answer
-    rng = random.Random(4040)
-    vars = ("x0", "x1", "x2")
-    routes = set()
-    for k in range(16):
-        i = rng.randrange(3)
-        homogeneous = k % 2 == 0
-        gens = []
-        for _ in range(rng.randint(1, 2)):
-            d = rng.randint(1, 2)
-            terms = {}
-            for _ in range(rng.randint(1, 3)):
-                e = [0, 0, 0]
-                for _ in range(d if homogeneous else rng.randint(0, d)):
-                    e[rng.choice([j for j in range(3) if j != i])] += 1
-                terms[tuple(e)] = rng.randint(-2, 2)
-            h = Polynomial(vars, terms)
-            if not h.is_zero():
-                gens.append(h * Polynomial.monomial(vars, tuple(
-                    rng.randint(0, 2) if j == i else 0 for j in range(3))))
-        if not gens:
-            continue
-        I = Ideal(gens, vars)
-        f = Polynomial.variable(vars, vars[i])
-        orders = _pair_loops(monkeypatch)
-        got = groebner.saturate(I, f)
-        monkeypatch.undo()
-        assert orders and all(order is None for order in orders)
-        assert got.gens == canonical(reference_saturate(I, f)).gens
-        try:
-            groebner.homogeneous_grading(I)
-            routes.add("graded")
-        except groebner.NotHomogeneous:
-            routes.add("homogenized")
-    assert routes == {"graded", "homogenized"}
-
-
 def test_saturate_last_by_the_last_variable_makes_no_canonical_run(monkeypatch):
     # under the standard grading, the graded-last order for the ring's last
     # variable is degrevlex, so its run leaves the canonical basis: the

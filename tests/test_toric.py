@@ -175,33 +175,6 @@ def test_saturation_variables_minimal_hitting_set_brute_force():
     assert nonempty >= 50
 
 
-def test_saturation_variables_prefer_the_last_variable(monkeypatch):
-    # kernel (0, 0, 1, -1), (1, 1, -2, 0): {x2} and {x3} each meet every
-    # balanced set, and the greedy choice takes x3, the ring's last
-    # variable.  Saturating by it under the standard grading runs under
-    # degrevlex, so that one run leaves the canonical basis
-    from toricdeg import groebner
-    A = IntMatrix([[1, 1, 1, 1], [3, 1, 2, 2]])
-    assert kernel_lattice(A) == [(0, 0, 1, -1), (1, 1, -2, 0)]
-    assert _saturation_variables(kernel_lattice(A)) == [3]
-    orders = []
-    original = groebner.buchberger
-
-    def spy(I, order=None, hilbert=None):
-        orders.append(order)
-        return original(I, order, hilbert)
-
-    monkeypatch.setattr(groebner, "buchberger", spy)
-    names = ("x0", "x1", "x2", "x3")
-    T = toric_ideal(A, names)
-    monkeypatch.undo()
-    assert [order.blocks for order in orders] == [groebner._degrevlex(4).blocks]
-    binomials = Ideal([parse_polynomial(t, names) for t in ("x2 - x3", "x0*x1 - x2^2")], names)
-    want = reference_saturate(binomials, parse_polynomial("x0*x1*x2*x3", names))
-    assert T.gens == canonical(want).gens
-    assert [format_polynomial(g) for g in T.gens] == ["x0*x1 - x3^2", "x2 - x3"]
-
-
 def test_saturation_variables_empty_without_balanced_sets():
     # x0*x1 - 1: no balanced set, and the binomial ideal is already prime;
     # x2 occurs in no binomial, so no associated prime contains it
