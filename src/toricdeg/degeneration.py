@@ -457,11 +457,14 @@ def projection_limit(I: Ideal, kept: Sequence[str]) -> ProjectionReport:
 
     The cone part saturates the limit by the dropped variables
     (`groebner.saturate`), starting from the limit's installed degrevlex
-    basis.  With one dropped variable x and I homogeneous for its grading,
-    that is no pair loop at all: the limit is graded by the x-degree, as w
-    is -1 on x alone, so each element of its reduced basis has a single
-    x-exponent, and the elements divided by their x-content are the
-    cone part's degrevlex basis, made canonical by interreduction.  So the
+    basis.  With one dropped variable x and I homogeneous in the standard
+    grading, that is a case of the one rule of `groebner._keeps_leads`,
+    with no pair loop at all: the limit is graded by the x-degree, as w is
+    -1 on x alone, so each element of its reduced basis has a single
+    x-exponent, and then keeps its degrevlex lead under the step's order,
+    which breaks a tie in degree by the x-exponent and then as degrevlex
+    does.  So the installed basis serves the step, its elements divided
+    by their x-content install as the cone part's degrevlex basis, and the
     weight basis is the projection's only run.
 
     The weight basis takes no Hilbert target, though I's leads would be one

@@ -830,10 +830,12 @@ def saturate(I: Ideal, f: Polynomial) -> Ideal:
     the grading in effect for I (`homogeneous_grading`) when I is
     homogeneous for it; otherwise on I^h (`_homogenized`), under the
     standard grading, and then h is set to 1.  A step makes at most one
-    pair loop: none when I's installed degrevlex basis already serves it.
-    When the last step leaves a degrevlex basis installed, the final
-    `canonical` makes no pair loop either.  For a monomial m in the x
-    variables, (I^h : m^infinity) at h = 1 is I : m^infinity:
+    pair loop: none when the elements of I's installed degrevlex basis
+    keep their leads under the step's order, by the one rule of
+    `_keeps_leads`.  When the last step's result keeps its leads under
+    degrevlex, it is installed, and the final `canonical` makes no pair
+    loop either.  For a monomial m in the x variables, (I^h : m^infinity)
+    at h = 1 is I : m^infinity:
     - inside: setting h = 1 is a ring map that sends I^h onto I, so
       m^k*g in I^h gives m^k*g(x, 1) in I;
     - onto: m^k*g in I gives m^k*g^h = (m^k*g)^h in I^h, as homogenization
@@ -888,52 +890,46 @@ def _graded_last(w: Sequence[int], i: int) -> TermOrder:
 def _saturate_variable_graded(I: Ideal, name: str, w: Sequence[int]) -> Ideal:
     """(I : x^infinity) for the w-homogeneous I, with the grading of I.
 
-    It divides each element of a Groebner basis B of I by its x-content.
-    B is I's installed degrevlex basis when that one serves, and otherwise
-    one run under `_graded_last(w, i)`; the divided elements are then a
-    Groebner basis of the saturation under B's order.
-    - After a run, this is Sturmfels, Lemma 12.1.  The installed basis
-      serves in the same way when its order is that one: w standard and x
-      the ring's last variable.
-    - The installed basis also serves, under degrevlex, when each of its
-      elements has a single x-exponent.  Write g = x^k*h with h free of x.
-      Then I : x^infinity = (h):
-      - each h is in it, as x^k*h = g is in I;
-      - modulo (h), an ideal extended from the ring without x, the ring
-        is a polynomial ring in x over k[others]/(h), where x is a
-        nonzerodivisor; so x^m*f in I, inside (h), gives f in (h).
-      The h's are a Groebner basis under any order under which the g's
-      are one: a term order is multiplicative, so lead(g) = x^k*lead(h).
-      For f in (h), x^K*f is in I, with K the largest k; some lead(g)
-      divides its lead x^K*lead(f), and then lead(h), free of x, divides
-      lead(f).
-    Either way each lead carries its element's x-content, as the lead of
-    a w-homogeneous element under `_graded_last` has the least x-exponent
-    of its terms, so the divided leads are the old ones with x removed.
-    A result known to be a degrevlex Groebner basis (the basis served, or
-    the run's order is degrevlex) is cut to its elements with minimal
-    leads, which still generate the initial ideal, and installed by
+    It divides each element of a Groebner basis B of I under
+    `_graded_last(w, i)` by its x-content.  The lead of a w-homogeneous
+    element under that order has the least x-exponent of its terms, so the
+    divided elements are a Groebner basis of the saturation under that
+    order, whose leads are B's with x removed (Sturmfels, Lemma 12.1).
+    B is I's installed degrevlex basis when its elements keep their leads
+    under that order (`_keeps_leads`), and otherwise one run under it.
+    The divided elements are cut to those with minimal leads, which still
+    generate the initial ideal.  When these keep their leads under
+    degrevlex, the same rule makes them a degrevlex basis, installed by
     `_from_degrevlex_basis`, so the next step and `canonical` start from it
-    with no pair loop.
+    with no pair loop; otherwise they are returned as generators.
     """
     i = I.vars.index(name)
     order = _graded_last(w, i)
     B = I._rgb_cache
-    if B is None or not (B.order.blocks == order.blocks or _one_x_degree(B.elements, i)):
+    if B is None or not _keeps_leads(B.elements, B.leads, order):
         B = buchberger(I, order)
-    divided = [_divided(g, i) for g in B.elements]
-    if B.order.blocks != _degrevlex(len(I.vars)).blocks:
-        return Ideal(divided, I.vars, grading=I.grading)
-    found = {}  # lead -> the first divided element with it
-    for g, l in zip(divided, B.leads):
-        found.setdefault(l[:i] + (0,) + l[i + 1:], g)
+    found = {}  # divided lead -> the first divided element with it
+    for g, l in zip(B.elements, B.leads):
+        found.setdefault(l[:i] + (0,) + l[i + 1:], _divided(g, i))
     leads = _minimal(found)
-    return _from_degrevlex_basis([found[l] for l in leads], leads, I.vars, I.grading)
+    divided = [found[l] for l in leads]
+    if _keeps_leads(divided, leads, _degrevlex(len(I.vars))):
+        return _from_degrevlex_basis(divided, leads, I.vars, I.grading)
+    return Ideal(divided, I.vars, grading=I.grading)
 
 
-def _one_x_degree(polys: Iterable[Polynomial], i: int) -> bool:
-    """Whether every term of each polynomial has one exponent of x_i."""
-    return all(len({e[i] for e in g.terms}) == 1 for g in polys)
+def _keeps_leads(elements: Sequence[Polynomial], leads: Sequence[Exponent],
+                 order: TermOrder) -> bool:
+    """Whether each element's lead under `order` is its entry of `leads`.
+
+    The one rule by which a Groebner basis serves a second order: let I be
+    homogeneous for a positive grading and G a Groebner basis of I under a
+    term order <1, with leads `leads`.  If every element of G keeps its lead
+    under a term order <2, G is a Groebner basis of I under <2.  The leads
+    lie in in_<2(I) and generate in_<1(I), and both initial ideals have I's
+    Hilbert function, so the inclusion is an equality in every degree.
+    """
+    return all(max(g.terms, key=order.key) == l for g, l in zip(elements, leads))
 
 
 def _divided(g: Polynomial, i: int) -> Polynomial:

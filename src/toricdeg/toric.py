@@ -58,9 +58,9 @@ class Semigroup:
         if labels is not None:
             labels = list(labels)
             self.labels = tuple(labels[k] for k in first.values())
-        if degree_scale < 1:
-            raise ValueError("degree_scale must be positive")
         self.degree_scale = exact_int(degree_scale, "degree_scale")
+        if self.degree_scale < 1:
+            raise ValueError("degree_scale must be positive")
 
     @property
     def ambient_dim(self) -> int:
@@ -358,6 +358,7 @@ def veronese(S: Semigroup, n: int) -> Semigroup:
     degree-one generated semigroup, all n-fold sums), with the degree
     coordinate divided by n.
     """
+    n = exact_int(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
     if n == 1:

@@ -192,10 +192,10 @@ def test_saturate_last_by_the_last_variable_makes_no_canonical_run(monkeypatch):
 
 def test_saturate_starts_from_an_installed_basis(monkeypatch):
     # a canonical ideal's degrevlex basis is where each step starts, and it
-    # makes the step's run when the step's order is degrevlex: saturating
-    # by the last variable makes no pair loop.  Neither does saturating an
-    # ideal graded by the x-degree, whose basis elements each have one
-    # x-degree
+    # serves the step when its elements keep their leads under the step's
+    # order: saturating by the last variable makes no pair loop.  Neither
+    # does saturating an ideal graded by the x-degree, whose basis elements
+    # each have one x-degree
     rng = random.Random(4042)
     vars = tuple(f"x{i}" for i in range(4))
     for k in range(16):
@@ -211,6 +211,20 @@ def test_saturate_starts_from_an_installed_basis(monkeypatch):
         assert got.gens == canonical(reference_saturate(I, f)).gens
         if k % 2 or name == vars[-1]:
             assert orders == []
+    # a projection's limit with two dropped variables, x1 and x3, is not
+    # graded by the x1-degree alone, yet every element of its basis keeps
+    # its lead under the graded-last order for x1: the basis serves that
+    # step, and the divided elements keep their leads under degrevlex
+    A = IntMatrix([[1] * 7, [3, 0, 2, 0, 1, 1, 1], [0, 0, 0, 2, 2, 1, 3]])
+    vars = tuple(f"x{i}" for i in range(7))
+    L = projection_limit(toric_ideal(A, vars), [v for v in vars if v not in ("x1", "x3")]).limit
+    assert len(L.gens) == 11
+    f = Polynomial.variable(vars, "x1")
+    orders = _pair_loops(monkeypatch)
+    got = groebner.saturate(L, f)
+    monkeypatch.undo()
+    assert orders == []
+    assert got.gens == canonical(reference_saturate(L, f)).gens
 
 
 @st.composite

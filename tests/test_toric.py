@@ -533,3 +533,15 @@ def test_semigroup_refuses_fractional_entries():
         Semigroup([(1, 2)], degree_scale=1.5)
     S = Semigroup([(1.0, 2), (1, 2.0)], degree_scale=2.0)
     assert S.gens == ((1, 2),) and S.degree_scale == 2
+
+
+def test_integrality_is_checked_before_range():
+    # a fractional or string scale or Veronese degree is refused as not an
+    # integer, not compared with 1 first
+    for scale in (0.5, "2"):
+        with pytest.raises(ValueError, match="degree_scale .* is not an integer"):
+            Semigroup([(1, 0)], degree_scale=scale)
+    S = Semigroup([(1, 0), (1, 1)])
+    for n in (1.5, "2"):
+        with pytest.raises(ValueError, match="n .* is not an integer"):
+            veronese(S, n)
