@@ -31,13 +31,7 @@ from .ioformats import (
     semigroup_to_json,
 )
 from .momentmap import emit_svg, image_vs_polytope, sample_moment_image
-from .polycore import (
-    DegreeOverflow,
-    Lex,
-    WeightOrder,
-    _degrevlex,
-    to_min,
-)
+from .polycore import Lex, WeightOrder, _degrevlex, to_min
 from .toric import PolytopeQ, hull_vertices, toric_ideal
 
 
@@ -316,8 +310,11 @@ def main(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         print(f"synopsis: toricdeg {args.command} --help", file=sys.stderr)
         return 1
-    except (OSError, KeyError, ValueError, DegreeOverflow) as e:
+    except (OSError, KeyError, ValueError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory: the input is too large to hold", file=sys.stderr)
         return 1
     except (VerificationFailed, NoIndependentSubset) as e:
         print(f"verification failure: {e}", file=sys.stderr)

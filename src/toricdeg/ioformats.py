@@ -32,9 +32,7 @@ def parse_ideal_text(text: str) -> Ideal:
             continue
         if vars is None:
             raise ValueError("ideal file must declare vars before polynomials")
-        p = parse_polynomial(line, vars)
-        if not p.is_zero():
-            gens.append(p)
+        gens.append(parse_polynomial(line, vars))
     if vars is None:
         raise ValueError("ideal file has no vars header")
     return Ideal(gens, vars, grading=grading)
@@ -84,9 +82,7 @@ def ideal_from_json(obj: dict) -> Ideal:
         raise ValueError("ideal grading must be a list of integers")
     vars = _distinct(vars)
     grading = Grading(grading) if grading is not None else None
-    gens = [parse_polynomial(s, vars) for s in gens]
-    gens = [g for g in gens if not g.is_zero()]
-    return Ideal(gens, vars, grading=grading)
+    return Ideal([parse_polynomial(s, vars) for s in gens], vars, grading=grading)
 
 
 def read_matrix(path: str) -> IntMatrix:

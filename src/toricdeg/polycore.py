@@ -435,23 +435,21 @@ def initial_form_rows(p: Polynomial, rows: Sequence[Sequence[int]]) -> Polynomia
 # factor := ident ['^' uint]
 # coeff  := uint ['/' uint]
 # ident  := [A-Za-z][A-Za-z0-9_]*
+# '(' and ')' are tokens that no rule takes: they are grammar errors.
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _TOKEN = re.compile(rf"\s*(?:(?P<num>\d+)|(?P<ident>{_IDENT.pattern})|(?P<op>[+\-*/^()]))")
 
 
 def _tokenize(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
+    """(kind, text, position) for every token, then ("end", "", len(text)).
+    The whole text is read first, so an illegal character anywhere is the
+    error, ahead of any grammar error or unknown name."""
+    pos, stop, out = 0, len(text.rstrip()), []
+    while pos < stop:
         m = _TOKEN.match(text, pos)
-        if not m or m.end() == m.start():
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
+        if not m:
             raise ParseError(pos, "number, identifier or operator")
-        if m.lastgroup is None:
-            break
         kind = m.lastgroup
         out.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
@@ -460,82 +458,57 @@ def _tokenize(text: str):
 
 
 def parse_polynomial(text: str, vars: Sequence[str]) -> Polynomial:
-    """Parse ASCII polynomial text over the given variable list."""
+    """Parse ASCII polynomial text over the given variable list, one token ahead."""
     vars = tuple(vars)
     index = {v: i for i, v in enumerate(vars)}
     toks = _tokenize(text)
     pos = 0
 
-    def peek():
-        return toks[pos]
-
-    def take(kind):
+    def take(kind, values=None):
+        # the next token's text, consumed, if it has this kind (and value)
         nonlocal pos
-        if toks[pos][0] != kind:
-            raise ParseError(toks[pos][2], kind)
-        tok = toks[pos]
+        k, v, _ = toks[pos]
+        if k != kind or values is not None and v not in values:
+            return None
         pos += 1
-        return tok
+        return v
 
-    def parse_coeff() -> Fraction:
-        num = int(take("num")[1])
-        if peek()[0] == "op" and peek()[1] == "/":
-            take("op")
-            den_tok = take("num")
-            den = int(den_tok[1])
-            if den == 0:
-                raise ParseError(den_tok[2], "nonzero denominator")
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def parse_factor() -> Exponent:
-        tok = take("ident")
-        if tok[1] not in index:
-            raise UnknownVariable(tok[1])
-        e = [0] * len(vars)
-        k = 1
-        if peek()[0] == "op" and peek()[1] == "^":
-            take("op")
-            k = int(take("num")[1])
-        e[index[tok[1]]] = k
-        return tuple(e)
-
-    def parse_term() -> tuple:
-        coeff = Fraction(1)
-        exp = (0,) * len(vars)
-        saw_factor = False
-        if peek()[0] == "num":
-            coeff = parse_coeff()
-            if peek()[0] == "op" and peek()[1] == "*":
-                take("op")
-            else:
-                return coeff, exp
-        while True:
-            exp = exp_add(exp, parse_factor())
-            saw_factor = True
-            if peek()[0] == "op" and peek()[1] == "*":
-                take("op")
-                continue
-            break
-        if not saw_factor:
-            raise ParseError(peek()[2], "factor")
-        return coeff, exp
+    def need(kind):
+        v = take(kind)
+        if v is None:
+            raise ParseError(toks[pos][2], kind)
+        return v
 
     pairs = []
-    sign = 1
-    if peek()[0] == "op" and peek()[1] in "+-":
-        sign = -1 if take("op")[1] == "-" else 1
+    sign = take("op", "+-")
     while True:
-        c, e = parse_term()
-        pairs.append((e, c * sign))
-        if peek()[0] == "op" and peek()[1] in "+-":
-            sign = -1 if take("op")[1] == "-" else 1
-            continue
-        break
-    end = peek()
-    if end[0] != "end":
-        raise ParseError(end[2], "'+', '-' or end of input")
-    # exponents come from checked tokens, and exp_add bounds them
+        coeff, exp = Fraction(-1 if sign == "-" else 1), [0] * len(vars)
+        num = take("num")
+        if num:
+            coeff *= int(num)
+            if take("op", "/"):
+                den = int(need("num"))
+                if not den:
+                    raise ParseError(toks[pos - 1][2], "nonzero denominator")
+                coeff /= den
+        if not num or take("op", "*"):
+            while True:
+                name = need("ident")
+                if name not in index:
+                    raise UnknownVariable(name)
+                i = index[name]
+                exp[i] += int(need("num")) if take("op", "^") else 1
+                if exp[i] > MAX_EXPONENT:
+                    raise DegreeOverflow(f"exponent exceeds {MAX_EXPONENT}")
+                if not take("op", "*"):
+                    break
+        pairs.append((tuple(exp), coeff))
+        sign = take("op", "+-")
+        if not sign:
+            break
+    if toks[pos][0] != "end":
+        raise ParseError(toks[pos][2], "'+', '-' or end of input")
+    # exponents come from checked tokens and are bounded factor by factor
     return Polynomial._trusted(vars, _add_terms({}, pairs))
 
 

@@ -33,8 +33,9 @@ class Semigroup:
 
     The first coordinate is the degree: its entries must be positive.
     `degree_scale` records how many original degree units one unit of the
-    degree coordinate stands for; Veronese re-gradings set it so normalized
-    value polytopes stay put.
+    degree coordinate stands for; `veronese` sets it, so a normalized value
+    polytope stays put when the re-grading keeps the whole Veronese, as it
+    always does for degree-one generators.
     """
 
     __slots__ = ("gens", "labels", "degree_scale")
@@ -214,8 +215,6 @@ def _in_hull(point, points, slack: Fraction = Fraction(0)) -> bool:
 def hull_vertices(points):
     """Irredundant subset: points not in the hull of the others."""
     uniq = list(dict.fromkeys(tuple(Fraction(x) for x in p) for p in points))
-    if len(uniq) == 1:
-        return uniq
     return [p for i, p in enumerate(uniq) if not _in_hull(p, uniq[:i] + uniq[i + 1:])]
 
 
@@ -223,8 +222,6 @@ def is_vertex(point, points) -> bool:
     """True if `point` lies outside the hull of the remaining points."""
     p = tuple(Fraction(x) for x in point)
     others = [q for q in (tuple(Fraction(x) for x in q) for q in points) if q != p]
-    if not others:
-        return True
     return not _in_hull(p, others)
 
 
@@ -352,11 +349,15 @@ def delta_polytope(S: Semigroup) -> PolytopeQ:
 
 
 def veronese(S: Semigroup, n: int) -> Semigroup:
-    """Subsemigroup of elements of degree divisible by n, re-graded by 1/n.
+    """Subsemigroup generated by the elements of degree exactly n, re-graded
+    by 1/n.
 
     Generators: all sums of generators with total degree exactly n (for a
     degree-one generated semigroup, all n-fold sums), with the degree
-    coordinate divided by n.
+    coordinate divided by n.  The normalized value polytope stays put when
+    this is the whole Veronese (all elements of degree divisible by n), as
+    for degree-one generators; else it can move: veronese of <(2, 0), (3, 1)>
+    at n = 2 is <(1, 0)>, with polytope {0}, while S's is [0, 1/3].
     """
     n = exact_int(n, "n")
     if n < 1:

@@ -408,12 +408,27 @@ def test_variable_name_outside_grammar_exit_1(tmp_path, capsys, argv):
 
 
 def test_embed_negative_degree_bound_exit_1(tmp_path, capsys):
+    # the second bound overflows a C ssize_t in the degree table
     ideal, matrix = _write_elliptic(tmp_path)
-    assert cli.main(["embed", "--in", ideal, "--matrix", matrix,
-                     "--degree-bound", "-3"]) == 1
+    for bound in ("-3", "100000000000000000000"):
+        assert cli.main(["embed", "--in", ideal, "--matrix", matrix,
+                         "--degree-bound", bound]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+
+
+def test_embed_out_of_memory_exit_1(tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "embed_value_semigroup", exhausted)
+    ideal, matrix = _write_elliptic(tmp_path)
+    assert cli.main(["embed", "--in", ideal, "--matrix", matrix]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert "out of memory" in captured.err
 
 
 def _assert_one_line_error(capsys, prefix):

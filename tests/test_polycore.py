@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_orders as ref
+import reference_parse
 from toricdeg import polycore
 from toricdeg.groebner import Ideal, _graded_last, buchberger
 from toricdeg.polycore import (
     MAX,
     MIN,
     BlockOrder,
+    DegreeOverflow,
     DegRevLex,
     DimensionMismatch,
     Grading,
@@ -73,9 +75,46 @@ def test_parse_unknown_variable():
 
 
 def test_parse_error_carries_position():
-    with pytest.raises(ParseError) as exc:
-        parse_polynomial("x + + y", ("x", "y"))
-    assert exc.value.position >= 3
+    # an illegal character anywhere is reported before an unknown name ("q")
+    cases = [("x + + y", 4, "ident"),
+             ("2*3", 2, "ident"),
+             ("x y", 2, "'+', '-' or end of input"),
+             ("x $", 1, "number, identifier or operator"),
+             ("1/0*x", 2, "nonzero denominator"),
+             ("x^", 2, "num"),
+             ("", 0, "ident"),
+             ("x(", 1, "'+', '-' or end of input"),
+             ("q + $", 3, "number, identifier or operator"),
+             ("x^2^3", 3, "'+', '-' or end of input")]
+    for text, position, expected in cases:
+        with pytest.raises(ParseError) as exc:
+            parse_polynomial(text, ("x", "y"))
+        assert (exc.value.position, exc.value.expected) == (position, expected), text
+
+
+_PARSE_PIECES = ("x y z1 w_2 q + - * / ^ ( ) 0 2 3 12 1/2 1/0 x^2 3*".split()
+                 + [" ", "\t", "98765432109876543210"])
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text, ("x", "y", "z1", "w_2"))
+    except ParseError as e:
+        return ParseError, e.position, e.expected
+    except UnknownVariable as e:
+        return UnknownVariable, e.name
+    except DegreeOverflow as e:
+        return DegreeOverflow, str(e)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(st.sampled_from(_PARSE_PIECES + ["$", ".", ",", "_", "é", "٣"]),
+                max_size=12))
+def test_parse_matches_reference_reader(pieces):
+    """Same polynomial, or the same error at the same place, as the
+    recursive-descent reader in `reference_parse`."""
+    text = "".join(pieces)
+    assert _parse_outcome(parse_polynomial, text) == _parse_outcome(reference_parse.parse_polynomial, text)
 
 
 def test_format_zero():

@@ -300,6 +300,7 @@ def test_hull_vertices_drops_interior():
     vs = hull_vertices(pts)
     assert (Fraction(1), Fraction(1)) not in vs
     assert len(vs) == 3
+    assert hull_vertices([(1, 2)]) == [(Fraction(1), Fraction(2))]
 
 
 def test_point_in_polytope_with_slack():
@@ -314,6 +315,7 @@ def test_is_vertex():
     assert is_vertex((0,), pts)
     assert is_vertex((3,), pts)
     assert not is_vertex((1,), pts)
+    assert is_vertex((2,), [(2,)])
 
 
 def test_hull_membership_against_halfplane_oracle():
