@@ -29,7 +29,6 @@ from .polycore import (
     MIN,
     MAX,
     DimensionMismatch,
-    Grading,
     Polynomial,
     WeightOrder,
     dot,
@@ -80,21 +79,18 @@ def family_ideal(J: Ideal, w: Sequence[int], convention: str = MIN) -> FamilyIde
     initial ideal.
 
     The weight-adapted basis is computed with J's degrevlex leads as its
-    Hilbert target when J is homogeneous in the standard grading: they are
-    the leads of a Groebner basis of J itself, so their Hilbert function is
-    J's.  That degrevlex basis is cached on J, where `fiber` reads it.
+    Hilbert target, counted in J's grading: they are the leads of a Groebner
+    basis of J itself, so their Hilbert function is J's.  That degrevlex
+    basis is cached on J, where `fiber` reads it.
     """
     w = tuple(exact_int(x, "weight") for x in w)
     (w_min,) = to_min([w], convention)
     if len(w) != len(J.vars):
         raise DimensionMismatch("weight length does not match variables")
-    grading = homogeneous_grading(J)
+    homogeneous_grading(J)  # NotHomogeneous before any Groebner work
     if T_NAME in J.vars:
         raise ValueError(f"base ring already contains a variable named {T_NAME!r}")
-    target = None
-    if grading == Grading.standard(len(J.vars)):
-        target = reduced_basis(J).leads
-    G = buchberger(J, WeightOrder([w_min]), hilbert=target)
+    G = buchberger(J, WeightOrder([w_min]), hilbert=reduced_basis(J).leads)
     big = J.vars + (T_NAME,)
     gens = []
     for g in G.elements:

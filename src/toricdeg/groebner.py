@@ -166,9 +166,9 @@ class _Packing:
     0 except at 64 bits, where it lowers the guard's threshold from 2^63 to
     MAX_EXPONENT + 1.
 
-    The order's `key` and the total degree `degree` are cached functions of
-    the packed exponent, each unpacking it on its first call; `unpack`
-    itself is not cached, as its tuples would outlive their use.
+    The order's `key` is a cached function of the packed exponent, which
+    unpacks it on its first call; `unpack` itself is not cached, as its
+    tuples would outlive their use.
 
     `key` is one int per exponent, key(e) = sum of e_i*V_i, with one int
     V_i per variable, built by Horner over the order's key entries (each a
@@ -190,7 +190,7 @@ class _Packing:
     radices may change with the width.
     """
 
-    __slots__ = ("width", "cap", "guard", "bias", "_code", "unpack", "key", "degree")
+    __slots__ = ("width", "cap", "guard", "bias", "_code", "unpack", "key")
 
     def __init__(self, n: int, width: int, order: TermOrder):
         self.width = width
@@ -217,7 +217,6 @@ class _Packing:
         self.unpack = unpack
         self.key = cache(lambda p: sum(map(operator.mul, weights,
                                            memoryview(p.to_bytes(size, byteorder)).cast(code))))
-        self.degree = cache(lambda p: sum(memoryview(p.to_bytes(size, byteorder)).cast(code)))
 
     def pack(self, e: Exponent) -> int:
         return int.from_bytes(array(self._code, e).tobytes(), sys.byteorder)
@@ -420,13 +419,13 @@ def buchberger(I: Ideal, order: TermOrder | None = None,
     survives) and B (a pair whose leads are coprime is dropped, and so is
     every new pair with the same lcm).  An old pair is dropped when the new
     lead divides its lcm and both lcms with the new lead differ from it.
-    Pairs are selected by the sugar strategy: smallest (sugar, lcm) first.
-    A generator's sugar is its total degree; a pair's sugar is the larger of
-    its elements' sugars, each raised by the degree of the monomial that
-    lifts its lead to the lcm; a new element takes the sugar of its pair, or
-    its own total degree if that is larger.  For inputs homogeneous in the
-    standard grading a pair's sugar is the degree of its lcm.  The output is
-    the unique reduced basis, independent of the generator order.
+    Pairs are taken degree by degree: smallest (degree of the lcm, lcm)
+    first, the degree in I's grading, or the standard one when I carries
+    none.  For I homogeneous in that grading a pair's S-polynomial and its
+    normal form lie in the lcm's degree, so the basis grows degree by
+    degree; on other input, under a total-degree-first order, this is
+    Buchberger's normal strategy.  The output is the unique reduced basis,
+    independent of the generator order.
 
     The arithmetic is fraction-free (Geddes, Czapor & Labahn 1992): the
     generators are cleared of denominators once, S-polynomials and normal
@@ -452,33 +451,29 @@ def buchberger(I: Ideal, order: TermOrder | None = None,
 
     `hilbert`, when given, is the lead exponents of a Groebner basis, under
     any order, of an ideal with the Hilbert function of I; I must then be
-    homogeneous in the standard grading (NotHomogeneous otherwise), so that
-    pairs come degree by degree.  At the first pair of degree d the engine
-    counts h = dim (k[x]/L)_d for the ideal L of the current leads (one of
-    higher degree divides no monomial of degree d, so none is filtered
-    out), and lowers h by one for each new lead of degree d (a normal
-    form's lead lies outside L).  L is inside in(I), whose Hilbert function
-    is that of I, so h is never below the target's value (ValueError if it
-    is: the target is not I's); once it reaches it, L and in(I) agree in
-    degree d, every pair left in that degree reduces to zero, and those
-    pairs are dropped (Traverso 1996, Hilbert functions and the Buchberger
-    algorithm).  The result does not change.
+    homogeneous for its grading (NotHomogeneous otherwise), so that pairs
+    come degree by degree, each degree counted in that grading's weights.
+    At the first pair of degree d the engine counts h = dim (k[x]/L)_d for
+    the ideal L of the current leads (one of higher degree divides no
+    monomial of degree d, so none is filtered out), and lowers h by one for
+    each new lead of degree d (a normal form's lead lies outside L).  L is
+    inside in(I), whose Hilbert function is that of I, so h is never below
+    the target's value (ValueError if it is: the target is not I's); once
+    it reaches it, L and in(I) agree in degree d, every pair left in that
+    degree reduces to zero, and those pairs are dropped (Traverso 1996,
+    Hilbert functions and the Buchberger algorithm).  The result does not
+    change.
     """
     if order is None:
         order = _degrevlex(len(I.vars))
     if order.nvars != len(I.vars):
         raise DimensionMismatch("order does not match the ideal's ring")
-    if hilbert is not None:
-        standard = Grading.standard(len(I.vars))
-        if not all(map(standard.is_homogeneous, I.gens)):
-            raise NotHomogeneous("a Hilbert target needs input homogeneous "
-                                 "in the standard grading")
-        hilbert = _minimal(hilbert)
-    elif not order.well_ordered:
+    if hilbert is not None or not order.well_ordered:
         homogeneous_grading(I)
     elif (I.grading is None and I.vars and order.blocks[0][0] != (1,) * len(I.vars)
           and not all(map(Grading.standard(len(I.vars)).is_homogeneous, I.gens))):
         return _via_homogenization(I, order)  # an attached grading was checked
+    hilbert = None if hilbert is None else _minimal(hilbert)
     return _widening(len(I.vars), _top(I.gens), order,
                      lambda packing: _pair_loop(I, order, hilbert, packing))
 
@@ -534,31 +529,32 @@ def _at_h_one(g: Polynomial, vars: tuple) -> Polynomial:
 
 
 def _pair_loop(I: Ideal, order: TermOrder, hilbert, packing: _Packing) -> GroebnerBasis:
-    """`buchberger` on exponents packed by `packing`; `hilbert` is minimal."""
-    key, degree = packing.key, packing.degree
+    """`buchberger` on exponents packed by `packing`; `hilbert` is minimal.
+    Pairs pop by the lcm's degree in I's grading (standard when I carries
+    none), a cached weighted sum over the unpacked lcm, then by its key."""
+    key, unpack = packing.key, packing.unpack
     guard, high = packing.guard, packing.width - 1
-    ones = (1,) * len(I.vars)
+    weights = (I.grading or Grading.standard(len(I.vars))).weights
+    degree = cache(lambda l: sum(map(operator.mul, weights, unpack(l))))
     target: list = []  # the Hilbert function of `hilbert`, extended on demand
 
     basis: list[dict] = []  # primitive integer polynomials, lead first
     leads: list[int] = []
-    excess: list[int] = []  # sugar minus the total degree of the lead
     active: list[int] = []  # elements whose lead no later lead divides
     reducers: list = []  # (lead, element) of the active elements
     pairs: dict = {}  # (i, j) -> lcm; heap entries of missing pairs are stale
-    heap: list = []  # (sugar, key(lcm), i, j)
+    heap: list = []  # (degree(lcm), key(lcm), i, j)
 
     # the packed tests of `_Packing`'s docstring, inlined below: x^b divides
     # x^a when ((a | guard) - b) & guard == guard, and with d that guard
     # word for a and b, the lcm is b ^ ((a ^ b) & (d - (d >> high))), as in
     # `_Packing.lcm`
-    def add(r: dict, sugar: int):
+    def add(r: dict):
         r = _primitive(r)
         j = len(basis)
         ej = next(iter(r))
         basis.append(r)
         leads.append(ej)
-        excess.append(max(sugar, max(map(degree, r))) - degree(ej))
         # new pairs, by packed lcm: a proper divisor of an lcm is a smaller
         # int, so criterion M looks only at the lcms kept before it
         new = []
@@ -591,8 +587,7 @@ def _pair_loop(I: Ideal, order: TermOrder, hilbert, packing: _Packing) -> Groebn
         for l, i, coprime in kept:
             if not coprime:
                 pairs[i, j] = l
-                heapq.heappush(heap, (degree(l) + max(excess[i], excess[j]),
-                                      key(l), i, j))
+                heapq.heappush(heap, (degree(l), key(l), i, j))
         active[:] = [i for i in active if ((leads[i] | guard) - ej) & guard != guard]
         active.append(j)
         reducers[:] = [(leads[i], basis[i]) for i in active]
@@ -602,20 +597,20 @@ def _pair_loop(I: Ideal, order: TermOrder, hilbert, packing: _Packing) -> Groebn
     for g in I.gens:
         r = _normal_form(packing.packed(_cleared(g)[0]), reducers, packing)[0]
         if r:
-            add(r, max(map(sum, g.terms)))
+            add(r)
 
     deg = gap = -1  # with a target: h minus the target's value in degree deg
     while heap:
-        sugar, _, i, j = heapq.heappop(heap)
+        d, _, i, j = heapq.heappop(heap)
         if pairs.pop((i, j), None) is None:
             continue
         if hilbert is not None:
-            if sugar != deg:
-                deg = sugar
+            if d != deg:
+                deg = d
                 if deg >= len(target):
-                    target = _hilbert_function(hilbert, ones, 2 * deg)
-                current = [packing.unpack(leads[k]) for k in active]
-                gap = _hilbert_function(current, ones, deg)[deg] - target[deg]
+                    target = _hilbert_function(hilbert, weights, 2 * deg)
+                current = [unpack(leads[k]) for k in active]
+                gap = _hilbert_function(current, weights, deg)[deg] - target[deg]
                 if gap < 0:
                     raise ValueError("the Hilbert target exceeds the ideal's "
                                      f"Hilbert function in degree {deg}")
@@ -624,7 +619,7 @@ def _pair_loop(I: Ideal, order: TermOrder, hilbert, packing: _Packing) -> Groebn
         s = _spoly(basis[i], basis[j], leads[i], leads[j], packing)
         r = _normal_form(s, reducers, packing)[0]
         if r:
-            add(r, sugar)
+            add(r)
             gap -= 1
 
     elements, leads = _interreduce(reducers, I.vars, packing)

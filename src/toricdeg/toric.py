@@ -51,6 +51,8 @@ class Semigroup:
         n = len(kept[0])
         if any(len(g) != n for g in kept):
             raise DimensionMismatch("generators of unequal length")
+        if not n:
+            raise ValueError("a generator needs a degree coordinate")
         for g in kept:
             if g[0] <= 0:
                 raise ValueError(f"generator {g} has nonpositive degree entry")

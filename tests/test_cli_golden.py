@@ -61,9 +61,11 @@ MATRICES = {
 CASES = {
     "gb-degrevlex-twisted": "gb --in {twisted}",
     "gb-degrevlex-gr25": "gb --in {gr25} --json",
+    "gb-degrevlex-no-grading": "gb --in {no_grading}",
     "gb-lex-elliptic": "gb --in {elliptic} --order lex",
     "gb-lex-twisted": "gb --in {twisted} --order lex",
     "gb-lex-gr24": "gb --in {gr24} --order lex --json",
+    "gb-lex-no-grading": "gb --in {no_grading} --order lex",
     "gb-weight-min-elliptic": "gb --in {elliptic} --order weight --w 1,0,3",
     "gb-weight-max-elliptic": "gb --in {elliptic} --order weight --w 1,0,3 --convention max",
     "gb-weight-min-twisted": "gb --in {twisted} --order weight --w 3,2,1,0",

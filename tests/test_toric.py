@@ -242,6 +242,31 @@ def test_toric_positive_row_matches_elimination_route():
 # polytopes
 
 
+def test_semigroup_refuses_generators_without_a_degree_coordinate():
+    for gens in ([()], [[]], [(), ()]):
+        with pytest.raises(ValueError, match="degree coordinate"):
+            Semigroup(gens)
+    with pytest.raises(DimensionMismatch):
+        Semigroup([(), (1,)])
+
+
+def test_semigroup_equality_ignores_generator_order_and_repeats():
+    S = Semigroup([(1, 0), (1, 1), (1, 3)])
+    assert S == Semigroup([(1, 3), (1, 0), (1, 1), (1, 0)])
+    assert S != Semigroup([(1, 0), (1, 1)])
+    assert S != Semigroup([(1, 0), (1, 1), (1, 3)], degree_scale=2)
+    assert S != [(1, 0), (1, 1), (1, 3)]
+
+
+def test_polytope_equality_ignores_vertex_order_and_repeats():
+    P = PolytopeQ([(0, 0), (1, 0), (0, 1)], 2)
+    assert P == PolytopeQ([(0, 1), (Fraction(2, 2), 0), (0, 0), (0, 1)], 2)
+    assert P != PolytopeQ([(0, 0), (1, 0)], 2)
+    # no vertex, so only the ambient dimension tells these apart
+    assert PolytopeQ([], 2) == PolytopeQ([], 2) != PolytopeQ([], 3)
+    assert P != ((0, 0), (1, 0), (0, 1))
+
+
 def test_delta_elliptic_interval():
     S = Semigroup([(1, 0), (1, 1), (1, 3)])
     D = delta_polytope(S)
