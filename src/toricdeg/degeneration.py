@@ -26,8 +26,10 @@ from .groebner import (
 )
 from .intlat import IntMatrix, homogenize_matrix, pivot_columns, weight_from_matrix
 from .polycore import (
+    MAX_EXPONENT,
     MIN,
     MAX,
+    DegreeOverflow,
     DimensionMismatch,
     Polynomial,
     WeightOrder,
@@ -96,6 +98,8 @@ def family_ideal(J: Ideal, w: Sequence[int], convention: str = MIN) -> FamilyIde
     for g in G.elements:
         weights = {e: dot(w_min, e) for e in g.terms}
         m = min(weights.values())
+        if max(weights.values()) - m > MAX_EXPONENT:
+            raise DegreeOverflow(f"exponent of {T_NAME} exceeds {MAX_EXPONENT}")
         terms = {}
         for e, c in g.terms.items():
             terms[e + (weights[e] - m,)] = c

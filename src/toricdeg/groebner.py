@@ -29,6 +29,7 @@ from .polycore import (
     UnknownVariable,
     _IDENT,
     _degrevlex,
+    _form,
     exact_int,
     format_polynomial,
     initial_form_rows,
@@ -168,26 +169,11 @@ class _Packing:
 
     The order's `key` is a cached function of the packed exponent, which
     unpacks it on its first call; `unpack` itself is not cached, as its
-    tuples would outlive their use.
-
-    `key` is one int per exponent, key(e) = sum of e_i*V_i, with one int
-    V_i per variable, built by Horner over the order's key entries (each a
-    linear form sum of c_i*e_i, as `TermOrder.key` lists them), most
-    significant first: every entry is one digit, of radix R = 2*b + 1 with
-    b = sum of |c_i|*cap.  It sorts exactly as the tuple `TermOrder.key`
-    does, on every exponent whose fields are at most cap, which is every
-    exponent the engine keeps:
-    - each entry of such an exponent lies in [-b, b], a balanced digit of
-      radix R;
-    - the digits after entry k, as a balanced number, lie strictly between
-      -P/2 and P/2, with P the product of their radices: the largest is
-      sum over j > k of b_j times the radices after j, which telescopes
-      to (P - 1)/2;
-    - so where two keys first differ, at entry k by at least 1, the ints
-      differ there by at least P, which the later digits' difference, at
-      most P - 1, cannot cancel: the ints compare as the tuples do.
-    An exponent is never compared with one of another packing, so the
-    radices may change with the width.
+    tuples would outlive their use.  `key` is one int per exponent, the sum
+    of e_i*V_i for V = `order.weights(cap)`: it sorts exactly as the order
+    does on every exponent whose fields are at most cap, which is every
+    exponent the engine keeps (see `TermOrder`).  An exponent is never
+    compared with one of another packing, so V may change with the width.
     """
 
     __slots__ = ("width", "cap", "guard", "bias", "_code", "unpack", "key")
@@ -202,14 +188,7 @@ class _Packing:
         self.bias = ones * (top - 1 - cap)
         size = n * width // 8
         byteorder = sys.byteorder
-        weights = [0] * n  # V_i, by Horner over the key entries
-        for row, entries in order.blocks:
-            if row:
-                radix = 2 * cap * sum(map(abs, row)) + 1
-                weights = [v * radix + c for v, c in zip(weights, row)]
-            for i, s in entries:
-                weights = [v * (2 * cap * abs(s) + 1) for v in weights]
-                weights[i] += s
+        weights = order.weights(cap)
 
         def unpack(p: int) -> Exponent:
             return tuple(memoryview(p.to_bytes(size, byteorder)).cast(code))
@@ -470,7 +449,7 @@ def buchberger(I: Ideal, order: TermOrder | None = None,
         raise DimensionMismatch("order does not match the ideal's ring")
     if hilbert is not None or not order.well_ordered:
         homogeneous_grading(I)
-    elif (I.grading is None and I.vars and order.blocks[0][0] != (1,) * len(I.vars)
+    elif (I.grading is None and I.vars and order.rows[0] != _degrevlex(len(I.vars)).rows[0]
           and not all(map(Grading.standard(len(I.vars)).is_homogeneous, I.gens))):
         return _via_homogenization(I, order)  # an attached grading was checked
     hilbert = None if hilbert is None else _minimal(hilbert)
@@ -504,8 +483,7 @@ def _lifted(order: TermOrder) -> TermOrder:
     """The order of `_via_homogenization` on k[vars, h]: total degree, then
     `order` with h weighted 0."""
     n = order.nvars
-    return TermOrder(n + 1, [((1,) * (n + 1), ()),
-                             *[(row and row + (0,), entries) for row, entries in order.blocks]])
+    return TermOrder(n + 1, [_form((1,) * (n + 1)), *order.rows])
 
 
 def _homogenized(I: Ideal) -> Ideal:
@@ -713,8 +691,7 @@ def _weight_order(rows, nvars: int) -> TermOrder:
     bigger monomial row by row, with the remaining ties broken by degrevlex.
     A well-order exactly when the first nonzero entry of every column is
     negative, or the column is zero."""
-    return TermOrder(nvars, [*[(tuple(-x for x in r), ()) for r in rows],
-                             *_degrevlex(nvars).blocks])
+    return TermOrder(nvars, [*[_form(-x for x in r) for r in rows], *_degrevlex(nvars).rows])
 
 
 def _weight_basis(I: Ideal, rows) -> tuple:
@@ -879,7 +856,7 @@ def _graded_last(w: Sequence[int], i: int) -> TermOrder:
     is what makes content-division compute (I : x_i^infinity).
     """
     rest = [j for j in reversed(range(len(w))) if j != i]
-    return TermOrder(len(w), [(w, [(i, -1)] + [(j, -1) for j in rest])])
+    return TermOrder(len(w), [_form(w), ((i, -1),), *[((j, -1),) for j in rest]])
 
 
 def _saturate_variable_graded(I: Ideal, name: str, w: Sequence[int]) -> Ideal:

@@ -91,42 +91,71 @@ class TermOrder:
     """Total order on exponents of a fixed length, as a matrix order
     (Robbiano 1985, Term orderings on the polynomial ring).
 
-    `blocks` is a short tuple of (row, entries): `row` is an integer weight
-    row or None, and each (i, s) in `entries` stands for s*e[i].  `key(e)`
-    is the flat tuple of the integers row.e and s*e[i] that the blocks give
-    in turn; bigger key = bigger monomial, and leading terms are maxima.
-    `well_ordered` says whether 1 < x_i for every i, that is, whether the
-    first nonzero coefficient of every e[i] is positive; if not,
-    Buchberger's algorithm need not end on non-homogeneous input.
+    `rows` are integer linear forms, each a tuple of the pairs (i, c) of its
+    nonzero coefficients, standing for the sum of c*e[i].  Exponents compare
+    by the first form on which they differ, the bigger value being the
+    bigger monomial, and leading terms are maxima.  `well_ordered` says
+    whether 1 < x_i for every i, that is, whether the first nonzero
+    coefficient of every e[i] is positive; if not, Buchberger's algorithm
+    need not end on non-homogeneous input.
+
+    `weights(cap)` is one int V_i per variable such that sum of e_i*V_i
+    sorts exactly as the forms do on every exponent whose entries are at
+    most cap.  Each form is one digit, of radix R = 2*b + 1 with b = sum of
+    |c|*cap, and V_i is the sum, over the forms, of the form's coefficient
+    of e[i] times the product of the radices of the forms after it.
+    - each form's value on such an exponent lies in [-b, b], a balanced
+      digit of radix R;
+    - the digits after form k, as a balanced number, lie strictly between
+      -P/2 and P/2, with P the product of their radices: the largest is
+      sum over j > k of b_j times the radices after j, which telescopes
+      to (P - 1)/2;
+    - so where two exponents first differ, at form k by at least 1, the ints
+      differ there by at least P, which the later digits' difference, at
+      most P - 1, cannot cancel: the ints compare as the forms do.
+    `key(e)` is that int for cap = MAX_EXPONENT, the largest entry an
+    exponent holds: bigger key, bigger monomial.
     """
 
-    def __init__(self, nvars: int, blocks):
+    def __init__(self, nvars: int, rows):
         self.nvars = nvars
-        self.blocks = tuple([(tuple(row) if row else None, tuple(entries))
-                             for row, entries in blocks])
-        first = [0] * nvars  # the first nonzero coefficient of each e[i] in the key
-        for row, entries in self.blocks:
-            for i, c in [*enumerate(row or ()), *entries]:
+        self.rows = tuple(rows)
+        first = [0] * nvars  # the first nonzero coefficient of each e[i]
+        for form in self.rows:
+            for i, c in form:
                 first[i] = first[i] or c
         self.well_ordered = all(c > 0 for c in first)
+        self._key_weights = self.weights(MAX_EXPONENT)
 
-    def key(self, e: Exponent) -> tuple:
-        k = []
-        for row, entries in self.blocks:
-            if row:
-                k.append(sum(map(operator.mul, row, e)))
-            k += [s * e[i] for i, s in entries]
-        return tuple(k)
+    def weights(self, cap: int) -> tuple:
+        V = [0] * self.nvars
+        place = 1  # the product of the radices of the later forms
+        for form in reversed(self.rows):
+            for i, c in form:
+                V[i] += c * place
+            place *= 2 * cap * sum(abs(c) for _, c in form) + 1
+        return tuple(V)
+
+    def key(self, e: Exponent) -> int:
+        return sum(map(operator.mul, self._key_weights, e))
+
+    def __repr__(self):
+        return f"TermOrder({self.nvars}, {self.rows})"
+
+
+def _form(row) -> tuple:
+    """The linear form sum of row[i]*e[i], as the pairs (i, row[i]) of its
+    nonzero coefficients."""
+    return tuple((i, c) for i, c in enumerate(row) if c)
 
 
 class DegRevLex(TermOrder):
-    """Graded reverse lexicographic on the declared variable sequence."""
+    """Graded reverse lexicographic on the declared variable sequence: the
+    total degree, then -e[i] for i from last to first."""
 
     def __init__(self, nvars: int):
-        super().__init__(nvars, [((1,) * nvars, [(i, -1) for i in reversed(range(nvars))])])
-
-    def __repr__(self):
-        return f"DegRevLex({self.nvars})"
+        super().__init__(nvars, [_form((1,) * nvars),
+                                 *[((i, -1),) for i in reversed(range(nvars))]])
 
 
 class Lex(TermOrder):
@@ -136,14 +165,11 @@ class Lex(TermOrder):
     """
 
     def __init__(self, priority: Sequence[int]):
-        self.priority = tuple(priority)
-        n = len(self.priority)
-        if sorted(self.priority) != list(range(n)):
+        priority = tuple(priority)
+        n = len(priority)
+        if sorted(priority) != list(range(n)):
             raise ValueError("priority must be a permutation of all variable indices")
-        super().__init__(n, [(None, tuple((i, 1) for i in self.priority))])
-
-    def __repr__(self):
-        return f"Lex({self.priority})"
+        super().__init__(n, [((i, 1),) for i in priority])
 
 
 class WeightOrder(TermOrder):
@@ -151,25 +177,20 @@ class WeightOrder(TermOrder):
 
     Rows are compared in sequence, and the monomial of smaller weight is the
     bigger one, so leading terms have minimal weight: each row enters the
-    key negated.  Ties go to lex with the last variable biggest.  This is a
-    well-order exactly when the first nonzero entry of every column is
+    order negated.  Ties go to lex with the last variable biggest.  This is
+    a well-order exactly when the first nonzero entry of every column is
     negative, or the column is zero: then 1 < x_i for every i.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        rows = tuple(tuple(exact_int(x, "weight") for x in r) for r in rows)
+        rows = [[exact_int(x, "weight") for x in r] for r in rows]
         if not rows:
             raise ValueError("need at least one weight row")
         n = len(rows[0])
         if any(len(r) != n for r in rows):
             raise DimensionMismatch("weight rows of unequal length")
-        self.rows = rows
-        blocks = [(tuple(-x for x in r), ()) for r in rows]
-        blocks.append((None, [(i, 1) for i in reversed(range(n))]))
-        super().__init__(n, blocks)
-
-    def __repr__(self):
-        return f"WeightOrder({len(self.rows)} rows)"
+        super().__init__(n, [*[_form(-x for x in r) for r in rows],
+                             *[((i, 1),) for i in reversed(range(n))]])
 
 
 class BlockOrder(TermOrder):
@@ -181,17 +202,15 @@ class BlockOrder(TermOrder):
     """
 
     def __init__(self, first: Sequence[int], second: Sequence[int]):
-        self.first = tuple(first)
-        self.second = tuple(second)
-        n = len(self.first) + len(self.second)
-        if sorted(self.first + self.second) != list(range(n)):
+        first, second = tuple(first), tuple(second)
+        n = len(first) + len(second)
+        if sorted(first + second) != list(range(n)):
             raise ValueError("blocks must partition the variable indices")
-        super().__init__(n, [
-            (tuple(int(i in block) for i in range(n)), [(i, -1) for i in reversed(block)])
-            for block in (self.first, self.second)])
-
-    def __repr__(self):
-        return f"BlockOrder({self.first} >> {self.second})"
+        rows = []
+        for block in (first, second):
+            rows.append(tuple((i, 1) for i in sorted(block)))
+            rows += [((i, -1),) for i in reversed(block)]
+        super().__init__(n, rows)
 
 
 @cache

@@ -1,7 +1,8 @@
 """The term orders as toricdeg implemented them before `polycore.TermOrder`
 became the one order class: five classes, each with its own nested-tuple
-key.  The keys are copied verbatim; tests compare the block orders
-against them.
+key, copied verbatim.  Two more give the orders the Groebner engine builds
+for itself, `WeightRows` and `Lifted`, in the same style.  Tests compare
+`TermOrder`'s one int key, and the engine's packed key, against them.
 """
 
 from __future__ import annotations
@@ -90,3 +91,28 @@ class GradedRevLexLast:
     def key(self, e: Exponent):
         return (sum(wi * ei for wi, ei in zip(self.w, e)), -e[self.i],
                 tuple(-e[j] for j in self._rest_rev))
+
+
+class WeightRows:
+    """Min-convention weight rows refined by degrevlex (the order of
+    `groebner._weight_order`)."""
+
+    def __init__(self, rows: Sequence[Sequence[int]], nvars: int):
+        self.rows = tuple(tuple(r) for r in rows)
+        self.nvars = nvars
+        self._tie = DegRevLex(nvars)
+
+    def key(self, e: Exponent):
+        return (tuple(-dot(r, e) for r in self.rows), self._tie.key(e))
+
+
+class Lifted:
+    """Total degree, then `order` on every entry but the last (the order of
+    `groebner._lifted`, the last entry being the homogenizing variable)."""
+
+    def __init__(self, order):
+        self.order = order
+        self.nvars = order.nvars + 1
+
+    def key(self, e: Exponent):
+        return (sum(e), self.order.key(e[:-1]))

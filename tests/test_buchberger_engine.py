@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_groebner
+import reference_orders as ref
 from toricdeg import degeneration, fixtures, groebner
 from toricdeg.degeneration import embed_value_semigroup, family_ideal
 from toricdeg.groebner import (
@@ -315,7 +316,7 @@ def test_gr24_elimination_zero_reductions(monkeypatch):
             G = bb(I, order)
         finally:
             zeros = counts.pop()
-        if order is not None and order.blocks == eliminating.blocks:
+        if order is not None and order.rows == eliminating.rows:
             calls.append((zeros, len(G)))
         return G
 
@@ -373,15 +374,15 @@ def test_pair_criteria_counters_are_pinned(monkeypatch):
     images = [Polynomial.monomial(J.vars, rep.images[v]) for v in J.vars]
     runs = _engine_counters(
         monkeypatch, lambda: ring_map_kernel(rep.kernel_check.vars, images, J))
-    eliminating = groebner._weight_order([[-1] * 6 + [0] * 6], 12).blocks
+    eliminating = groebner._weight_order([[-1] * 6 + [0] * 6], 12).rows
     assert [run[2:] for run in runs if run[0] is not None
-            and run[0].blocks == eliminating] == [(824, 606, 106)]
+            and run[0].rows == eliminating] == [(824, 606, 106)]
 
     A = IntMatrix([[1, 1, 1, 1, 1, 1], [2, 0, 0, 3, 0, 3], [1, 0, 1, 2, 3, 0]])
     names = tuple(f"x{i}" for i in range(6))
     runs = _engine_counters(monkeypatch, lambda: toric_ideal(A, names))
-    assert [(None if order is None else order.blocks, *rest) for order, *rest in runs] == [
-        (_graded_last((1,) * 6, 0).blocks, False, 25, 9, 8),
+    assert [(None if order is None else order.rows, *rest) for order, *rest in runs] == [
+        (_graded_last((1,) * 6, 0).rows, False, 25, 9, 8),
         (None, False, 10, 2, 4)]
 
     text = ("vars: x0,x1,x2,x3,x4\n- 2*x0*x1 - 2*x1^2 + 3*x2*x3\n"
@@ -389,9 +390,9 @@ def test_pair_criteria_counters_are_pinned(monkeypatch):
             "2*x0*x3*x4 + 3*x1*x3^2 - 3*x2*x3^2 - 1*x2*x3*x4\n")
     runs = _engine_counters(
         monkeypatch, lambda: family_ideal(parse_ideal_text(text), (0, 1, 0, 3, 2)))
-    assert [(None if order is None else order.blocks, *rest) for order, *rest in runs] == [
+    assert [(None if order is None else order.rows, *rest) for order, *rest in runs] == [
         (None, False, 9, 1, 4),
-        (WeightOrder([(0, 1, 0, 3, 2)]).blocks, True, 13, 1, 6)]
+        (WeightOrder([(0, 1, 0, 3, 2)]).rows, True, 13, 1, 6)]
 
 
 # ---------------------------------------------------------------------------
@@ -416,54 +417,61 @@ def test_packed_divisibility_and_lcm_match_tuples(data):
 
 @st.composite
 def _engine_orders(draw, n: int):
-    """An order of every kind the engine builds over n variables: the order
-    classes, with weights that may be zero or negative, `_weight_order`,
+    """(order, reference): an order of every kind the engine builds over n
+    variables, and the same order from `reference_orders`.  The kinds are the
+    order classes, with weights that may be zero or negative, `_weight_order`,
     `_graded_last` for each variable, and `_lifted` of an order of these
     kinds over n - 1 variables."""
     weights = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
     kind = draw(st.sampled_from(["degrevlex", "lex", "weight", "block", "weight-rows",
                                  "graded-last", "lifted"]))
     if kind == "degrevlex":
-        return DegRevLex(n)
+        return DegRevLex(n), ref.DegRevLex(n)
     if kind == "lex":
-        return Lex(draw(st.permutations(range(n))))
+        priority = draw(st.permutations(range(n)))
+        return Lex(priority), ref.Lex(priority)
     if kind == "weight":
-        return WeightOrder(draw(st.lists(weights, min_size=1, max_size=2)))
+        rows = draw(st.lists(weights, min_size=1, max_size=2))
+        return WeightOrder(rows), ref.WeightOrder(rows)
     if kind == "block":
-        first = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
-        return BlockOrder(sorted(first), [i for i in range(n) if i not in first])
+        first = sorted(draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True)))
+        second = [i for i in range(n) if i not in first]
+        return BlockOrder(first, second), ref.BlockOrder(first, second)
     if kind == "weight-rows":
-        return groebner._weight_order(draw(st.lists(weights, max_size=2)), n)
+        rows = draw(st.lists(weights, max_size=2))
+        return groebner._weight_order(rows, n), ref.WeightRows(rows, n)
     if kind == "graded-last":
         w = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
-        return _graded_last(w, draw(st.integers(0, n - 1)))
+        i = draw(st.integers(0, n - 1))
+        return _graded_last(w, i), ref.GradedRevLexLast(w, i)
     if n == 1:
-        return groebner._lifted(DegRevLex(0))
-    return groebner._lifted(draw(_engine_orders(n - 1)))
+        return groebner._lifted(DegRevLex(0)), ref.Lifted(ref.DegRevLex(0))
+    order, old = draw(_engine_orders(n - 1))
+    return groebner._lifted(order), ref.Lifted(old)
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_integer_key_sorts_as_the_tuple_key(data):
-    # at every field width: the sign of intkey(a) - intkey(b) is that of
-    # comparing the tuples of TermOrder.key.  Checked on every pair of
-    # exponents whose entries are 0, 1, cap - 1 or cap, the largest entry a
-    # field holds, where the tuples tie in their first entries and then
+    # at every field width: the sign of packing.key(a) - packing.key(b) is
+    # that of comparing the reference's tuple keys.  Checked on every pair
+    # of exponents whose entries are 0, 1, cap - 1 or cap, the largest entry
+    # a field holds, where the tuples tie in their first entries and then
     # differ by the least while later entries differ by the most: sorted by
     # the tuple key, their int keys rise exactly where the tuples do.  Then
     # on one drawn pair.
     n = data.draw(st.integers(1, 5))
-    order = data.draw(_engine_orders(n))
+    order, old = data.draw(_engine_orders(n))
     packing = groebner._Packing(n, data.draw(st.sampled_from(groebner._WIDTHS)), order)
     cap = packing.cap
-    grid = sorted(itertools.product([0, 1, cap - 1, cap], repeat=n), key=order.key)
+    grid = sorted(itertools.product([0, 1, cap - 1, cap], repeat=n), key=old.key)
     keys = [packing.key(packing.pack(e)) for e in grid]
     for a, b, ka, kb in zip(grid, grid[1:], keys, keys[1:]):
-        assert ka < kb if order.key(a) < order.key(b) else ka == kb
+        assert ka < kb if old.key(a) < old.key(b) else ka == kb
     entry = st.integers(0, cap)
     a, b = (tuple(data.draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(2))
     ka, kb = packing.key(packing.pack(a)), packing.key(packing.pack(b))
-    ta, tb = order.key(a), order.key(b)
+    ta, tb = old.key(a), old.key(b)
     assert (ka > kb) - (ka < kb) == (ta > tb) - (ta < tb)
 
 

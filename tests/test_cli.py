@@ -523,3 +523,65 @@ def test_embed_dims_fail_for_a_non_standard_grading(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("verification failure: verification failed: "
                             "dims (degree 1: 0 != 3)\n")
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    pytest.param(["gb", "--in", "{before}"], 1, "declare vars before polynomials",
+                 id="polynomial-before-vars"),
+    pytest.param(["gb", "--in", "{json_list}"], 1, "an object with vars and gens",
+                 id="ideal-json-list"),
+    pytest.param(["gb", "--in", "{json_vars}"], 1, "vars must be a list of strings",
+                 id="ideal-json-vars-not-strings"),
+    pytest.param(["gb", "--in", "{json_grading}"], 1, "grading must be a list of integers",
+                 id="ideal-json-grading-not-a-list"),
+    pytest.param(["toric", "--matrix", "{no_rows}", "--names", "a"], 1,
+                 "at least one row", id="matrix-no-rows"),
+    pytest.param(["toric", "--matrix", "{ragged}", "--names", "a,b"], 1, "ragged rows",
+                 id="matrix-ragged"),
+    pytest.param(["family", "--in", "{ideal}", "--w", "1,2"], 1,
+                 "weight length does not match", id="family-short-weight"),
+    pytest.param(["family", "--in", "{with_t}", "--w", "1,1,1"], 1,
+                 "already contains a variable named 't'", id="family-ring-has-t"),
+    pytest.param(["pipeline", "--in", "{ideal}", "--matrix", "{two_columns}"], 1,
+                 "one matrix column per variable", id="pipeline-two-columns"),
+    pytest.param(["gb", "--in", "{ideal}", "--order", "weight", "--w", "1,2"], 1,
+                 "order does not match", id="gb-short-weight"),
+    pytest.param(["embed", "--in", "{ideal}", "--matrix", "{no_degree_row}"], 2,
+                 "degree_one", id="embed-no-degree-row"),
+])
+def test_input_errors_print_one_line(tmp_path, capsys, argv, code, message):
+    ideal, _ = _write_elliptic(tmp_path)
+    files = {
+        "before": "x + y\nvars: x,y\n",
+        "json_list": "[]\n",
+        "json_vars": '{"vars": [1], "gens": []}\n',
+        "json_grading": '{"vars": ["x"], "gens": ["x"], "grading": 1}\n',
+        "no_rows": "[]\n",
+        "ragged": "[[1,2],[3]]\n",
+        "with_t": "vars: x,y,t\nx*y - t^2\n",
+        "two_columns": "[[1,2],[3,4]]\n",
+        "no_degree_row": "[[2,2,2],[1,0,3]]\n",
+    }
+    paths = {"ideal": ideal}
+    for name, text in files.items():
+        suffix = ".json" if text[0] in "[{" else ".ideal"
+        path = tmp_path / (name + suffix)
+        path.write_text(text)
+        paths[name] = str(path)
+    assert cli.main([a.format(**paths) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and message in captured.err
+    assert captured.err.startswith("error: " if code == 1 else "verification failure: ")
+
+
+@pytest.mark.parametrize("command", [["family"], ["fiber", "--t0", "1/2"]])
+def test_family_exponent_past_the_bound_exit_1(tmp_path, command):
+    # the weight basis's t-exponent 2*10^20 - 2 passes MAX_EXPONENT, so
+    # `family` prints nothing that `gb --in` could not read back, and `fiber`
+    # stops in `family_ideal`, before it would raise t0 to that power
+    ideal, _ = _write_elliptic(tmp_path)
+    res = _run_cli([command[0], "--in", ideal, "--w", "1,0,100000000000000000000",
+                    *command[1:]], timeout=60)
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr == "error: exponent of t exceeds 4611686018427387904\n"

@@ -173,7 +173,7 @@ def test_saturate_last_by_the_last_variable_makes_no_canonical_run(monkeypatch):
     # last step is the last pair loop
     rng = random.Random(4041)
     vars = tuple(f"x{i}" for i in range(5))
-    degrevlex = groebner._degrevlex(5).blocks
+    degrevlex = groebner._degrevlex(5).rows
     for _ in range(8):
         A = IntMatrix([[1] * 5, [rng.randint(0, 3) for _ in range(5)]])
         gens = _kernel_binomials(A, vars)
@@ -185,7 +185,7 @@ def test_saturate_last_by_the_last_variable_makes_no_canonical_run(monkeypatch):
             got = saturate_by_variables(I, names)
             monkeypatch.undo()
             assert len(orders) <= len(names)
-            assert orders[-1].blocks == degrevlex
+            assert orders[-1].rows == degrevlex
             assert got.gens == canonical(_saturate_each(I, names)).gens
             assert got.grading == I.grading
 
@@ -351,9 +351,9 @@ def test_toric_ideal_saturates_through_homogenization(monkeypatch):
     names = ("x0", "x1", "x2", "x3")
     T = toric_ideal(A, names)
     monkeypatch.undo()
-    graded_last = groebner._graded_last((1,) * 5, 2).blocks
+    graded_last = groebner._graded_last((1,) * 5, 2).rows
     assert [vars for vars, order in rings
-            if order is not None and order.blocks == graded_last] == [names + ("h",)]
+            if order is not None and order.rows == graded_last] == [names + ("h",)]
     assert not any("ysat" in vars for vars, _ in rings)
     assert [format_polynomial(g) for g in T.gens] == ["x0*x3 - x2", "x1 - x3"]
     oracle = reference_saturate(Ideal(_kernel_binomials(A, names), names),
@@ -463,6 +463,19 @@ def test_finite_over_matches_radical_definition():
                 assert finite == _finite_by_saturation(init, T)
                 seen.add(finite)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("images, kernel", [(["x", "y"], "a^2 - b"),
+                                            (["x^2", "x*y"], "a^3 - b^2")])
+def test_ring_map_kernel_into_a_non_homogeneous_quotient(images, kernel):
+    # k[x, y]/(y - x^2) has no grading for the graph ideal to extend, so
+    # the kernel is eliminated from the ungraded graph ideal
+    target = Ideal([parse_polynomial("y - x^2", ("x", "y"))], ("x", "y"))
+    images = [parse_polynomial(p, target.vars) for p in images]
+    assert groebner._graph_grading(target, images) is None
+    K = ring_map_kernel(("a", "b"), images, target)
+    assert K.gens == reference_ring_map_kernel(("a", "b"), images, target).gens
+    assert [format_polynomial(g) for g in K.gens] == [kernel] and K.grading is None
 
 
 def _assert_kernel_matches_ring_map(J, M):

@@ -44,8 +44,10 @@ from toricdeg.groebner import (
 from toricdeg.intlat import IntMatrix
 from toricdeg.polycore import (
     MAX,
+    MAX_EXPONENT,
     MIN,
     BlockOrder,
+    DegreeOverflow,
     DegRevLex,
     Grading,
     Lex,
@@ -72,6 +74,20 @@ def test_family_elliptic_exact_generator():
     F = family_ideal(J, (1, 0, 3))
     want = parse_polynomial("y^2*z - x^3 + t^4*x*z^2", J.vars + ("t",))
     assert list(F.gens) == [want]
+
+
+def test_family_exponent_past_the_bound_raises():
+    # on the elliptic cubic with w = (1, 0, W), the family generator's
+    # t-exponents are 0, W - 3 and 2W - 2: at most MAX_EXPONENT, the bound
+    # every exponent keeps, for W = 2^61 + 1, and past it for one more
+    J = fx.elliptic_ideal()
+    W = 2**61 + 1
+    (g,) = family_ideal(J, (1, 0, W)).gens
+    assert max(e[-1] for e in g.terms) == 2 * W - 2 == MAX_EXPONENT
+    with pytest.raises(DegreeOverflow, match="exponent of t exceeds"):
+        family_ideal(J, (1, 0, W + 1))
+    with pytest.raises(DegreeOverflow):
+        family_ideal(J, (1, 0, 10**20))
 
 
 def test_family_zero_weight_has_no_parameter():
@@ -271,6 +287,15 @@ def test_embed_elliptic_full_report():
     assert len(rep.dims_checked) == 6
     want = canonical(_ideal(("v_x", "v_y", "v_z"), "v_y^2*v_z - v_x^3"))
     assert same_ideal(rep.kernel_check, want)
+
+
+def test_embed_kernel_names_avoid_the_ring_names():
+    # the elliptic cubic with y renamed v_x: the fresh name for x would be
+    # v_x, so it takes one more prefix, and the others keep clear of it
+    J = _ideal(("x", "v_x", "z"), "v_x^2*z - x^3 + x*z^2", grading=Grading.standard(3))
+    rep = embed_value_semigroup(J, fx.elliptic_matrix(), MIN, degree_bound=5)
+    assert rep.kernel_check.vars == ("vv_x", "v_v_x", "v_z")
+    assert [format_polynomial(g) for g in rep.kernel_check.gens] == ["vv_x^3 - v_v_x^2*v_z"]
 
 
 def test_embed_kernel_runs_no_buchberger_of_its_own(monkeypatch):
@@ -628,8 +653,8 @@ def test_projection_makes_no_block_order_call(monkeypatch):
         pr = projection_limit(I, kept)
         assert pr.scheme_check
         assert not any(isinstance(order, BlockOrder) for order, _ in calls)
-        led_by_w = (tuple(-x for x in pr.w), ())
-        assert sum(order is not None and order.blocks[0] == led_by_w
+        led_by_w = tuple((i, -x) for i, x in enumerate(pr.w) if x)
+        assert sum(order is not None and order.rows[0] == led_by_w
                    for order, _ in calls) == 1
         assert sum(order is None or isinstance(order, DegRevLex)
                    for order, saturating in calls if not saturating) == closure_calls
@@ -813,7 +838,7 @@ def test_embed_runs_no_degrevlex_basis_of_J(monkeypatch):
         orders.clear()
         embed_value_semigroup(J, M, convention, degree_bound=3)
         want = groebner._weight_order(to_min(M.rows_list(), convention), len(J.vars))
-        assert len(orders) == 1 and orders[0].blocks == want.blocks
+        assert len(orders) == 1 and orders[0].rows == want.rows
 
 
 def test_pipeline_one_matrix_order_basis(monkeypatch):
@@ -826,7 +851,7 @@ def test_pipeline_one_matrix_order_basis(monkeypatch):
     matrix_order = []
 
     def spy(I, order=None, **kwargs):
-        if order is not None and order.blocks == want.blocks:
+        if order is not None and order.rows == want.rows:
             matrix_order.append(I)
         return bb(I, order, **kwargs)
 

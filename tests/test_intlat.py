@@ -277,7 +277,7 @@ def test_weight_from_matrix_one_matrix_order_basis(monkeypatch):
     monkeypatch.setattr(groebner, "buchberger", spy)
     w, init_M = weight_from_matrix(J, M)
     assert len(orders_on_J) == 1
-    assert orders_on_J[0].blocks == groebner._weight_order(rows, 6).blocks
+    assert orders_on_J[0].rows == groebner._weight_order(rows, 6).rows
     monkeypatch.setattr(groebner, "buchberger", bb)
     assert same_ideal(initial_ideal(J, w), initial_ideal(J, M))
     assert same_ideal(init_M, initial_ideal(J, M))

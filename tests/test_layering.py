@@ -5,8 +5,9 @@ reduced bases, every public name has a caller, and every dataclass field
 has a reader.
 
 Imports are read from the source with `ast`, including those inside
-functions.  ROADMAP item 10 plans to move `weight_from_matrix`, which needs
-Groebner bases, out of `intlat`; `intlat` then no longer needs `groebner`.
+functions.  ROADMAP item 4 plans to move `weight_from_matrix`, which needs
+Groebner bases, out of `intlat`, once the benchmark tracer no longer names
+it there; `intlat` then no longer needs `groebner`.
 """
 
 from __future__ import annotations
