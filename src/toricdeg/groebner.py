@@ -14,7 +14,6 @@ import operator
 import sys
 from array import array
 from fractions import Fraction
-from functools import cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -149,34 +148,45 @@ class _FieldOverflow(Exception):
 
 
 class _Packing:
-    """Exponents of n entries packed into one int, entry i in bits
-    [width*i, width*(i+1)), for the engine's inner loops (Monagan & Pearce
-    2011, Sparse polynomial division using a heap).
+    """Exponents of n entries packed into one int, a word, for the engine's
+    inner loops (Monagan & Pearce 2011, Sparse polynomial division using a
+    heap, whose packed monomials compare as the monomial order does).
 
-    The top bit of each field is a guard bit, clear in every exponent the
-    engine keeps, so a field holds 0..cap with cap = 2^(width-1) - 1, or
-    MAX_EXPONENT at 64 bits.  For packed a and b:
-    - x^a * x^b is a + b, and x^a / x^b is a - b when x^b divides x^a: no
-      field carries into or borrows from the next;
+    The word of e is (key << S) | fields, S = n*width: entry i sits in bits
+    [width*i, width*(i+1)) of `fields`, and key = sum of e_i*V_i for V =
+    `order.weights(cap)`.  The top bit of each field is a guard bit, clear
+    in every exponent the engine keeps, so a field holds 0..cap with cap =
+    2^(width-1) - 1, or MAX_EXPONENT at 64 bits.  A word is the int
+    key*2^S + fields, also when the key is negative, as it is under a
+    weight order that is not a well-order.  For kept exponents a and b:
+    - words sort as the order does: the key sorts exactly as the order on
+      every exponent whose fields are at most cap (see `TermOrder`), so
+      distinct exponents have distinct keys, and fields in [0, 2^S) cannot
+      undo a key difference of at least 2^S;
+    - x^a * x^b is word(a) + word(b): the key is linear, and each field's
+      sum, below 2^width, carries into no other field, so the fields add
+      to those of a + b below 2^S; likewise x^a / x^b is word(a) - word(b)
+      when x^b divides x^a, as no field borrows;
     - x^b divides x^a exactly when ((a | guard) - b) & guard == guard: each
       field of a | guard is a_i + 2^(width-1), from which b_i subtracts
       without a borrow, and its guard bit stays set exactly when b_i <= a_i;
-    - the lcm takes a's field where that guard bit is set, b's elsewhere.
+      no borrow leaves the fields either, so the test reads their bits
+      alone, on words as on plain fields;
+    - the lcm takes a's field where that guard bit is set, b's elsewhere,
+      and b's key bits (`lcm`).
     A sum of two kept exponents holds each field's sum exactly, so its field
     has outgrown cap exactly when (sum + bias) & guard is nonzero; `bias` is
     0 except at 64 bits, where it lowers the guard's threshold from 2^63 to
-    MAX_EXPONENT + 1.
+    MAX_EXPONENT + 1.  An exponent is never compared with one of another
+    packing, so V may change with the width.
 
-    The order's `key` is a cached function of the packed exponent, which
-    unpacks it on its first call; `unpack` itself is not cached, as its
-    tuples would outlive their use.  `key` is one int per exponent, the sum
-    of e_i*V_i for V = `order.weights(cap)`: it sorts exactly as the order
-    does on every exponent whose fields are at most cap, which is every
-    exponent the engine keeps (see `TermOrder`).  An exponent is never
-    compared with one of another packing, so V may change with the width.
+    `key` and `unpack` read a word's high and low bits; `mask` keeps the
+    low bits, the plain fields that pair bookkeeping and Hilbert counts
+    work on.
     """
 
-    __slots__ = ("width", "cap", "guard", "bias", "_code", "unpack", "key")
+    __slots__ = ("width", "cap", "guard", "bias", "shift", "mask", "weights", "_code",
+                 "unpack")
 
     def __init__(self, n: int, width: int, order: TermOrder):
         self.width = width
@@ -186,19 +196,26 @@ class _Packing:
         self.cap = cap = min(top - 1, MAX_EXPONENT)  # the largest entry a field holds
         self.guard = ones * top
         self.bias = ones * (top - 1 - cap)
+        self.shift = n * width
+        self.mask = mask = (1 << self.shift) - 1
+        self.weights = order.weights(cap)
         size = n * width // 8
         byteorder = sys.byteorder
-        weights = order.weights(cap)
 
         def unpack(p: int) -> Exponent:
-            return tuple(memoryview(p.to_bytes(size, byteorder)).cast(code))
+            return tuple(memoryview((p & mask).to_bytes(size, byteorder)).cast(code))
 
         self.unpack = unpack
-        self.key = cache(lambda p: sum(map(operator.mul, weights,
-                                           memoryview(p.to_bytes(size, byteorder)).cast(code))))
+
+    def fields(self, e: Exponent) -> int:
+        """The plain fields of e, with no key."""
+        return int.from_bytes(array(self._code, e).tobytes(), sys.byteorder)
 
     def pack(self, e: Exponent) -> int:
-        return int.from_bytes(array(self._code, e).tobytes(), sys.byteorder)
+        return (sum(map(operator.mul, self.weights, e)) << self.shift) | self.fields(e)
+
+    def key(self, p: int) -> int:
+        return p >> self.shift
 
     def packed(self, terms: dict) -> dict:
         """`terms` with packed exponents."""
@@ -264,22 +281,22 @@ def _normal_form(terms: dict, divisors: list, packing: _Packing) -> tuple:
     A term c*x^e with lead l of g dividing e is removed by terms := (a/k)*terms
     - (c/k)*x^(e-l)*g, where a is g's lead coefficient and k = gcd(a, c): the
     factor a/k scales both the terms still to be reduced and those already in
-    r, and multiplies m.  Terms are taken largest first from a heap keyed by
-    the negated key, whose smallest entry is the largest term.  A term
-    that cancels stays in the heap and is skipped when popped: every
-    term a reduction step adds is smaller than the one it removes, so a
-    popped exponent never comes back.  A new term whose exponent outgrows
-    its field raises _FieldOverflow.
+    r, and multiplies m.  Terms are taken largest first from a heap of
+    negated words, whose smallest entry is the largest term, as words sort
+    as the order does (`_Packing`).  A term that cancels stays in the heap
+    and is skipped when popped: every term a reduction step adds is smaller
+    than the one it removes, so a popped exponent never comes back.  A new
+    term whose exponent outgrows its field raises _FieldOverflow.
     """
-    key, guard, bias = packing.key, packing.guard, packing.bias
+    guard, bias = packing.guard, packing.bias
     work = dict(terms)
-    heap = [(-key(e), e) for e in work]
+    heap = [-e for e in work]
     heapq.heapify(heap)
     out: dict = {}
     mult = 1
     pop, push = heapq.heappop, heapq.heappush
     while heap:
-        e = pop(heap)[1]
+        e = -pop(heap)
         c = work.pop(e, None)
         if c is None:
             continue
@@ -308,7 +325,7 @@ def _normal_form(terms: dict, divisors: list, packing: _Packing) -> tuple:
                 if (et + bias) & guard:
                     raise _FieldOverflow
                 work[et] = -c * cg
-                push(heap, (-key(et), et))
+                push(heap, -et)
             else:
                 c0 -= c * cg
                 if c0:
@@ -343,16 +360,17 @@ def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
     return Polynomial._trusted(p.vars, {e: Fraction(c, d) for e, c in r.items()})
 
 
-def _spoly(f: dict, g: dict, ef: int, eg: int, packing: _Packing) -> dict:
-    """Integer S-polynomial (b/k)*x^sf*f - (a/k)*x^sg*g of f and g with leads
-    ef and eg, lead coefficients a and b, k = gcd(a, b), and x^sf*ef =
-    x^sg*eg the lcm of the leads, which cancels; exponents are packed, and
-    one that outgrows its field raises _FieldOverflow."""
+def _spoly(f: dict, g: dict, l: int, packing: _Packing) -> dict:
+    """Integer S-polynomial (b/k)*x^sf*f - (a/k)*x^sg*g of f and g, whose
+    first terms are their leads ef and eg, with lead coefficients a and b,
+    k = gcd(a, b), and x^sf*ef = x^sg*eg = l the lcm of the leads, which
+    cancels; exponents are packed words, and one that outgrows its field
+    raises _FieldOverflow."""
+    ef, eg = next(iter(f)), next(iter(g))
     a, b = f[ef], g[eg]
     k = gcd(a, b)
     a //= k
     b //= k
-    l = packing.lcm(ef, eg)
     sf, sg = l - ef, l - eg
     terms = {e + sf: b * c for e, c in f.items() if e != ef}
     for e, c in g.items():
@@ -376,12 +394,12 @@ def _interreduce(divisors: list, vars: tuple, packing: _Packing) -> tuple:
     another, so each element keeps its lead when its tail is reduced by the
     others.  The exponents are unpacked here, once per output term.
     """
-    key, unpack = packing.key, packing.unpack
+    unpack = packing.unpack
     reduced = []
     for i, (l, g) in enumerate(divisors):
         r, _ = _normal_form(g, divisors[:i] + divisors[i + 1:], packing)
         lc = r[l]
-        reduced.append((-key(l), unpack(l), Polynomial._trusted(
+        reduced.append((-l, unpack(l), Polynomial._trusted(
             vars, {unpack(e): Fraction(c, lc) for e, c in r.items()})))
     reduced.sort(key=operator.itemgetter(0))
     return [p for _, _, p in reduced], [l for _, l, _ in reduced]
@@ -413,10 +431,11 @@ def buchberger(I: Ideal, order: TermOrder | None = None,
     divided out.  `Fraction` appears only in the final interreduction, which
     makes each element monic.
 
-    Inside, each exponent is one int with a fixed-width field per variable
-    (`_Packing`): the generators are packed on entry, products, quotients,
-    divisibility tests and lcms are a few int operations, and the final
-    interreduction unpacks.  The width is the narrowest that holds
+    Inside, each exponent is one int, a word, that holds the order's key
+    above a fixed-width field per variable (`_Packing`), so that ints
+    compare as the order does: the generators are packed on entry,
+    products, quotients, comparisons, divisibility tests and lcms are a
+    few int operations, and the final interreduction unpacks.  The width is the narrowest that holds
     _HEADROOM times the largest input exponent; when a product outgrows a
     field, the whole computation reruns at the next width, and past
     MAX_EXPONENT it raises DegreeOverflow.
@@ -432,29 +451,57 @@ def buchberger(I: Ideal, order: TermOrder | None = None,
     any order, of an ideal with the Hilbert function of I; I must then be
     homogeneous for its grading (NotHomogeneous otherwise), so that pairs
     come degree by degree, each degree counted in that grading's weights.
-    At the first pair of degree d the engine counts h = dim (k[x]/L)_d for
-    the ideal L of the current leads (one of higher degree divides no
-    monomial of degree d, so none is filtered out), and lowers h by one for
-    each new lead of degree d (a normal form's lead lies outside L).  L is
-    inside in(I), whose Hilbert function is that of I, so h is never below
-    the target's value (ValueError if it is: the target is not I's); once
-    it reaches it, L and in(I) agree in degree d, every pair left in that
-    degree reduces to zero, and those pairs are dropped (Traverso 1996,
-    Hilbert functions and the Buchberger algorithm).  The result does not
-    change.
+    Each exponent is checked before any Groebner work: DimensionMismatch
+    for a wrong length, ValueError for an entry that is negative or not an
+    integer, DegreeOverflow for one past MAX_EXPONENT.  At the first pair
+    of degree d the engine reads h = dim (k[x]/L)_d for the ideal L of the
+    current leads (one of higher degree divides no monomial of degree d,
+    so none is filtered out), and lowers h by one for each new lead of
+    degree d (a normal form's lead lies outside L).  L is inside in(I),
+    whose Hilbert function is that of I, so h is never below the target's
+    value (ValueError if it is: the target is not I's); once it reaches
+    it, L and in(I) agree in degree d, every pair left in that degree
+    reduces to zero, and those pairs are dropped (Traverso 1996, Hilbert
+    functions and the Buchberger algorithm).  The result does not change.
+    The counts of L are kept in one table over the degrees up to twice
+    the degree of its first count, updated lead by lead through colon
+    ideals and recounted past its top (`_LeadCounts`); every count is one
+    packed Hilbert numerator (`_hilbert_numerator`).
+
+    A target whose Hilbert function is larger than I's in some degree is
+    caught only where it is also larger than h; otherwise the pairs of
+    that degree are dropped too early, and the result is wrong with no
+    error.  On (x^2 - y*z, x*y - z^2) in k[x, y, z] the target
+    [(2, 0, 0), (1, 1, 0)] claims one standard monomial too many in degree
+    3, and two elements come back where the basis has three.
     """
     if order is None:
         order = _degrevlex(len(I.vars))
     if order.nvars != len(I.vars):
         raise DimensionMismatch("order does not match the ideal's ring")
+    if hilbert is not None:
+        hilbert = [_target_exponent(e, len(I.vars)) for e in hilbert]
     if hilbert is not None or not order.well_ordered:
         homogeneous_grading(I)
     elif (I.grading is None and I.vars and order.rows[0] != _degrevlex(len(I.vars)).rows[0]
           and not all(map(Grading.standard(len(I.vars)).is_homogeneous, I.gens))):
         return _via_homogenization(I, order)  # an attached grading was checked
-    hilbert = None if hilbert is None else _minimal(hilbert)
     return _widening(len(I.vars), _top(I.gens), order,
                      lambda packing: _pair_loop(I, order, hilbert, packing))
+
+
+def _target_exponent(e, n: int) -> Exponent:
+    """One exponent of a Hilbert target, checked: n entries (DimensionMismatch
+    otherwise), each an integer (ValueError otherwise) from 0 to
+    MAX_EXPONENT (ValueError below, DegreeOverflow above)."""
+    e = tuple(exact_int(x, "Hilbert target entry") for x in e)
+    if len(e) != n:
+        raise DimensionMismatch("Hilbert target exponent length does not match variables")
+    if any(x < 0 for x in e):
+        raise ValueError(f"Hilbert target exponent {e} has a negative entry")
+    if any(x > MAX_EXPONENT for x in e):
+        raise DegreeOverflow(f"exponent exceeds {MAX_EXPONENT}")
+    return e
 
 
 def _via_homogenization(I: Ideal, order: TermOrder) -> GroebnerBasis:
@@ -507,19 +554,23 @@ def _at_h_one(g: Polynomial, vars: tuple) -> Polynomial:
 
 
 def _pair_loop(I: Ideal, order: TermOrder, hilbert, packing: _Packing) -> GroebnerBasis:
-    """`buchberger` on exponents packed by `packing`; `hilbert` is minimal.
-    Pairs pop by the lcm's degree in I's grading (standard when I carries
-    none), a cached weighted sum over the unpacked lcm, then by its key."""
-    key, unpack = packing.key, packing.unpack
+    """`buchberger` on exponents packed by `packing`.  Pair bookkeeping
+    works on the leads' plain fields.  Pairs pop by the lcm's degree in I's
+    grading (standard when I carries none), then by its key, both read off
+    the unpacked lcm when the pair is made; the popped key rebuilds the
+    lcm's word for `_spoly`."""
+    unpack, shift, mask = packing.unpack, packing.shift, packing.mask
     guard, high = packing.guard, packing.width - 1
     weights = (I.grading or Grading.standard(len(I.vars))).weights
-    degree = cache(lambda l: sum(map(operator.mul, weights, unpack(l))))
+    V = packing.weights
+    mul = operator.mul
     target: list = []  # the Hilbert function of `hilbert`, extended on demand
+    counts = None if hilbert is None else _LeadCounts(weights, packing)
 
     basis: list[dict] = []  # primitive integer polynomials, lead first
-    leads: list[int] = []
+    leads: list[int] = []  # their leads' plain fields
     active: list[int] = []  # elements whose lead no later lead divides
-    reducers: list = []  # (lead, element) of the active elements
+    reducers: list = []  # (lead word, element) of the active elements
     pairs: dict = {}  # (i, j) -> lcm; heap entries of missing pairs are stale
     heap: list = []  # (degree(lcm), key(lcm), i, j)
 
@@ -530,7 +581,7 @@ def _pair_loop(I: Ideal, order: TermOrder, hilbert, packing: _Packing) -> Groebn
     def add(r: dict):
         r = _primitive(r)
         j = len(basis)
-        ej = next(iter(r))
+        ej = next(iter(r)) & mask
         basis.append(r)
         leads.append(ej)
         # new pairs, by packed lcm: a proper divisor of an lcm is a smaller
@@ -565,10 +616,11 @@ def _pair_loop(I: Ideal, order: TermOrder, hilbert, packing: _Packing) -> Groebn
         for l, i, coprime in kept:
             if not coprime:
                 pairs[i, j] = l
-                heapq.heappush(heap, (degree(l), key(l), i, j))
+                e = unpack(l)
+                heapq.heappush(heap, (sum(map(mul, weights, e)), sum(map(mul, V, e)), i, j))
         active[:] = [i for i in active if ((leads[i] | guard) - ej) & guard != guard]
         active.append(j)
-        reducers[:] = [(leads[i], basis[i]) for i in active]
+        reducers[:] = [(next(iter(basis[i])), basis[i]) for i in active]
 
     # seed with successive normal forms of the generators; unlike the final
     # interreduction this never drops ideal content
@@ -579,29 +631,73 @@ def _pair_loop(I: Ideal, order: TermOrder, hilbert, packing: _Packing) -> Groebn
 
     deg = gap = -1  # with a target: h minus the target's value in degree deg
     while heap:
-        d, _, i, j = heapq.heappop(heap)
-        if pairs.pop((i, j), None) is None:
+        d, k, i, j = heapq.heappop(heap)
+        l = pairs.pop((i, j), None)
+        if l is None:
             continue
-        if hilbert is not None:
+        if counts is not None:
             if d != deg:
                 deg = d
                 if deg >= len(target):
                     target = _hilbert_function(hilbert, weights, 2 * deg)
-                current = [unpack(leads[k]) for k in active]
-                gap = _hilbert_function(current, weights, deg)[deg] - target[deg]
+                gap = counts.at(deg, leads) - target[deg]
                 if gap < 0:
                     raise ValueError("the Hilbert target exceeds the ideal's "
                                      f"Hilbert function in degree {deg}")
             if not gap:
                 continue
-        s = _spoly(basis[i], basis[j], leads[i], leads[j], packing)
-        r = _normal_form(s, reducers, packing)[0]
+        r = _normal_form(_spoly(basis[i], basis[j], (k << shift) | l, packing),
+                         reducers, packing)[0]
         if r:
             add(r)
             gap -= 1
 
     elements, leads = _interreduce(reducers, I.vars, packing)
     return GroebnerBasis(elements, order, leads)
+
+
+class _LeadCounts:
+    """dim_k (k[x]/L)_D in the degrees D = 0..top, for L generated by the
+    leads a pair loop has found, kept up to date one lead at a time.
+
+    For a monomial m of degree d in the grading, multiplying by m makes
+    0 -> (k[x]/(L : m))(-d) -> k[x]/L -> k[x]/(L + m) -> 0 exact, so
+    HF(L + m)(D) = HF(L)(D) - HF(L : m)(D - d), and L : m is generated by
+    lcm(l, m) - m, in packed fields, for the generators l of L.  The table
+    is counted from scratch, to twice the degree asked, at the first count
+    and at every count past its top degree.
+    """
+
+    __slots__ = ("weights", "packing", "values", "gens", "seen")
+
+    def __init__(self, weights: Sequence[int], packing: _Packing):
+        self.weights = weights
+        self.packing = packing
+        self.values: list = []  # HF(k[x]/L) in the degrees 0..top
+        self.gens: list = []  # L's minimal generators, plain fields
+        self.seen = 0  # the leads counted into L
+
+    def at(self, deg: int, leads: list) -> int:
+        """dim_k (k[x]/L)_deg for L generated by `leads`, the plain fields
+        of the loop's leads, of which those counted before come first."""
+        weights, packing = self.weights, self.packing
+        top = len(self.values) - 1
+        if deg > top:
+            self.values = _packed_hilbert_function(leads, weights, 2 * deg, packing)
+            self.gens = _minimal_fields(leads, packing.guard)
+        else:
+            values, lcm, guard = self.values, packing.lcm, packing.guard
+            for m in leads[self.seen:]:
+                d = sum(map(operator.mul, weights, packing.unpack(m)))
+                if d <= top:
+                    colon = [lcm(l, m) - m for l in self.gens]
+                    for D, h in enumerate(_packed_hilbert_function(colon, weights, top - d,
+                                                                   packing), d):
+                        values[D] -= h
+                self.gens = [g for g in self.gens if ((g | guard) - m) & guard != guard]
+                self.gens.append(m)
+        self.seen = len(leads)
+        return self.values[deg]
 
 
 def reduced_basis(I: Ideal) -> GroebnerBasis:
@@ -962,41 +1058,72 @@ def _graph_grading(target: Ideal, images: Sequence[Polynomial]) -> Grading | Non
 # graded dimensions
 
 
-def _hilbert_numerator(leads: Sequence[Exponent], weights: Sequence[int],
-                       top: int) -> list:
+def _hilbert_numerator(gens: list, weights: Sequence[int], top: int,
+                       packing: _Packing) -> list:
     """Coefficients of t^0..t^top in the numerator N(t) of the Hilbert series
-    N(t) / prod(1 - t^w_i) of k[x] / (x^a : a in leads), for minimal `leads`.
+    N(t) / prod(1 - t^w_i) of k[x] / (x^a : a in gens), for `gens` the plain
+    fields of exponents packed by `packing`.
 
-    Pivots on p = x_i^k, for a variable x_i that two minimal generators share
-    and its least positive exponent k: N(I) = N(I + p) + t^deg(p) N(I : p)
-    (Bayer & Stillman 1992; Bigatti 1997).  Pairwise coprime generators give
-    prod (1 - t^deg a).  The terms of t^deg(p) N(I : p) start at t^deg(p), so
-    a pending ideal whose shift exceeds `top` is dropped.
+    Pivots on p = x_i^k, for the variable x_i that the most minimal
+    generators share and its least positive exponent k:
+    N(I) = N(I + p) + t^deg(p) N(I : p) (Bayer & Stillman 1992; Bigatti
+    1997).  Pairwise coprime generators give prod (1 - t^deg a).  The terms
+    of t^deg(p) N(I : p) start at t^deg(p), so a pending ideal whose shift
+    exceeds `top` is dropped.  The generators holding each variable are
+    counted at once, as a sum of their fields' nonzero flags, in chunks of
+    at most 2^width - 1 generators, so that no field's count carries into
+    the next.
     """
+    width, guard, unpack = packing.width, packing.guard, packing.unpack
+    ones = guard >> (width - 1)
+    field = (1 << width) - 1
+    mul = operator.mul
     num = [0] * (top + 1)
-    stack = [(0, list(leads))]
+    stack = [(0, _minimal_fields(gens, guard))]
     while stack:
         shift, gens = stack.pop()
         if shift > top:
             continue
-        counts = [sum(map(bool, col)) for col in zip(*gens)]
-        if not counts or max(counts) < 2:
+        # the guard bit of (g | guard) - ones stays set where g's field is
+        # positive
+        counts = [0] * len(weights)
+        for c in range(0, len(gens), field):
+            flags = sum([((g | guard) - ones) & guard for g in gens[c:c + field]])
+            counts = list(map(operator.add, counts, unpack(flags >> (width - 1))))
+        most = max(counts, default=0)
+        if most < 2:
             part = [0] * (top + 1)
             part[shift] = 1
             for a in gens:
-                d = sum(map(operator.mul, weights, a))
+                d = sum(map(mul, weights, unpack(a)))
                 for j in range(top, d - 1, -1):  # times (1 - t^d)
                     part[j] -= part[j - d]
             num = list(map(operator.add, num, part))
             continue
-        i = counts.index(max(counts))
-        k = min(g[i] for g in gens if g[i])
-        # every generator with x_i is a multiple of p
-        p = (0,) * i + (k,) + (0,) * (len(weights) - i - 1)
-        stack.append((shift, [g for g in gens if not g[i]] + [p]))
-        colon = _minimal({g[:i] + (max(g[i] - k, 0),) + g[i + 1:] for g in gens})
-        stack.append((shift + k * weights[i], colon))
+        i = counts.index(most)
+        at = i * width
+        xs = [(g >> at) & field for g in gens]
+        k = min(x for x in xs if x)
+        p = k << at  # every generator with x_i is a multiple of p
+        stack.append((shift, [g for g, x in zip(gens, xs) if not x] + [p]))
+        colon = [g - (min(x, k) << at) for g, x in zip(gens, xs)]
+        stack.append((shift + k * weights[i], _minimal_fields(colon, guard)))
     return num
+
+
+def _minimal_fields(gens: Iterable[int], guard: int) -> list:
+    """The minimal ones of `gens`, plain packed fields with guard bits
+    `guard`, under divisibility, without repeats, in increasing order: a
+    proper divisor is a smaller int."""
+    out: list = []
+    for g in sorted(set(gens)):
+        g_guard = g | guard
+        for h in out:
+            if (g_guard - h) & guard == guard:
+                break
+        else:
+            out.append(g)
+    return out
 
 
 def _minimal(exps) -> list:
@@ -1010,15 +1137,30 @@ def _minimal(exps) -> list:
     return out
 
 
-def _hilbert_function(leads: Sequence[Exponent], weights: Sequence[int],
-                      top: int) -> list:
-    """dim_k of k[x] / (x^a : a in leads) in the degrees 0..top, for minimal
-    `leads`: the Hilbert numerator divided by each (1 - t^w)."""
-    series = _hilbert_numerator(leads, weights, top)
+def _packed_hilbert_function(gens: list, weights: Sequence[int], top: int,
+                             packing: _Packing) -> list:
+    """dim_k of k[x] / (x^a : a in gens) in the degrees 0..top, for `gens`
+    the plain fields of exponents packed by `packing`: the Hilbert numerator
+    divided by each (1 - t^w)."""
+    series = _hilbert_numerator(gens, weights, top, packing)
     for w in weights:  # divide by (1 - t^w), in place, up to t^top
         for d in range(w, top + 1):
             series[d] += series[d - w]
     return series
+
+
+def _hilbert_function(leads: Sequence[Exponent], weights: Sequence[int],
+                      top: int) -> list:
+    """dim_k of k[x] / (x^a : a in leads) in the degrees 0..top, with the
+    leads packed at the narrowest width that holds their largest entry:
+    minimal generators, colons and pivots only lower entries.  The
+    packing's order is never read."""
+    n = len(weights)
+    big = max((x for e in leads for x in e), default=0)
+    width = next(w for w in _WIDTHS if big < 1 << (w - 1))
+    packing = _Packing(n, width, _degrevlex(n))
+    return _packed_hilbert_function([packing.fields(e) for e in leads], weights, top,
+                                    packing)
 
 
 def _graded_dimensions(I: Ideal, degrees: Sequence[int]) -> list:

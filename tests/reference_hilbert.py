@@ -1,17 +1,23 @@
-"""The graded-dimension route toricdeg shipped before the Hilbert-series
-numerator: every exponent of the degree is enumerated and tested against the
-leads of the reduced basis.  Kept verbatim as a test-only reference; tests
-compare its counts with `toricdeg.groebner.graded_dimension`.
+"""The graded-dimension routes toricdeg shipped before its packed Hilbert
+numerator, kept as test-only references:
+- the enumeration: every exponent of the degree is enumerated and tested
+  against the leads of the reduced basis; tests compare its counts with
+  `toricdeg.groebner.graded_dimension`, and `standard_count` with the
+  engine's Hilbert functions;
+- `hilbert_numerator`, the numerator on tuple exponents, kept verbatim;
+  tests compare it with `toricdeg.groebner._hilbert_numerator`.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 from toricdeg.groebner import (
     GroebnerBasis,
     Ideal,
     NotHomogeneous,
+    _minimal,
     reduced_basis,
 )
 from reference_groebner import exp_divides
@@ -40,6 +46,13 @@ def _weighted_exponents(weights: Sequence[int], degree: int):
             push((e + (k,), r - k * w))
 
 
+def standard_count(leads: Sequence[tuple], weights: Sequence[int], degree: int) -> int:
+    """The number of exponents of the given weighted degree that no lead
+    divides."""
+    return sum(1 for e in _weighted_exponents(weights, degree)
+               if not any(exp_divides(l, e) for l in leads))
+
+
 def standard_monomials(G: GroebnerBasis, grading: Grading, degree: int):
     """Exponents of the given graded degree outside the leading-term ideal."""
     if degree < 0:
@@ -66,3 +79,39 @@ def graded_dimension(I: Ideal, degree: int, *, max_degree: int | None = None) ->
         raise ValueError(f"degree {degree} exceeds the cap {cap}; raise max_degree")
     G = reduced_basis(I)
     return len(standard_monomials(G, grading, degree))
+
+
+def hilbert_numerator(leads: Sequence[tuple], weights: Sequence[int], top: int) -> list:
+    """Coefficients of t^0..t^top in the numerator N(t) of the Hilbert series
+    N(t) / prod(1 - t^w_i) of k[x] / (x^a : a in leads), for minimal `leads`.
+
+    Pivots on p = x_i^k, for a variable x_i that two minimal generators share
+    and its least positive exponent k: N(I) = N(I + p) + t^deg(p) N(I : p)
+    (Bayer & Stillman 1992; Bigatti 1997).  Pairwise coprime generators give
+    prod (1 - t^deg a).  The terms of t^deg(p) N(I : p) start at t^deg(p), so
+    a pending ideal whose shift exceeds `top` is dropped.
+    """
+    num = [0] * (top + 1)
+    stack = [(0, list(leads))]
+    while stack:
+        shift, gens = stack.pop()
+        if shift > top:
+            continue
+        counts = [sum(map(bool, col)) for col in zip(*gens)]
+        if not counts or max(counts) < 2:
+            part = [0] * (top + 1)
+            part[shift] = 1
+            for a in gens:
+                d = sum(map(operator.mul, weights, a))
+                for j in range(top, d - 1, -1):  # times (1 - t^d)
+                    part[j] -= part[j - d]
+            num = list(map(operator.add, num, part))
+            continue
+        i = counts.index(max(counts))
+        k = min(g[i] for g in gens if g[i])
+        # every generator with x_i is a multiple of p
+        p = (0,) * i + (k,) + (0,) * (len(weights) - i - 1)
+        stack.append((shift, [g for g in gens if not g[i]] + [p]))
+        colon = _minimal({g[:i] + (max(g[i] - k, 0),) + g[i + 1:] for g in gens})
+        stack.append((shift + k * weights[i], colon))
+    return num

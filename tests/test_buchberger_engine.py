@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_groebner
+import reference_hilbert
 import reference_orders as ref
 from toricdeg import degeneration, fixtures, groebner
 from toricdeg.degeneration import embed_value_semigroup, family_ideal
@@ -40,6 +41,7 @@ from toricdeg.polycore import (
     BlockOrder,
     DegreeOverflow,
     DegRevLex,
+    DimensionMismatch,
     Grading,
     Lex,
     Polynomial,
@@ -247,6 +249,81 @@ def test_hilbert_target_too_large_is_rejected():
         buchberger(I, hilbert=[])
 
 
+def _cubic_pair() -> Ideal:
+    """(x^2 - y*z, x*y - z^2) in k[x, y, z], whose degrevlex basis adds
+    y^2*z - x*z^2 in degree 3."""
+    vars = ("x", "y", "z")
+    return Ideal([parse_polynomial(t, vars) for t in ("x^2 - y*z", "x*y - z^2")], vars)
+
+
+@pytest.mark.parametrize("target, error", [
+    ([(2, 0)], DimensionMismatch),
+    ([(2, 0, 0), (1, 1, 0, 0)], DimensionMismatch),
+    ([(-1, 0, 0)], ValueError),
+    ([(1.5, 0, 0)], ValueError),
+    ([(True, 0, 0)], ValueError),
+    ([(MAX_EXPONENT + 1, 0, 0)], DegreeOverflow),
+])
+def test_hilbert_target_is_checked_before_any_groebner_work(monkeypatch, target, error):
+    def no_pair_loop(*args):
+        raise AssertionError("pair loop ran")
+
+    monkeypatch.setattr(groebner, "_pair_loop", no_pair_loop)
+    with pytest.raises(error):
+        buchberger(_cubic_pair(), hilbert=target)
+
+
+def test_hilbert_target_larger_than_the_ideals_is_not_detected():
+    # (x^2, x*y) claims y^2*z is standard in degree 3: the degree's pairs
+    # are dropped before the third element is found, as documented
+    I = _cubic_pair()
+    assert len(buchberger(I)) == 3
+    assert buchberger(I, hilbert=[(2, 0, 0), (1, 1, 0)]).leads == ((2, 0, 0), (1, 1, 0))
+
+
+def _checked_lead_counts(monkeypatch) -> list:
+    """Every count of the pair loops' `_LeadCounts` from now on, checked
+    against a from-scratch count of the current leads: the list of (degree,
+    leads counted lead by lead) in turn, 0 leads for a recount."""
+    at, seen = groebner._LeadCounts.at, []
+
+    def spy(self, deg, leads):
+        before = self.seen if deg < len(self.values) else len(leads)
+        h = at(self, deg, leads)
+        exps = [self.packing.unpack(l) for l in leads]
+        assert h == groebner._hilbert_function(exps, self.weights, deg)[deg]
+        assert h == reference_hilbert.standard_count(exps, self.weights, deg)
+        seen.append((deg, len(leads) - before))
+        return h
+
+    monkeypatch.setattr(groebner._LeadCounts, "at", spy)
+    return seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_incremental_lead_counts_match_counts_from_scratch(data):
+    I, _ = data.draw(st.one_of(_ideals(homogeneous=True), _graded_ideals()))
+    order = _order(data.draw, data.draw(st.sampled_from(ORDER_KINDS)), len(I.vars), True)
+    target = reference_groebner.buchberger(I, DegRevLex(len(I.vars))).leads
+    with pytest.MonkeyPatch.context() as m:
+        _checked_lead_counts(m)
+        G = buchberger(I, order, hilbert=target)
+    assert G.elements == reference_groebner.buchberger(I, order).elements
+
+
+def test_lead_counts_are_kept_lead_by_lead(monkeypatch):
+    # the family run of `test_pair_criteria_counters_are_pinned`: the first
+    # count, in degree 3, is from scratch to degree 6, and each later degree
+    # takes in the one lead found since, with no recount
+    text = ("vars: x0,x1,x2,x3,x4\n- 2*x0*x1 - 2*x1^2 + 3*x2*x3\n"
+            "1*x0*x4 + 1*x3^2 - 2*x4^2\n"
+            "2*x0*x3*x4 + 3*x1*x3^2 - 3*x2*x3^2 - 1*x2*x3*x4\n")
+    seen = _checked_lead_counts(monkeypatch)
+    family_ideal(parse_ideal_text(text), (0, 1, 0, 3, 2))
+    assert seen == [(3, 0), (4, 1), (5, 1), (6, 1)]
+
+
 def _reference_normal_form(p, G):
     return reference_groebner._normal_form(
         p, G.elements, G.leads, reference_groebner._cached_key(G.order))
@@ -413,6 +490,37 @@ def test_packed_divisibility_and_lcm_match_tuples(data):
     guard = packing.guard  # the divisibility test the engine inlines
     assert (((pa | guard) - pb) & guard == guard) == reference_groebner.exp_divides(b, a)
     assert packing.unpack(packing.lcm(pa, pb)) == reference_groebner.exp_lcm(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_words_sort_and_add_as_their_exponents(data):
+    # the word (key << S) | fields of `_Packing`: words compare as the
+    # order's keys do, and add and subtract as exponents, for every kind of
+    # order, negative keys included, at every field width
+    n = data.draw(st.integers(1, 5))
+    order, _ = data.draw(_engine_orders(n))
+    packing = groebner._Packing(n, data.draw(st.sampled_from(groebner._WIDTHS)), order)
+    entry = st.one_of(st.just(0), st.just(packing.cap // 2), st.integers(0, packing.cap // 2))
+    a, b = (tuple(data.draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(2))
+    word, key = packing.pack, order.key
+    assert (word(a) > word(b)) - (word(a) < word(b)) == (key(a) > key(b)) - (key(a) < key(b))
+    assert packing.key(word(a)) == sum(map(operator.mul, order.weights(packing.cap), a))
+    ab = tuple(map(operator.add, a, b))
+    assert word(a) + word(b) == word(ab)
+    assert word(ab) - word(b) == word(a)
+    assert packing.unpack(word(a)) == a
+
+
+def test_words_of_a_weight_order_that_is_not_a_well_order_go_negative():
+    # -x is the first form, so x's key is negative, and its word still sorts
+    # below 1's and adds as its exponent
+    order = WeightOrder([(1, 0)])
+    packing = groebner._Packing(2, 8, order)
+    x, y = packing.pack((1, 0)), packing.pack((0, 1))
+    assert packing.key(x) < 0 < packing.key(y)
+    assert x < packing.pack((0, 0)) < y
+    assert x + y == packing.pack((1, 1)) and packing.pack((2, 1)) - x == packing.pack((1, 1))
 
 
 @st.composite

@@ -794,9 +794,9 @@ def numerator_tops(monkeypatch):
     tops = []
     numerator = groebner._hilbert_numerator
 
-    def spy(leads, weights, top):
+    def spy(gens, weights, top, packing):
         tops.append(top)
-        return numerator(leads, weights, top)
+        return numerator(gens, weights, top, packing)
 
     monkeypatch.setattr(groebner, "_hilbert_numerator", spy)
     return tops

@@ -1,8 +1,9 @@
-"""Graded dimensions from the Hilbert-series numerator against the
-enumeration route they replaced.
+"""Graded dimensions from the packed Hilbert-series numerator against the
+routes they replaced.
 
 `reference_hilbert.graded_dimension` counts the monomials of the degree
-outside the leading-term ideal one by one, up to degree 8.
+outside the leading-term ideal one by one, up to degree 8, and
+`reference_hilbert.hilbert_numerator` is the numerator on tuple exponents.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import reference_hilbert
 from toricdeg import fixtures as fx
+from toricdeg import groebner
 from toricdeg.degeneration import projection_limit, valuation_pipeline
 from toricdeg.groebner import Ideal, graded_dimension
 from toricdeg.polycore import MIN, Grading, Polynomial
@@ -76,3 +78,49 @@ def test_fixture_ideals_match_enumeration():
     for I in _fixture_ideals():
         want = _dims(reference_hilbert.graded_dimension, I)
         assert _dims(graded_dimension, I) == want, I
+
+
+def _numerator_matches_references(leads, weights, top, width, counted=None):
+    """The packed numerator at `width` to t^top against the tuple numerator,
+    and the Hilbert function at the narrowest width against the
+    enumeration, to degree `counted`, `top` by default."""
+    counted = top if counted is None else counted
+    packing = groebner._Packing(len(weights), width, groebner._degrevlex(len(weights)))
+    num = groebner._hilbert_numerator([packing.fields(e) for e in leads], weights, top, packing)
+    assert num == reference_hilbert.hilbert_numerator(groebner._minimal(leads), weights, top)
+    assert groebner._hilbert_function(leads, weights, counted) == [
+        reference_hilbert.standard_count(leads, weights, d) for d in range(counted + 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_packed_numerator_matches_the_references(data):
+    # drawn weighted gradings and lead sets, not necessarily minimal, packed
+    # at every width that holds them
+    n = data.draw(st.integers(1, 5))
+    weights = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    leads = data.draw(st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n).map(tuple),
+                               max_size=8))
+    _numerator_matches_references(leads, weights, data.draw(st.integers(0, 10)),
+                                  data.draw(st.sampled_from(groebner._WIDTHS)))
+
+
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_packed_numerator_counts_past_a_fields_capacity(data):
+    # x0*y_j for m >= 256 variables y_j of weight 2 or 3, at 8-bit fields:
+    # x0 is shared by m generators, more than a field holds, and every other
+    # variable by at most one.  x0 comes first, before a variable u that no
+    # generator holds, or last.  A count that carried out of x0's field
+    # would read at most 1 for x0 and u at m = 256 or 257, and the
+    # generators would pass as coprime, which the numerator shows from t^5
+    # on, in the terms of pairs of generators.  The enumeration counts to
+    # degree 3, where a monomial holds at most one y_j, so it stays small
+    m = data.draw(st.sampled_from([256, 257]))
+    ys = data.draw(st.lists(st.integers(2, 3), min_size=m, max_size=m))
+    first = data.draw(st.booleans())
+    weights = [1, 1, *ys] if first else [1, *ys, 1]
+    n = len(weights)
+    at, y0 = (0, 2) if first else (n - 1, 1)
+    leads = [tuple(1 if i in (at, y0 + j) else 0 for i in range(n)) for j in range(m)]
+    _numerator_matches_references(leads, weights, 7, 8, counted=3)
